@@ -15,7 +15,7 @@ import math
 from . import field as field_mod
 from . import geometry
 from . import srg as srg_mod
-from .geometry import PointSet, FORM_STANDARD, FORM_SUM_ZERO
+from .geometry import PointSet, FORM_STANDARD, FORM_SUM_ZERO, OffHyperplane
 
 
 class SchemaError(ValueError):
@@ -94,6 +94,22 @@ def _schema(cond, msg):
         raise SchemaError(msg)
 
 
+def _is_int(x):
+    """A JSON integer; JSON true/false load as bool, a subclass of int."""
+    return type(x) is int
+
+
+def _element(f, v, what):
+    """Field element from its JSON form, or SchemaError."""
+    parts = v if isinstance(v, list) else [v]
+    _schema(all(_is_int(x) for x in parts),
+            "bad %s %r: not an integer or integer array" % (what, v))
+    try:
+        return f.deserialize(v)
+    except ValueError as exc:
+        raise SchemaError("bad %s: %s" % (what, exc))
+
+
 def load(path):
     """Parse and schema-check a certificate; returns (cert, PointSet)."""
     try:
@@ -104,15 +120,15 @@ def load(path):
     _schema(isinstance(cert, dict), "certificate must be a JSON object")
     _schema(cert.get("version") == 1, "unsupported certificate version")
     fb = cert.get("field")
-    _schema(isinstance(fb, dict) and isinstance(fb.get("p"), int)
-            and isinstance(fb.get("k"), int), "bad field block")
+    _schema(isinstance(fb, dict) and _is_int(fb.get("p"))
+            and _is_int(fb.get("k")), "bad field block")
     try:
         f = field_mod.field_make(fb["p"], fb["k"], fb.get("modulus"))
     except (ValueError, field_mod.NotPrime, field_mod.EvenCharacteristic,
             field_mod.ReducibleModulus) as exc:
         raise SchemaError("bad field: %s" % exc)
     dim = cert.get("ambient_dim")
-    _schema(isinstance(dim, int) and dim >= 1, "bad ambient_dim")
+    _schema(_is_int(dim) and dim >= 1, "bad ambient_dim")
     form = cert.get("form")
     _schema(form in (FORM_STANDARD, FORM_SUM_ZERO), "bad form")
     raw_points = cert.get("points")
@@ -122,44 +138,30 @@ def load(path):
     for rp in raw_points:
         _schema(isinstance(rp, list) and len(rp) == dim,
                 "point of wrong length")
-        try:
-            points.append(tuple(f.deserialize(c) for c in rp))
-        except (ValueError, TypeError) as exc:
-            raise SchemaError("bad coordinate: %s" % exc)
+        points.append(tuple(_element(f, c, "coordinate") for c in rp))
     _schema(len(set(points)) == len(points), "points must be distinct")
     claim = cert.get("claim")
     _schema(isinstance(claim, dict), "missing claim")
     ctype = claim.get("type")
     if ctype == "equilateral":
         _schema("delta" in claim, "equilateral claim needs delta")
-        delta = _claim_value(f, claim["delta"])
+        delta = _element(f, claim["delta"], "claim value")
         _schema(delta != f.zero, "delta must be nonzero")
     elif ctype == "two_distance":
         vals = claim.get("values")
         _schema(isinstance(vals, list) and len(vals) == 2,
                 "two_distance claim needs two values")
-        a, b = (_claim_value(f, v) for v in vals)
+        a, b = (_element(f, v, "claim value") for v in vals)
         _schema(a != b, "two_distance values must be distinct")
         _schema(a != f.zero and b != f.zero,
                 "two_distance values must be nonzero")
     else:
         raise SchemaError("unknown claim type %r" % ctype)
-    if form == FORM_SUM_ZERO:
-        for p in points:
-            acc = f.zero
-            for c in p:
-                acc = f.add(acc, c)
-            if acc != f.zero:
-                raise VerificationFailure("point off the sum-zero hyperplane")
-    s = PointSet(f, dim, form, points)
-    return cert, s
-
-
-def _claim_value(f, v):
     try:
-        return f.deserialize(v)
-    except (ValueError, TypeError) as exc:
-        raise SchemaError("bad claim value: %s" % exc)
+        s = PointSet(f, dim, form, points)
+    except OffHyperplane as exc:
+        raise VerificationFailure(str(exc))
+    return cert, s
 
 
 def verify(path):
@@ -188,34 +190,48 @@ def verify(path):
                 "distance values %r do not match claim %r"
                 % (sorted(map(f.serialize, cls.values)), claim["values"]))
     meta = cert.get("meta", {})
+    _schema(isinstance(meta, dict), "meta must be an object")
     report = {"classification": repr(cls), "n_points": len(s)}
     bounds = meta.get("bounds")
     if isinstance(bounds, dict) and "blokhuis" in bounds:
         d = meta.get("dimension", s.dimension())
+        _schema(_is_int(d) and d >= 1,
+                "meta.dimension must be an integer >= 1")
         if bounds["blokhuis"] != geometry.blokhuis_bound(d):
             raise VerificationFailure("stored blokhuis value is wrong")
     srg_report = meta.get("srg_report")
     if isinstance(srg_report, dict) and srg_report.get("n"):
-        _verify_srg(s, claim, srg_report)
+        n = srg_report["n"]
+        _schema(_is_int(n) and n >= 4,
+                "meta.srg_report.n must be an integer >= 4")
+        _verify_srg(s, claim, n)
         report["srg"] = "ok"
     return report
 
 
-def _verify_srg(s, claim, srg_report):
+def _verify_srg(s, claim, n):
+    """The midpoint graph of a valid certificate is the triangular graph
+    T(n) for one of the two claimed values as the edge value delta/4.
+    Both are tried: the value order is not part of the claim, and in
+    characteristic 3 each value is twice the other, so the graph for
+    the wrong one (the complement of T(n)) is also well formed."""
     f = s.field
-    n = srg_report["n"]
     if claim["type"] != "two_distance":
         raise VerificationFailure("srg_report on a non two-distance claim")
     if len(s) != math.comb(n, 2):
         raise VerificationFailure("point count does not match C(n,2)")
-    # edge relation: the first claimed value is delta/4 (shared vertex)
-    a = f.deserialize(claim["values"][0])
-    adj = [[0] * len(s) for _ in range(len(s))]
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            if geometry.dist2(f, s.points[i], s.points[j]) == a:
-                adj[i][j] = adj[j][i] = 1
-    g = srg_mod.Graph(adj)
-    result = srg_mod.srg_check(g, srg_mod.expected_params(n))
-    if not result["ok"]:
-        raise VerificationFailure("SRG recheck failed: %s" % result["failure"])
+    params = srg_mod.expected_params(n)
+    failures = []
+    for value in claim["values"]:
+        edge = f.deserialize(value)
+        try:
+            g = srg_mod.midpoint_graph(s, f.mul(f.coerce(4), edge))
+        except srg_mod.BadDistanceValue as exc:
+            failures.append(str(exc))
+            continue
+        result = srg_mod.srg_check(g, params)
+        if result["ok"]:
+            return
+        failures.append(result["failure"])
+    raise VerificationFailure("SRG recheck failed for either edge value: %s"
+                              % "; ".join(failures))

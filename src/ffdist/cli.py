@@ -71,10 +71,6 @@ def cmd_construct(args):
     print("wrote %s (%d equilateral points)" % (args.out, len(s)))
     if args.midpoints:
         mid = construct.midpoints(s)
-        inv4 = f.inv(f.coerce(4))
-        inv2 = f.inv(f.coerce(2))
-        d4 = f.mul(mid.delta, inv4)
-        d2 = f.mul(mid.delta, inv2)
         n = len(s)
         mmeta = {
             "construction": "midpoints",
@@ -85,12 +81,11 @@ def cmd_construct(args):
             "bounds": certificate.bounds_block(d, len(mid.points), f),
         }
         if n >= 4:
-            g = srg.midpoint_graph(mid.points, mid.delta)
-            report = srg.srg_check(g, srg.expected_params(n))
+            report = srg.srg_check(mid.graph, srg.expected_params(n))
             report["n"] = n
             mmeta["srg_report"] = report
-        mcert = certificate.make(
-            mid.points, certificate.two_distance_claim(f, d4, d2), mmeta)
+        claim = certificate.two_distance_claim(f, mid.d4, mid.d2)
+        mcert = certificate.make(mid.points, claim, mmeta)
         mpath = _midpoint_out_path(args.out)
         certificate.write(mcert, mpath)
         print("wrote %s (%d midpoints)" % (mpath, len(mid.points)))

@@ -7,9 +7,9 @@ characteristic divides d+2.  Midpoints of its edges form a two-distance
 set of size C(d+2, 2), which meets the quadratic reference bound.
 """
 
-from . import geometry
+from . import geometry, srg
 from .geometry import PointSet, FORM_SUM_ZERO, FORM_STANDARD, dist2
-from .linalg import MatrixF, isometry_to_standard, inverse, solve
+from .linalg import MatrixF, LawViolated, dot, isometry_to_standard
 
 
 class NotModular(ValueError):
@@ -69,13 +69,18 @@ class MidpointSet:
 
     edges[t] is the source pair (i, j) of midpoint t; pair_types maps
     unordered midpoint index pairs to SHARED_VERTEX or DISJOINT_EDGES.
+    The shared-vertex pairs sit at d4 = delta/4 and are the edges of
+    graph; the disjoint-edge pairs sit at d2 = delta/2.
     """
 
-    def __init__(self, points, edges, pair_types, delta):
+    def __init__(self, points, edges, pair_types, delta, d4, d2, graph):
         self.points = points
         self.edges = edges
         self.pair_types = pair_types
         self.delta = delta
+        self.d4 = d4
+        self.d2 = d2
+        self.graph = graph
 
 
 def midpoints(s):
@@ -83,7 +88,9 @@ def midpoints(s):
     of every midpoint pair.
 
     Shared-vertex pairs sit at delta/4, disjoint-edge pairs at delta/2;
-    both facts are re-verified here against the actual distances.
+    both facts are re-verified here against the actual distances:
+    srg.midpoint_graph raises BadDistanceValue for a pair at neither
+    value, and LawViolated marks a pair at the other type's value.
     """
     cls = geometry.classify(s)
     if not isinstance(cls, geometry.Equilateral):
@@ -101,18 +108,16 @@ def midpoints(s):
         mids.append(tuple(f.mul(half, f.add(a, b))
                           for a, b in zip(s.points[i], s.points[j])))
     mset = PointSet(f, s.ambient_dim, s.form, mids)
+    graph = srg.midpoint_graph(mset, delta)
     pair_types = {}
     for a in range(len(edges)):
         for b in range(a + 1, len(edges)):
             shared = bool(set(edges[a]) & set(edges[b]))
-            kind = SHARED_VERTEX if shared else DISJOINT_EDGES
-            pair_types[(a, b)] = kind
-            got = dist2(f, mids[a], mids[b])
-            want = d4 if shared else d2
-            if got != want:
-                raise AssertionError("midpoint distance law violated at %r/%r"
-                                     % (edges[a], edges[b]))
-    return MidpointSet(mset, edges, pair_types, delta)
+            pair_types[(a, b)] = SHARED_VERTEX if shared else DISJOINT_EDGES
+            if graph.adjacency[a][b] != shared:
+                raise LawViolated("midpoint distance law violated at %r/%r"
+                                  % (edges[a], edges[b]))
+    return MidpointSet(mset, edges, pair_types, delta, d4, d2, graph)
 
 
 def _hyperplane_basis(f, m):
@@ -133,7 +138,7 @@ def embed_standard(s):
 
     Raises NotIsometric when the hyperplane form is not congruent to
     the standard one (discriminant obstruction, e.g. characteristic 3
-    with ambient dimension 5).
+    with ambient dimension 5), and LawViolated if a distance changed.
     """
     if s.form != FORM_SUM_ZERO:
         raise ValueError("embed_standard expects a sum-zero hyperplane set")
@@ -142,27 +147,23 @@ def embed_standard(s):
     basis = _hyperplane_basis(f, m)
     g = basis.transpose().mul(basis)
     t = isometry_to_standard(g)  # may raise NotIsometric
-    tinv = inverse(t)
-    new_points = []
-    for p in s.points:
-        c = solve(basis, list(p))
-        assert c is not None, "point not on the hyperplane"
-        y = tuple(
-            _dot_row(f, tinv.entries[i], c) for i in range(m - 1))
-        new_points.append(y)
-    out = PointSet(f, m - 1, FORM_STANDARD, new_points)
+    # A point p = B c of the hyperplane (PointSet checked the sum) has
+    # coordinates y = T^-1 c.  T^T G T = I gives T^-1 = T^T B^T B, so
+    # y = (B T)^T p: one linear map for every point.  B is bidiagonal,
+    # so row i of B T is T_i - T_(i-1), taking zero rows outside T.
+    padded = [[f.zero] * (m - 1)] + t.entries + [[f.zero] * (m - 1)]
+    bt = [[f.sub(a, b) for a, b in zip(padded[i + 1], padded[i])]
+          for i in range(m)]
+    out = PointSet(f, m - 1, FORM_STANDARD,
+                   [tuple(dot(f, col, p) for col in zip(*bt))
+                    for p in s.points])
     for i in range(len(s)):
         for j in range(i + 1, len(s)):
-            assert dist2(f, out.points[i], out.points[j]) == \
-                dist2(f, s.points[i], s.points[j])
+            if dist2(f, out.points[i], out.points[j]) != \
+                    dist2(f, s.points[i], s.points[j]):
+                raise LawViolated("embedding changed the distance of "
+                                  "points %d and %d" % (i, j))
     return out
-
-
-def _dot_row(f, row, vec):
-    acc = f.zero
-    for a, b in zip(row, vec):
-        acc = f.add(acc, f.mul(a, b))
-    return acc
 
 
 def sharp_dimensions(p, d_max):

@@ -8,10 +8,14 @@ either way distances are evaluated in ambient coordinates.
 
 import math
 
-from .linalg import MatrixF, rank, DimensionMismatch
+from .linalg import MatrixF, rank, dot, DimensionMismatch
 
 
 class TooFewPoints(ValueError):
+    pass
+
+
+class OffHyperplane(ValueError):
     pass
 
 
@@ -46,7 +50,7 @@ class PointSet:
                 for c in p:
                     s = field.add(s, c)
                 if s != field.zero:
-                    raise ValueError("point off the sum-zero hyperplane")
+                    raise OffHyperplane("point off the sum-zero hyperplane")
         elif form != FORM_STANDARD:
             raise ValueError("unknown form %r" % form)
 
@@ -153,17 +157,7 @@ def gram(s):
     f = s.field
     p0 = s.points[0]
     vs = [tuple(f.sub(a, b) for a, b in zip(p, p0)) for p in s.points[1:]]
-    n = len(vs)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = f.zero
-            for a, b in zip(vs[i], vs[j]):
-                acc = f.add(acc, f.mul(a, b))
-            row.append(acc)
-        entries.append(row)
-    return MatrixF(f, entries)
+    return MatrixF(f, [[dot(f, u, v) for v in vs] for u in vs])
 
 
 def gram_rank(s):

@@ -1,10 +1,10 @@
 """Exact dense linear algebra over a finite field.
 
 Matrices are small and dense (desk scale: dimension a few dozen at
-most), so everything is plain Gaussian elimination with any nonzero
-pivot.  Symmetric forms are diagonalized by congruence, compared by
-discriminant square class, and mapped onto the standard form when the
-discriminant permits.
+most); rank is plain Gaussian elimination with any nonzero pivot, the
+only elimination in the package.  Symmetric forms are diagonalized by
+congruence, compared by discriminant square class, and mapped onto the
+standard form when the discriminant permits.
 """
 
 from .field import SquareClass
@@ -24,6 +24,11 @@ class DimensionMismatch(ValueError):
 
 class FieldMismatch(ValueError):
     pass
+
+
+class LawViolated(ArithmeticError):
+    """An exact identity the mathematics guarantees did not hold; this
+    means a bug, never bad input, and is raised even under python -O."""
 
 
 class NotIsometric(ValueError):
@@ -63,9 +68,6 @@ class MatrixF:
     def zeros(cls, field, rows, cols):
         return cls(field, [[field.zero] * cols for _ in range(rows)])
 
-    def copy(self):
-        return MatrixF(self.field, self.entries)
-
     def __eq__(self, other):
         return (isinstance(other, MatrixF) and self.field == other.field
                 and self.entries == other.entries)
@@ -102,6 +104,16 @@ class MatrixF:
                         for i in range(self.rows) for j in range(i)))
 
 
+def dot(f, u, v):
+    """Standard bilinear form sum(u_i v_i), exact in the field; zero
+    coordinates are skipped, so sparse vectors cost less."""
+    acc = f.zero
+    for a, b in zip(u, v):
+        if a != f.zero and b != f.zero:
+            acc = f.add(acc, f.mul(a, b))
+    return acc
+
+
 def rank(m):
     """Rank by Gaussian elimination; exact, any nonzero pivot works."""
     f = m.field
@@ -129,69 +141,11 @@ def rank(m):
     return r
 
 
-def solve(m, rhs):
-    """One solution x of m·x = rhs (rhs a vector), or None if inconsistent."""
-    f = m.field
-    a = [row[:] + [v] for row, v in zip(m.entries, rhs)]
-    rows, cols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i][c] != f.zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = f.inv(a[r][c])
-        a[r] = [f.mul(x, inv) for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != f.zero:
-                factor = a[i][c]
-                a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, rows):
-        if a[i][cols] != f.zero:
-            return None
-    x = [f.zero] * cols
-    for i, c in enumerate(pivots):
-        x[c] = a[i][cols]
-    return x
-
-
-def inverse(m):
-    f = m.field
-    if m.rows != m.cols:
-        raise DimensionMismatch("only square matrices invert")
-    n = m.rows
-    a = [row[:] + [f.one if i == j else f.zero for j in range(n)]
-         for i, row in enumerate(m.entries)]
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if a[i][c] != f.zero:
-                pivot = i
-                break
-        if pivot is None:
-            raise Degenerate("matrix is singular")
-        a[c], a[pivot] = a[pivot], a[c]
-        inv = f.inv(a[c][c])
-        a[c] = [f.mul(x, inv) for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != f.zero:
-                factor = a[i][c]
-                a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[c])]
-    return MatrixF(f, [row[n:] for row in a])
-
-
 def gram_rank_law(n, f):
     """Rank of the (n-1)x(n-1) matrix I+J over f.
 
     The result is checked against the closed form n-2 (characteristic
-    divides n) / n-1 (otherwise), so a discrepancy would fail loudly.
+    divides n) / n-1 (otherwise); a discrepancy raises LawViolated.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -200,7 +154,9 @@ def gram_rank_law(n, f):
                     for i in range(n - 1)])
     r = rank(m)
     expected = n - 2 if n % f.p == 0 else n - 1
-    assert r == expected, "rank law violated: got %d for n=%d over %r" % (r, n, f)
+    if r != expected:
+        raise LawViolated("rank law violated: got %d for n=%d over %r"
+                          % (r, n, f))
     return r
 
 
@@ -224,14 +180,7 @@ class DiagForm:
 
 def _form_value(g, u, v):
     f = g.field
-    acc = f.zero
-    for i, ui in enumerate(u):
-        if ui == f.zero:
-            continue
-        for j, vj in enumerate(v):
-            if vj != f.zero:
-                acc = f.add(acc, f.mul(f.mul(ui, g.entries[i][j]), vj))
-    return acc
+    return dot(f, u, [dot(f, row, v) for row in g.entries])
 
 
 def diagonalize_form(g):
@@ -359,5 +308,6 @@ def isometry_to_standard(g):
         new_j = [f.add(f.mul(mby, u), f.mul(ax, v)) for u, v in zip(ci, cj)]
         cols[i], cols[j] = new_i, new_j
     t = MatrixF(f, [[cols[j][i] for j in range(n)] for i in range(n)])
-    assert t.transpose().mul(g).mul(t) == MatrixF.identity(f, n)
+    if t.transpose().mul(g).mul(t) != MatrixF.identity(f, n):
+        raise LawViolated("T^T G T is not the identity")
     return t

@@ -17,6 +17,7 @@ from math import comb
 
 from . import geometry
 from .geometry import PointSet, FORM_STANDARD, dist2
+from .linalg import LawViolated
 
 
 class TooLarge(ValueError):
@@ -254,10 +255,12 @@ def max_equilateral(problem):
     """Largest equilateral set in F_q^d, exact when exhausted=True.
 
     An exhausted result must respect the rank bound; a violation would
-    mean a bug somewhere, so it is asserted."""
+    mean a bug somewhere, so it raises LawViolated."""
     size, witness, values, exhausted, stats = _search(problem)
-    if exhausted and size >= 2:
-        assert size <= geometry.equilateral_upper(problem.field, problem.d)
+    if exhausted and size > geometry.equilateral_upper(problem.field,
+                                                       problem.d):
+        raise LawViolated("exhausted search found %d equilateral points, "
+                          "above the rank bound" % size)
     return SearchResult(problem, size, witness, exhausted, stats,
                         values=values)
 

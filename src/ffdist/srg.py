@@ -1,14 +1,14 @@
 """Strongly-regular verification of the midpoint graph.
 
 The shared-vertex relation on midpoints is the line graph of K_n (the
-triangular / Johnson graph J(n,2)).  All checks here run over the
-integers: the A^2 = kI + lambda A + mu (J-I-A) identity exactly, and
-eigenvalue multiplicities as v - rank(A - theta I) over the rationals.
-Mod-p statements (the eigenvalue collapse) are derived afterwards.
+triangular / Johnson graph J(n,2)).  All checks here are exact integer
+arithmetic: the A^2 = kI + lambda A + mu (J-I-A) identity entry by
+entry, and then the eigenvalue multiplicities, which that identity
+fixes once mu > 0.  Mod-p statements (the eigenvalue collapse) are
+derived afterwards.
 """
 
-from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 from .geometry import dist2
 
@@ -88,30 +88,26 @@ def expected_params(n):
     )
 
 
-def _rational_rank(rows):
-    a = [[Fraction(x) for x in row] for row in rows]
-    n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
-    r = 0
-    for c in range(n_cols):
-        pivot = None
-        for i in range(r, n_rows):
-            if a[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(r + 1, n_rows):
-            if a[i][c]:
-                factor = a[i][c]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+def _spectrum(v, k, lam, mu):
+    """Integer eigenvalue -> multiplicity of any graph satisfying the
+    SRG identity with these parameters and mu > 0.
+
+    Such a graph is connected, k is a simple eigenvalue, and every other
+    eigenvalue is a root r or s of x^2 - (lambda - mu) x - (k - mu)
+    (Brouwer-Haemers, Spectra of Graphs, 9.1).  Their multiplicities f,
+    g solve f + g = v - 1 and k + f r + g s = tr A = 0.  Irrational
+    roots (a conference graph) have multiplicity 0 at every integer.
+    """
+    b = lam - mu
+    disc = b * b + 4 * (k - mu)
+    root = isqrt(disc) if disc >= 0 else -1
+    if root * root != disc:
+        return {k: 1}
+    r, s = (b + root) // 2, (b - root) // 2
+    if r == s:  # a double root: K_v claimed with mu = v
+        return {k: 1, r: v - 1}
+    f = (-k - s * (v - 1)) // (r - s)
+    return {k: 1, r: f, s: v - 1 - f}
 
 
 def srg_check(g, params):
@@ -136,10 +132,12 @@ def srg_check(g, params):
         if d != params.k:
             return fail("vertex %d has degree %d, expected %d" % (i, d, params.k))
     a = g.adjacency
-    # A^2 = k I + lambda A + mu (J - I - A), entrywise over Z
+    # A^2 = k I + lambda A + mu (J - I - A), entrywise over Z; entry
+    # (i, j) of A^2 counts common neighbours, a popcount of bitset rows
+    rows = [int("".join(map(str, row)), 2) for row in a]
     for i in range(v):
         for j in range(v):
-            a2 = sum(a[i][t] * a[t][j] for t in range(v))
+            a2 = (rows[i] & rows[j]).bit_count()
             if i == j:
                 want = params.k
             elif a[i][j]:
@@ -149,11 +147,12 @@ def srg_check(g, params):
             if a2 != want:
                 return fail("A^2 entry (%d, %d) is %d, expected %d"
                             % (i, j, a2, want))
+    if params.mu <= 0:
+        return fail("mu = %d does not determine the spectrum" % params.mu)
+    spectrum = _spectrum(v, params.k, params.lam, params.mu)
     total_mult = 0
     for theta, mult in params.eigenvalues:
-        shifted = [[a[i][j] - (theta if i == j else 0) for j in range(v)]
-                   for i in range(v)]
-        got = v - _rational_rank(shifted)
+        got = spectrum.get(theta, 0)
         if got != mult:
             return fail("eigenvalue %d has multiplicity %d, expected %d"
                         % (theta, got, mult))

@@ -1,8 +1,16 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ffdist
 from ffdist import cli
+
+SRC = Path(ffdist.__file__).parent
 
 
 def run_cli(*argv):
@@ -97,6 +105,64 @@ def test_verify_schema_errors(tmp_path):
     cert["field"]["p"] = 4
     bad.write_text(json.dumps(cert))
     assert run_cli("verify", str(bad)) == 2
+
+
+@pytest.mark.parametrize("p,d", [(5, 3), (7, 5)])
+def test_verify_accepts_either_value_order(tmp_path, p, d):
+    # at (7, 5), n = 7: T(7) and its complement are both 10-regular
+    code, _, mid = construct_pair(tmp_path, p, d)
+    assert code == 0
+    cert = json.loads(mid.read_text())
+    cert["claim"]["values"].reverse()
+    swapped = tmp_path / "swapped.json"
+    swapped.write_text(json.dumps(cert))
+    assert run_cli("verify", str(swapped)) == 0
+
+
+@pytest.mark.parametrize("path,value", [
+    (("meta",), "midpoints"),
+    (("meta", "srg_report", "n"), "5"),
+    (("meta", "srg_report", "n"), True),
+    (("meta", "dimension"), "3"),
+    (("meta", "dimension"), True),
+    (("points", 0, 0), True),
+    (("claim", "values", 1), True),
+])
+def test_verify_malformed_input(tmp_path, path, value):
+    _, _, mid = construct_pair(tmp_path, 5, 3)
+    cert = json.loads(mid.read_text())
+    target = cert
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    assert run_cli("verify", str(bad)) == 2
+
+
+def test_no_assert_in_package():
+    # mathematical claims must survive python -O
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Assert)]
+        assert not asserts, "%s: assert at lines %s" % (path.name, asserts)
+
+
+def test_optimized_run_writes_same_bytes(tmp_path):
+    _, out, mid = construct_pair(tmp_path, 5, 3)
+    opt = tmp_path / "opt"
+    opt.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    argv = [sys.executable, "-O", "-m", "ffdist.cli"]
+    subprocess.run(argv + ["construct", "--p", "5", "--d", "3", "--b", "1",
+                           "--midpoints", "--out", "cert.json"],
+                   cwd=opt, env=env, check=True, capture_output=True)
+    for name in ("cert.json", "cert.midpoints.json"):
+        subprocess.run(argv + ["verify", name], cwd=opt, env=env, check=True,
+                       capture_output=True)
+    assert (opt / "cert.json").read_bytes() == out.read_bytes()
+    assert (opt / "cert.midpoints.json").read_bytes() == mid.read_bytes()
 
 
 def test_verify_missing_file():

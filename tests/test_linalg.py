@@ -5,7 +5,7 @@ import pytest
 from ffdist.field import field_make, SquareClass
 from ffdist.linalg import (
     MatrixF, DiagForm, rank, gram_rank_law, diagonalize_form,
-    form_equivalent, isometry_to_standard, solve, inverse,
+    form_equivalent, isometry_to_standard,
     NotSymmetric, Degenerate, DimensionMismatch, FieldMismatch, NotIsometric,
 )
 
@@ -204,21 +204,3 @@ def test_isometry_random_success_or_obstruction():
                 assert t.transpose().mul(g).mul(t) == MatrixF.identity(f, n)
                 assert f.square_class(d.determinant()) is SquareClass.SQUARE
 
-
-def test_solve_and_inverse():
-    rng = random.Random(5)
-    f7 = field_make(7)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        m = random_invertible(f7, n, rng)
-        x = [rng.randrange(7) for _ in range(n)]
-        rhs = [sum(m.entries[i][j] * x[j] for j in range(n)) % 7
-               for i in range(n)]
-        assert solve(m, rhs) == x
-        assert m.mul(inverse(m)) == MatrixF.identity(f7, n)
-
-
-def test_solve_inconsistent():
-    f3 = field_make(3)
-    m = MatrixF(f3, [[1, 1], [1, 1]])
-    assert solve(m, [0, 1]) is None

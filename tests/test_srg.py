@@ -4,11 +4,12 @@ import pytest
 
 from ffdist.field import field_make
 from ffdist import construct, srg
+from ffdist.linalg import MatrixF, rank
 from ffdist.construct import ModularParams, modular_equilateral, midpoints
 from ffdist.geometry import PointSet, FORM_STANDARD
 from ffdist.srg import (
-    Graph, midpoint_graph, expected_params, srg_check, eigen_collapse,
-    TooSmall, BadDistanceValue,
+    Graph, SrgParams, midpoint_graph, expected_params, srg_check,
+    eigen_collapse, TooSmall, BadDistanceValue,
 )
 
 
@@ -75,6 +76,13 @@ def test_srg_check_passes_for_midpoint_graphs():
 
 
 def test_srg_check_range_4_to_10():
+    # independent oracle for the spectrum: the multiplicity of theta is
+    # v - rank(A - theta I).  Mod P the rank can only drop, so each mod-P
+    # multiplicity bounds the rational one from above; eigenspaces of
+    # distinct eigenvalues are independent, so the mod-P values sum to at
+    # most v, which the rational multiplicities of T(n)'s three
+    # eigenvalues already reach.  Hence the two agree exactly.
+    f = field_make(2**31 - 1)
     for n in range(4, 11):
         s = equilateral_subset(n)
         mid = midpoints(s)
@@ -82,6 +90,59 @@ def test_srg_check_range_4_to_10():
         report = srg_check(g, expected_params(n))
         assert report["ok"], report
         assert sum(m for _, m in report["eigenvalues"]) == comb(n, 2)
+        v = g.n_vertices
+        for theta, mult in report["eigenvalues"]:
+            shifted = [[a - (theta if i == j else 0)
+                        for j, a in enumerate(row)]
+                       for i, row in enumerate(g.adjacency)]
+            oracle = MatrixF(f, [[f.coerce(a) for a in row] for row in shifted])
+            assert v - rank(oracle) == mult
+
+
+def cycle(n):
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        j = (i + 1) % n
+        adj[i][j] = adj[j][i] = 1
+    return Graph(adj)
+
+
+def test_srg_check_petersen():
+    # complement of the line graph of K_5
+    edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    adj = [[int(not set(x) & set(y)) for y in edges] for x in edges]
+    params = SrgParams(10, 3, 0, 1, [(3, 1), (1, 5), (-2, 4)])
+    assert srg_check(Graph(adj), params)["ok"]
+
+
+def test_srg_check_c5_irrational_spectrum():
+    # C_5 is srg(5, 2, 0, 1) with eigenvalues (-1 +- sqrt 5)/2: no
+    # integer claim may pass, and none may raise
+    for r in range(-3, 3):
+        for s in range(-3, r):
+            for f in range(5):
+                claim = [(2, 1), (r, f), (s, 4 - f)]
+                report = srg_check(cycle(5), SrgParams(5, 2, 0, 1, claim))
+                assert not report["ok"]
+                assert "multiplicity" in report["failure"]
+
+
+def test_srg_check_mu_zero_fails():
+    # two disjoint triangles satisfy the identity of srg(6, 2, 1, 0),
+    # but mu = 0 leaves the multiplicity of k open
+    adj = [[int(i != j and i // 3 == j // 3) for j in range(6)]
+           for i in range(6)]
+    report = srg_check(Graph(adj), SrgParams(6, 2, 1, 0, [(2, 2), (-1, 4)]))
+    assert not report["ok"]
+    assert "mu = 0" in report["failure"]
+
+
+def test_srg_check_complete_graph_double_root():
+    # K_4 has no non-adjacent pair, so any mu passes the identity; with
+    # mu = 4 both roots of x^2 - (lambda - mu) x - (k - mu) are -1
+    adj = [[int(i != j) for j in range(4)] for i in range(4)]
+    report = srg_check(Graph(adj), SrgParams(4, 3, 2, 4, [(3, 1), (-1, 3)]))
+    assert report["ok"], report
 
 
 def test_srg_check_rejects_k4():
@@ -95,13 +156,9 @@ def test_srg_check_rejects_k4():
 def test_srg_check_rejects_wrong_identity():
     # 6-cycle: right size for no params here, use its own counts; the
     # A^2 identity must fail for the triangular parameters of n=4
-    adj = [[0] * 6 for _ in range(6)]
-    for i in range(6):
-        j = (i + 1) % 6
-        adj[i][j] = adj[j][i] = 1
     # degree 2 != 4 fails first; force a graph with right degree:
     # K_{3,3} is 3-regular, still wrong
-    report = srg_check(Graph(adj), expected_params(4))
+    report = srg_check(cycle(6), expected_params(4))
     assert not report["ok"]
 
 

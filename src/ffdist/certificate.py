@@ -166,8 +166,10 @@ def load(path):
 
 def verify(path):
     """Recompute the claim from the raw points and diff it against the
-    stored one.  Returns a report dict; raises SchemaError (exit 2) or
-    VerificationFailure (exit 1)."""
+    stored one.  Returns a report dict, whose "srg" is "ok" after the
+    SRG recheck and "skipped" for a two-distance claim without
+    meta.srg_report; raises SchemaError (exit 2) or VerificationFailure
+    (exit 1)."""
     cert, s = load(path)
     f = s.field
     claim = cert["claim"]
@@ -199,13 +201,17 @@ def verify(path):
                 "meta.dimension must be an integer >= 1")
         if bounds["blokhuis"] != geometry.blokhuis_bound(d):
             raise VerificationFailure("stored blokhuis value is wrong")
-    srg_report = meta.get("srg_report")
-    if isinstance(srg_report, dict) and srg_report.get("n"):
-        n = srg_report["n"]
+    if "srg_report" in meta:
+        srg_report = meta["srg_report"]
+        _schema(isinstance(srg_report, dict),
+                "meta.srg_report must be an object")
+        n = srg_report.get("n")
         _schema(_is_int(n) and n >= 4,
                 "meta.srg_report.n must be an integer >= 4")
         _verify_srg(s, claim, n)
         report["srg"] = "ok"
+    elif claim["type"] == "two_distance":
+        report["srg"] = "skipped"
     return report
 
 

@@ -101,6 +101,9 @@ def cmd_verify(args):
     except certificate.VerificationFailure as exc:
         print("verification failed: %s" % exc, file=sys.stderr)
         return EXIT_FAIL
+    if report.get("srg") == "skipped":
+        print("note: SRG recheck skipped (no meta.srg_report)",
+              file=sys.stderr)
     print("verified: %s, %d points" % (report["classification"],
                                        report["n_points"]))
     return EXIT_OK

@@ -7,16 +7,28 @@ is pinned at the origin and the search runs inside its neighborhood.
 Candidate distance values are deduplicated up to the scaling symmetry
 x -> lambda x, which multiplies every distance by lambda^2.
 
+Each graph is a Cayley graph on (F_q^d, +): x ~ y iff Q(x - y) lies in
+the value set.  The norm of every difference is tabulated once per
+(q, d), in (2p-1)^(dk) entries (at most 5^8 = 390625 under the
+enumeration ceiling), so an adjacency test is one subtraction of point
+keys and one lookup (see _CayleyTable); the canonical pass rebuilds its
+graphs from the same table.
+
+The time budget covers the whole run: value-set enumeration, graph
+building and the clique search (not the canonical pass, which runs
+only after an exhausted search).
+
 The clique engine is exact branch and bound with a greedy sequential
 coloring bound, adjacency held in Python-int bitsets.
 """
 
 import itertools
 import time
+from array import array
 from math import comb
 
 from . import geometry
-from .geometry import PointSet, FORM_STANDARD, dist2
+from .geometry import PointSet, FORM_STANDARD
 from .linalg import LawViolated
 
 
@@ -62,16 +74,20 @@ class SearchResult:
 
 
 class _Budget:
+    """Node and wall-clock limits shared by every phase of one search."""
+
     def __init__(self, budget_secs, node_limit):
         self.deadline = time.monotonic() + budget_secs
         self.node_limit = node_limit
         self.nodes = 0
-        self.hit = False
 
     def tick(self):
         self.nodes += 1
         if self.nodes > self.node_limit or time.monotonic() > self.deadline:
-            self.hit = True
+            raise _BudgetHit
+
+    def check(self):
+        if time.monotonic() > self.deadline:
             raise _BudgetHit
 
 
@@ -158,94 +174,149 @@ def _all_points(f, d):
     return [tuple(p) for p in itertools.product(coords, repeat=d)]
 
 
-def _value_orbit_key(f, values):
-    """Canonical key of a value set under multiplication by nonzero
-    squares (the effect of rescaling coordinates)."""
-    squares = {f.mul(x, x) for x in f.elements() if x != f.zero}
-    best = None
-    for s in squares:
-        key = tuple(sorted(f.encode(f.mul(s, v)) for v in values))
-        if best is None or key < best:
-            best = key
-    return best
+class _CayleyTable:
+    """Norm Q(x - y) of every pair of points of F_q^d, by one
+    subtraction of keys and one lookup.
+
+    Point index i is the position of a point in lexicographic order of
+    encoded coordinates; it has d*k base-p digits.  key[i] reads the
+    same digits in base 2p-1, so every digit of key[x] - key[y] lies in
+    [-(p-1), p-1] and the subtraction has no carries.  Adding
+    off = ((2p-1)^(dk) - 1) / 2 moves each digit into [0, 2p-2], and
+    norm[key[x] - key[y] + off] is the encoding of Q(x - y), stored in
+    16 bits since q <= 10^4.
+    """
+
+    def __init__(self, f, d):
+        p, digits = f.p, d * f.k
+        base = 2 * p - 1
+        self.f = f
+        self.size = f.q**d
+        self.off = (base**digits - 1) // 2
+        key = [0]
+        for _ in range(digits):
+            key = [a * base + r for a in key for r in range(p)]
+        self.key = array("I", key)
+        # norm of each point, by point index
+        square = [f.encode(f.mul(x, x)) for x in f.elements()]
+        point_norm = square
+        for _ in range(d - 1):
+            point_norm = [f.encode(f.add(f.decode(a), f.decode(s)))
+                          for a in point_norm for s in square]
+        # point index of the difference that each table index stands
+        # for, one digit at a time; the last digit streams into the table
+        digit = [(v - (p - 1)) % p for v in range(base)]
+        diff = [0]
+        for _ in range(digits - 1):
+            diff = array("H", (a * p + r for a in diff for r in digit))
+        self.norm = array("H", (point_norm[a * p + r]
+                                for a in diff for r in digit))
+
+    def graph(self, values, budget=None):
+        """Induced graph on the origin's distance-in-values neighborhood.
+
+        Pinning the origin is sound because distance is translation
+        invariant and the origin is the lexicographically first point.
+        cand lists point indices in ascending (lexicographic) order."""
+        vset = {self.f.encode(v) for v in values}
+        norm, key, off = self.norm, self.key, self.off
+        cand = [i for i in range(1, self.size) if norm[key[i] + off] in vset]
+        keys = [key[i] for i in cand]
+        n = len(cand)
+        adj = [0] * n
+        for i in range(n):
+            if budget is not None:
+                budget.check()
+            row = keys[i] + off
+            bit = 1 << i
+            for j in range(i + 1, n):
+                if norm[row - keys[j]] in vset:
+                    adj[i] |= 1 << j
+                    adj[j] |= bit
+        return cand, adj
 
 
-def _candidate_value_sets(f, mode, fixed):
-    nonzero = [a for a in f.elements() if a != f.zero]
+def _point(f, d, i):
+    """The point with index i (see _CayleyTable)."""
+    coords = []
+    for _ in range(d):
+        i, e = divmod(i, f.q)
+        coords.append(f.decode(e))
+    return tuple(reversed(coords))
+
+
+def _candidate_value_sets(f, mode, fixed, budget):
+    """Distance-value sets to search, one per orbit under multiplication
+    by nonzero squares (the effect of rescaling coordinates).  The
+    first set met in enumeration order represents its orbit, whose key
+    is the least sorted tuple of encodings over the orbit."""
     if fixed is not None:
         vals = tuple(f.coerce(v) for v in fixed)
         if f.zero in vals:
             raise ValueError("fixed distance values must be nonzero")
         return [vals]
+    nonzero = [a for a in f.elements() if a != f.zero]
+    squares = {f.mul(x, x) for x in nonzero}
+    orbit = {v: [f.encode(f.mul(s, v)) for s in squares] for v in nonzero}
     if mode == MODE_EQUILATERAL:
-        sets = [(a,) for a in nonzero]
+        sets = ((a,) for a in nonzero)
     else:
-        sets = [(a, b) for i, a in enumerate(nonzero)
-                for b in nonzero[i + 1:]]
+        sets = ((a, b) for i, a in enumerate(nonzero)
+                for b in nonzero[i + 1:])
     seen = {}
     for vals in sets:
-        key = _value_orbit_key(f, vals)
+        budget.check()
+        key = min(tuple(sorted(images))
+                  for images in zip(*(orbit[v] for v in vals)))
         if key not in seen:
             seen[key] = vals
     return list(seen.values())
 
 
-def _neighborhood_graph(f, points, values):
-    """Induced graph on the origin's distance-in-values neighborhood;
-    pinning the origin is sound because distance is translation
-    invariant and the origin is the lexicographically first point."""
-    origin = points[0]
-    vset = set(values)
-    cand = [p for p in points
-            if p != origin and dist2(f, origin, p) in vset]
-    n = len(cand)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist2(f, cand[i], cand[j]) in vset:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return cand, adj
-
-
 def _search(problem):
     f = problem.field
     d = problem.d
-    points = _all_points(f, d)
-    origin = points[0]
     start = time.monotonic()
     budget = _Budget(problem.budget_secs, problem.node_limit)
-    value_sets = _candidate_value_sets(f, problem.mode, problem.fixed_values)
     best_size = 1
-    best_points = [origin]
+    best_indices = [0]  # the origin
     best_values = None
-    exhausted = True
-    for values in value_sets:
-        cand, adj = _neighborhood_graph(f, points, values)
-        clique, done = _max_clique(adj, len(cand), budget,
-                                   lower=best_size - 1)
-        if not done:
-            exhausted = False
-        if 1 + len(clique) > best_size:
-            best_size = 1 + len(clique)
-            best_points = [origin] + [cand[i] for i in clique]
-            best_values = values
+    exhausted = False
+    try:
+        table = _CayleyTable(f, d)
+        value_sets = _candidate_value_sets(f, problem.mode,
+                                           problem.fixed_values, budget)
+        for values in value_sets:
+            cand, adj = table.graph(values, budget)
+            clique, done = _max_clique(adj, len(cand), budget,
+                                       lower=best_size - 1)
+            if 1 + len(clique) > best_size:
+                best_size = 1 + len(clique)
+                best_indices = [0] + [cand[i] for i in clique]
+                best_values = values
+            if not done:
+                break
+        else:
+            exhausted = True
+    except _BudgetHit:
+        pass
     if problem.canonical and exhausted and best_size >= 2:
         # second pass: lexicographically least witness of the maximum
-        # size across the (deduplicated) value-set subproblems
+        # size across the (deduplicated) value-set subproblems; point
+        # indices are in lexicographic order, so they compare as points
         best_key = None
         for values in value_sets:
-            cand, adj = _neighborhood_graph(f, points, values)
+            cand, adj = table.graph(values)
             clique = _lex_least_clique(adj, len(cand), best_size - 1)
             if clique is None:
                 continue
-            pts = [origin] + [cand[i] for i in clique]
-            key = tuple(tuple(f.encode(c) for c in p) for p in pts)
+            key = [0] + [cand[i] for i in clique]
             if best_key is None or key < best_key:
                 best_key = key
-                best_points = pts
                 best_values = values
-    witness = PointSet(f, d, FORM_STANDARD, best_points)
+        best_indices = best_key
+    witness = PointSet(f, d, FORM_STANDARD,
+                       [_point(f, d, i) for i in best_indices])
     stats = {"nodes": budget.nodes,
              "seconds": time.monotonic() - start}
     return best_size, witness, best_values, exhausted, stats

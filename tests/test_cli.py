@@ -1,8 +1,10 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -127,6 +129,10 @@ def test_verify_accepts_either_value_order(tmp_path, p, d):
     (("meta", "dimension"), True),
     (("points", 0, 0), True),
     (("claim", "values", 1), True),
+    (("meta", "srg_report", "n"), 0),
+    (("meta", "srg_report"), {"ok": True}),
+    (("meta", "srg_report"), None),
+    (("meta", "srg_report"), [5]),
 ])
 def test_verify_malformed_input(tmp_path, path, value):
     _, _, mid = construct_pair(tmp_path, 5, 3)
@@ -138,6 +144,22 @@ def test_verify_malformed_input(tmp_path, path, value):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cert))
     assert run_cli("verify", str(bad)) == 2
+
+
+def test_verify_notes_skipped_srg_recheck(tmp_path, capsys):
+    _, _, mid = construct_pair(tmp_path, 5, 3)
+    capsys.readouterr()
+    assert run_cli("verify", str(mid)) == 0
+    kept = capsys.readouterr()
+    assert "skipped" not in kept.err
+    cert = json.loads(mid.read_text())
+    del cert["meta"]["srg_report"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(cert))
+    assert run_cli("verify", str(bare)) == 0
+    dropped = capsys.readouterr()
+    assert dropped.out == kept.out
+    assert "SRG recheck skipped" in dropped.err
 
 
 def test_no_assert_in_package():
@@ -196,6 +218,51 @@ def test_search_budget_exit_code(tmp_path):
     code = run_cli("search", "--p", "7", "--d", "3",
                    "--mode", "two_distance", "--budget-secs", "0")
     assert code == 3
+
+
+def test_search_budget_covers_value_sets():
+    # 79800 value pairs in GF(401): the budget must stop their
+    # enumeration; unbounded, it alone takes several seconds
+    start = time.monotonic()
+    code = run_cli("search", "--p", "401", "--d", "1",
+                   "--mode", "two_distance", "--budget-secs", "0.5")
+    assert code == 3
+    assert time.monotonic() - start < 3
+
+
+# sha256 of search --canonical --out certificates, as written before the
+# graphs were built from the Cayley norm table
+CANONICAL_SEARCH_SHA256 = {
+    ("3", "1", "3", "equilateral"):
+        "c6c4b5a3962ab9dc172d41081deed4f54afe22ca04755c8dc17121d55a200ff6",
+    ("3", "1", "3", "two_distance"):
+        "7138bce975768e6351e80b7ed071c45d603762630e7b276138e07125fd8560d6",
+    ("5", "1", "2", "equilateral"):
+        "592f420e6282357efd05d3f48ff7ad309233a0603d571f8dfd8673cc893370c7",
+    ("5", "1", "2", "two_distance"):
+        "d0dfea0162131893e8da6e9840468909164a9c1ae016fce01216887c3c951f28",
+    ("3", "2", "2", "equilateral"):
+        "b96e8a596ff82ccab14b04f5efb7def930f32c749133e3569d05221dca4c6f08",
+    ("3", "2", "2", "two_distance"):
+        "74654738f462ab862306cbd6bffaeec462ed0e75b0ac7e623f42eb3cee7bacb5",
+    ("5", "2", "2", "equilateral"):
+        "a0c791927fb108e093eb6d1cc189bbf2dde1bee00534a421f3f328c0161323ec",
+    ("5", "2", "2", "two_distance"):
+        "3c55548bd5e8f5ba6579a1130e516efe3352b321d973690b1dc75ad793135792",
+    ("3", "3", "1", "equilateral"):
+        "3bb6070d45ca187c84cfc88a2a32976e3c73949babcbadf07f2556a21eece7ff",
+    ("3", "3", "1", "two_distance"):
+        "d6d9b3043c85b850a07b792de2e58a27e3d4ce6502440f4b607711a2378e6533",
+}
+
+
+@pytest.mark.parametrize("p,k,d,mode", sorted(CANONICAL_SEARCH_SHA256))
+def test_search_canonical_bytes_pinned(tmp_path, p, k, d, mode):
+    out = tmp_path / "search.json"
+    assert run_cli("search", "--p", p, "--k", k, "--d", d, "--mode", mode,
+                   "--canonical", "--out", str(out)) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == CANONICAL_SEARCH_SHA256[(p, k, d, mode)]
 
 
 def test_tables(capsys):

@@ -169,3 +169,64 @@ def test_golden_files():
         assert r.exhausted == rec["exhausted"], path.name
         if "bound_status" in rec:
             assert r.bound_status == rec["bound_status"], path.name
+
+
+def reference_graph(f, d, values):
+    """The search graph built pair by pair with geometry.dist2."""
+    points = list(itertools.product(list(f.elements()), repeat=d))
+    vset = set(values)
+    cand = [x for x in points[1:]
+            if geometry.dist2(f, points[0], x) in vset]
+    adj = [0] * len(cand)
+    for i, x in enumerate(cand):
+        for j, y in enumerate(cand):
+            if geometry.dist2(f, x, y) in vset:
+                adj[i] |= 1 << j
+    return cand, adj
+
+
+def reference_value_sets(f, mode):
+    """First value set of each orbit under nonzero squares, keyed by the
+    least sorted tuple of encodings, computed set by set."""
+    nonzero = [a for a in f.elements() if a != f.zero]
+    squares = {f.mul(x, x) for x in nonzero}
+    seen = {}
+    for vals in itertools.combinations(
+            nonzero, 1 if mode == MODE_EQUILATERAL else 2):
+        key = min(tuple(sorted(f.encode(f.mul(s, v)) for v in vals))
+                  for s in squares)
+        seen.setdefault(key, vals)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("p,k,d", [
+    (3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 1), (5, 1, 2),
+    (5, 1, 3), (7, 1, 1), (7, 1, 2), (3, 2, 1), (3, 2, 2), (5, 2, 1),
+    (5, 2, 2), (3, 3, 1), (3, 3, 2),
+])
+def test_cayley_graph_matches_dist2_oracle(p, k, d):
+    nx = None
+    try:
+        import networkx as nx
+    except ImportError:
+        pass
+    f = field_make(p, k)
+    table = search._CayleyTable(f, d)
+    budget = search._Budget(600, 10**9)
+    for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
+        value_sets = search._candidate_value_sets(f, mode, None, budget)
+        assert value_sets == reference_value_sets(f, mode)
+        for values in value_sets:
+            cand, adj = table.graph(values)
+            want_cand, want_adj = reference_graph(f, d, values)
+            assert [search._point(f, d, i) for i in cand] == want_cand
+            assert adj == want_adj
+            if nx is None:
+                continue
+            g = nx.Graph()
+            g.add_nodes_from(range(len(cand)))
+            g.add_edges_from((i, j) for i in range(len(cand))
+                             for j in range(i) if adj[i] >> j & 1)
+            clique, done = search._max_clique(adj, len(cand), budget)
+            assert done
+            assert len(clique) == len(nx.max_weight_clique(g, None)[0])

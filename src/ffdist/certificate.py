@@ -46,6 +46,12 @@ def two_distance_claim(f, a, b):
     return {"type": "two_distance", "values": [f.serialize(a), f.serialize(b)]}
 
 
+def construction_meta(construction, params, bounds):
+    """meta of a construct certificate; params is a ModularParams."""
+    return {"construction": construction, "dimension": params.d,
+            "b": params.field.serialize(params.b), "bounds": bounds}
+
+
 def bounds_block(d, n_points, f=None, target="two_distance"):
     blok = geometry.blokhuis_bound(d)
     block = {"blokhuis": blok}
@@ -122,10 +128,12 @@ def load(path):
     fb = cert.get("field")
     _schema(isinstance(fb, dict) and _is_int(fb.get("p"))
             and _is_int(fb.get("k")), "bad field block")
+    modulus = fb.get("modulus")
+    _schema(modulus is None or isinstance(modulus, list)
+            and all(map(_is_int, modulus)), "bad field modulus")
     try:
-        f = field_mod.field_make(fb["p"], fb["k"], fb.get("modulus"))
-    except (ValueError, field_mod.NotPrime, field_mod.EvenCharacteristic,
-            field_mod.ReducibleModulus) as exc:
+        f = field_mod.field_make(fb["p"], fb["k"], modulus)
+    except ValueError as exc:  # NotPrime etc. are ValueErrors
         raise SchemaError("bad field: %s" % exc)
     dim = cert.get("ambient_dim")
     _schema(_is_int(dim) and dim >= 1, "bad ambient_dim")

@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import certificate, construct, geometry, search, srg
-from .field import field_make, NotPrime, EvenCharacteristic, ReducibleModulus
+from .field import field_make
 from .linalg import NotIsometric, gram_rank_law
 
 EXIT_OK = 0
@@ -29,7 +29,7 @@ EXIT_BUDGET = 3
 def _make_field(args):
     try:
         return field_make(args.p, args.k)
-    except (NotPrime, EvenCharacteristic, ReducibleModulus, ValueError) as exc:
+    except ValueError as exc:  # NotPrime etc. are ValueErrors
         raise UsageError(str(exc))
 
 
@@ -46,7 +46,7 @@ def _midpoint_out_path(path):
 def cmd_construct(args):
     f = _make_field(args)
     try:
-        params = construct.ModularParams(f, args.d, f.decode(args.b))
+        params = construct.ModularParams(f, args.d, args.b)
     except construct.NotModular:
         raise UsageError("p does not divide d+2 (p=%d, d=%d)" % (args.p, args.d))
     except construct.ZeroScale:
@@ -59,12 +59,9 @@ def cmd_construct(args):
             print("embedding failed: %s" % exc, file=sys.stderr)
             return EXIT_FAIL
     d = params.d
-    meta = {
-        "construction": "modular_equilateral",
-        "b": f.serialize(params.b),
-        "dimension": d,
-        "bounds": certificate.bounds_block(d, len(s), f, target="equilateral"),
-    }
+    meta = certificate.construction_meta(
+        "modular_equilateral", params,
+        certificate.bounds_block(d, len(s), f, target="equilateral"))
     cert = certificate.make(
         s, certificate.equilateral_claim(f, params.delta), meta)
     certificate.write(cert, args.out)
@@ -72,14 +69,11 @@ def cmd_construct(args):
     if args.midpoints:
         mid = construct.midpoints(s)
         n = len(s)
-        mmeta = {
-            "construction": "midpoints",
-            "b": f.serialize(params.b),
-            "dimension": d,
-            "source_equilateral": {"p": args.p, "k": args.k, "d": d,
-                                   "b": f.serialize(params.b)},
-            "bounds": certificate.bounds_block(d, len(mid.points), f),
-        }
+        mmeta = certificate.construction_meta(
+            "midpoints", params,
+            certificate.bounds_block(d, len(mid.points), f))
+        mmeta["source_equilateral"] = {"p": args.p, "k": args.k, "d": d,
+                                       "b": mmeta["b"]}
         if n >= 4:
             report = srg.srg_check(mid.graph, srg.expected_params(n))
             report["n"] = n
@@ -114,7 +108,7 @@ def cmd_search(args):
     fixed = None
     if args.fix_values:
         try:
-            fixed = [f.decode(int(v)) for v in args.fix_values.split(",")]
+            fixed = [int(v) for v in args.fix_values.split(",")]
         except ValueError:
             raise UsageError("--fix-values must be comma-separated integers")
     try:
@@ -146,7 +140,7 @@ def cmd_search(args):
         if isinstance(cls, geometry.Equilateral):
             claim = certificate.equilateral_claim(f, cls.delta)
         elif isinstance(cls, geometry.TwoDistance):
-            a, b = sorted(cls.values, key=f.encode)
+            a, b = sorted(cls.values)
             claim = certificate.two_distance_claim(f, a, b)
         else:
             raise AssertionError("search witness must be equilateral or "
@@ -204,7 +198,7 @@ def build_parser():
     c.add_argument("--k", type=int, default=1)
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--b", type=int, default=1,
-                   help="nonzero scale, as an element encoding")
+                   help="nonzero scale, an element encoding taken mod q")
     c.add_argument("--midpoints", action="store_true",
                    help="also emit the midpoint two-distance certificate")
     c.add_argument("--embed", choices=["ambient", "standard"],
@@ -224,7 +218,7 @@ def build_parser():
                                       search.MODE_TWO_DISTANCE],
                    required=True)
     s.add_argument("--fix-values", default=None,
-                   help="comma-separated element encodings")
+                   help="comma-separated element encodings, taken mod q")
     s.add_argument("--budget-secs", type=float, default=60.0)
     s.add_argument("--canonical", action="store_true",
                    help="deterministic lexicographically-least witness")

@@ -32,16 +32,15 @@ class ModularParams:
     """Parameters of the modular construction.
 
     d: target dimension, characteristic must divide d+2.
-    b: nonzero scale; the common squared distance is 2 b^2.
+    b: nonzero scale, an element encoding taken mod q; the common
+       squared distance is 2 b^2.
     """
 
-    def __init__(self, field, d, b=None):
+    def __init__(self, field, d, b=1):
         if (d + 2) % field.p != 0:
             raise NotModular("characteristic %d does not divide d+2 = %d"
                              % (field.p, d + 2))
-        if b is None:
-            b = field.one
-        b = field.coerce(b)
+        b %= field.q
         if b == field.zero:
             raise ZeroScale("scale b must be nonzero")
         self.field = field
@@ -120,17 +119,6 @@ def midpoints(s):
     return MidpointSet(mset, edges, pair_types, delta, d4, d2, graph)
 
 
-def _hyperplane_basis(f, m):
-    """Columns e_i - e_(i+1), a basis of the sum-zero hyperplane."""
-    cols = []
-    for i in range(m - 1):
-        v = [f.zero] * m
-        v[i] = f.one
-        v[i + 1] = f.neg(f.one)
-        cols.append(v)
-    return MatrixF(f, [[cols[j][i] for j in range(m - 1)] for i in range(m)])
-
-
 def embed_standard(s):
     """Rewrite a sum-zero hyperplane set in orthonormal coordinates of
     the hyperplane, dropping one dimension while preserving every
@@ -144,8 +132,10 @@ def embed_standard(s):
         raise ValueError("embed_standard expects a sum-zero hyperplane set")
     f = s.field
     m = s.ambient_dim
-    basis = _hyperplane_basis(f, m)
-    g = basis.transpose().mul(basis)
+    # Gram matrix G = B^T B of the hyperplane basis B with columns
+    # e_i - e_(i+1): tridiagonal, 2 on the diagonal and -1 beside it
+    g = MatrixF(f, [[f.coerce({0: 2, 1: -1}.get(abs(i - j), 0))
+                     for j in range(m - 1)] for i in range(m - 1)])
     t = isometry_to_standard(g)  # may raise NotIsometric
     # A point p = B c of the hyperplane (PointSet checked the sum) has
     # coordinates y = T^-1 c.  T^T G T = I gives T^-1 = T^T B^T B, so

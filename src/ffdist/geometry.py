@@ -135,7 +135,7 @@ def classify(s):
     One-value sets are Equilateral, never a degenerate TwoDistance.
     """
     sp = spectrum(s)
-    vals = sorted(sp.values, key=s.field.encode)
+    vals = sorted(sp.values)
     if sp.has_zero:
         return Other(len(vals), True)
     if len(vals) == 1:

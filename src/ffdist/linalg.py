@@ -109,7 +109,7 @@ def dot(f, u, v):
     coordinates are skipped, so sparse vectors cost less."""
     acc = f.zero
     for a, b in zip(u, v):
-        if a != f.zero and b != f.zero:
+        if a and b:
             acc = f.add(acc, f.mul(a, b))
     return acc
 
@@ -249,15 +249,9 @@ def form_equivalent(d1, d2):
     return f.square_class(d1.determinant()) == f.square_class(d2.determinant())
 
 
-# Exhaustive q^2 loops below; fine for the desk-scale fields this is for.
-_SOLVER_Q_LIMIT = 10**4
-
-
 def _represent_one(f, a, b):
-    """Some (x, y) with a x^2 + b y^2 = 1; exists for any nondegenerate
-    binary form over a finite field."""
-    if f.q > _SOLVER_Q_LIMIT:
-        raise ValueError("binary-form solver limited to q <= %d" % _SOLVER_Q_LIMIT)
+    """The (x, y) with a x^2 + b y^2 = 1 of least x, y the smaller root;
+    exists for any nondegenerate binary form over a finite field."""
     for x in f.elements():
         ax2 = f.mul(a, f.mul(x, x))
         rest = f.sub(f.one, ax2)

@@ -1,7 +1,7 @@
 """Exhaustive search for equilateral and two-distance sets in small
 spaces: the independent oracle behind every bound claim.
 
-The vertex set is all of F_q^d in lexicographic order of encoded
+The vertex set is all of F_q^d in lexicographic order of integer
 coordinates.  Distance is translation invariant, so one clique vertex
 is pinned at the origin and the search runs inside its neighborhood.
 Candidate distance values are deduplicated up to the scaling symmetry
@@ -51,6 +51,10 @@ class SearchProblem:
                            % ENUMERATION_CEILING)
         if mode not in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
             raise ValueError("unknown mode %r" % mode)
+        if fixed_values is not None:
+            fixed_values = tuple(v % field.q for v in fixed_values)
+            if 0 in fixed_values:
+                raise ValueError("fixed distance values must be nonzero")
         self.field = field
         self.d = d
         self.mode = mode
@@ -169,17 +173,12 @@ def _lex_least_clique(adj, n, size):
     return grow(0, [], (1 << n) - 1)
 
 
-def _all_points(f, d):
-    coords = list(f.elements())
-    return [tuple(p) for p in itertools.product(coords, repeat=d)]
-
-
 class _CayleyTable:
     """Norm Q(x - y) of every pair of points of F_q^d, by one
     subtraction of keys and one lookup.
 
     Point index i is the position of a point in lexicographic order of
-    encoded coordinates; it has d*k base-p digits.  key[i] reads the
+    integer coordinates; it has d*k base-p digits.  key[i] reads the
     same digits in base 2p-1, so every digit of key[x] - key[y] lies in
     [-(p-1), p-1] and the subtraction has no carries.  Adding
     off = ((2p-1)^(dk) - 1) / 2 moves each digit into [0, 2p-2], and
@@ -190,7 +189,6 @@ class _CayleyTable:
     def __init__(self, f, d):
         p, digits = f.p, d * f.k
         base = 2 * p - 1
-        self.f = f
         self.size = f.q**d
         self.off = (base**digits - 1) // 2
         key = [0]
@@ -198,11 +196,10 @@ class _CayleyTable:
             key = [a * base + r for a in key for r in range(p)]
         self.key = array("I", key)
         # norm of each point, by point index
-        square = [f.encode(f.mul(x, x)) for x in f.elements()]
+        square = [f.mul(x, x) for x in f.elements()]
         point_norm = square
         for _ in range(d - 1):
-            point_norm = [f.encode(f.add(f.decode(a), f.decode(s)))
-                          for a in point_norm for s in square]
+            point_norm = [f.add(a, s) for a in point_norm for s in square]
         # point index of the difference that each table index stands
         # for, one digit at a time; the last digit streams into the table
         digit = [(v - (p - 1)) % p for v in range(base)]
@@ -218,7 +215,7 @@ class _CayleyTable:
         Pinning the origin is sound because distance is translation
         invariant and the origin is the lexicographically first point.
         cand lists point indices in ascending (lexicographic) order."""
-        vset = {self.f.encode(v) for v in values}
+        vset = set(values)
         norm, key, off = self.norm, self.key, self.off
         cand = [i for i in range(1, self.size) if norm[key[i] + off] in vset]
         keys = [key[i] for i in cand]
@@ -238,26 +235,19 @@ class _CayleyTable:
 
 def _point(f, d, i):
     """The point with index i (see _CayleyTable)."""
-    coords = []
-    for _ in range(d):
-        i, e = divmod(i, f.q)
-        coords.append(f.decode(e))
-    return tuple(reversed(coords))
+    return tuple(i // f.q**j % f.q for j in reversed(range(d)))
 
 
 def _candidate_value_sets(f, mode, fixed, budget):
     """Distance-value sets to search, one per orbit under multiplication
     by nonzero squares (the effect of rescaling coordinates).  The
     first set met in enumeration order represents its orbit, whose key
-    is the least sorted tuple of encodings over the orbit."""
+    is the least sorted tuple of values over the orbit."""
     if fixed is not None:
-        vals = tuple(f.coerce(v) for v in fixed)
-        if f.zero in vals:
-            raise ValueError("fixed distance values must be nonzero")
-        return [vals]
-    nonzero = [a for a in f.elements() if a != f.zero]
+        return [fixed]
+    nonzero = range(1, f.q)
     squares = {f.mul(x, x) for x in nonzero}
-    orbit = {v: [f.encode(f.mul(s, v)) for s in squares] for v in nonzero}
+    orbit = {v: [f.mul(s, v) for s in squares] for v in nonzero}
     if mode == MODE_EQUILATERAL:
         sets = ((a,) for a in nonzero)
     else:
@@ -366,7 +356,7 @@ def brute_force_classify_all(f, d, n):
     Returns counts keyed by 'equilateral' / 'two_distance' / 'other'.
     Cross-validation oracle for the clique engine on tiny instances.
     """
-    points = _all_points(f, d)
+    points = list(itertools.product(f.elements(), repeat=d))
     if comb(len(points), n) > BRUTE_FORCE_CEILING:
         raise TooLarge("C(q^d, n) exceeds the brute-force ceiling")
     census = {"equilateral": 0, "two_distance": 0, "other": 0}

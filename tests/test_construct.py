@@ -63,7 +63,7 @@ def test_modular_grid():
 def test_modular_equilateral_extension_field():
     # only the characteristic matters; run the same construction in F_9
     f9 = field_make(3, 2)
-    t = f9.coerce((0, 1))
+    t = 3  # the generator t, encoded as p
     s = modular_equilateral(ModularParams(f9, 4, t))
     assert len(s) == 6
     delta = f9.mul(f9.coerce(2), f9.mul(t, t))

@@ -5,6 +5,7 @@ import pytest
 from ffdist.field import (
     field_make, nonsquare_representative, SquareClass,
     NotPrime, EvenCharacteristic, ReducibleModulus, DivisionByZero,
+    _poly_mod, _poly_mul, _poly_powmod, _poly_trim,
 )
 
 
@@ -42,6 +43,8 @@ def test_not_prime_rejected():
 def test_oversized_field_rejected():
     with pytest.raises(ValueError):
         field_make(3, 21)  # 3^21 > 2^31
+    with pytest.raises(ValueError):
+        field_make(3, 12)  # 3^12 > 2^17, the extension-table ceiling
 
 
 def test_f9_modulus_is_lexicographically_first():
@@ -59,10 +62,10 @@ def test_reducible_modulus_rejected():
 
 
 def test_f9_extension_multiplication():
-    # (t+1)*(t+1) = t^2 + 2t + 1 = 2t  since t^2 = -1
+    # (t+1)*(t+1) = t^2 + 2t + 1 = 2t  since t^2 = -1; the element
+    # c_0 + c_1 t is encoded as c_0 + 3 c_1, so t+1 is 4 and 2t is 6
     f = field_make(3, 2)
-    a = f.coerce((1, 1))
-    assert f.mul(a, a) == (0, 2)
+    assert f.mul(4, 4) == 6
 
 
 def test_inverse_of_zero_raises():
@@ -127,19 +130,12 @@ def test_square_classes_split_evenly():
         assert counts[SquareClass.NONSQUARE] == (f.q - 1) // 2
 
 
-def test_encode_decode_roundtrip():
-    for f in small_fields():
-        for n, a in enumerate(f.elements()):
-            assert f.encode(a) == n
-            assert f.decode(n) == a
-
-
 def test_serialize_shapes():
     f5 = field_make(5)
     assert f5.serialize(3) == 3
     f9 = field_make(3, 2)
-    assert f9.serialize(f9.coerce((1, 2))) == [1, 2]
-    assert f9.deserialize([1, 2]) == (1, 2)
+    assert f9.serialize(7) == [1, 2]  # 7 = 1 + 2*3 encodes 1 + 2t
+    assert f9.deserialize([1, 2]) == 7
     with pytest.raises(ValueError):
         f9.deserialize(4)
 
@@ -165,3 +161,112 @@ def test_deterministic_construction():
     b = field_make(3, 3)
     assert a.modulus == b.modulus
     assert a == b
+
+
+class PolyReference:
+    """GF(p^k) arithmetic on coefficient digits with the polynomial
+    helpers of the modulus search: an oracle independent of the tables."""
+
+    def __init__(self, f):
+        self.p, self.k, self.m = f.p, f.k, f.modulus
+
+    def digits(self, n):
+        return tuple(n // self.p**i % self.p for i in range(self.k))
+
+    def encode(self, c):
+        return sum(x * self.p**i for i, x in enumerate(c))
+
+    def add(self, a, b):
+        return self.encode((x + y) % self.p
+                           for x, y in zip(self.digits(a), self.digits(b)))
+
+    def neg(self, a):
+        return self.encode(-x % self.p for x in self.digits(a))
+
+    def mul(self, a, b):
+        prod = _poly_mul(_poly_trim(self.digits(a)),
+                         _poly_trim(self.digits(b)), self.p)
+        return self.encode(_poly_mod(prod, self.m, self.p))
+
+    def pow(self, a, e):
+        return self.encode(_poly_powmod(_poly_trim(self.digits(a)), e,
+                                        self.m, self.p))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
+def test_extension_arithmetic_matches_polynomial_reference(p, k):
+    f = field_make(p, k)
+    ref = PolyReference(f)
+    q = f.q
+    inverse = {}
+    for a in range(q):
+        for b in range(q):
+            assert f.add(a, b) == ref.add(a, b)
+            assert f.sub(a, b) == ref.add(a, ref.neg(b))
+            prod = ref.mul(a, b)
+            assert f.mul(a, b) == prod
+            if prod == 1:
+                inverse[a] = b
+        assert f.neg(a) == ref.neg(a)
+    with pytest.raises(DivisionByZero):
+        f.inv(0)
+    with pytest.raises(DivisionByZero):
+        f.pow(0, -1)
+    for a in range(q):
+        if a:
+            assert f.inv(a) == inverse[a]
+        power = 1
+        for e in range(q + 1):
+            assert f.pow(a, e) == power
+            if a and e:
+                assert f.pow(a, -e) == inverse[power]
+            power = ref.mul(power, a)
+    roots = {}
+    for x in range(q):  # ascending, so the first root seen is the smaller
+        roots.setdefault(ref.mul(x, x), x)
+    for a in range(q):
+        expect = (SquareClass.ZERO if a == 0
+                  else SquareClass.SQUARE if a in roots
+                  else SquareClass.NONSQUARE)
+        assert f.square_class(a) is expect
+        assert f.sqrt(a) == roots.get(a)
+    assert nonsquare_representative(f) == min(set(range(1, q)) - set(roots))
+
+
+def test_ceiling_field_sampled_against_polynomial_reference():
+    f = field_make(7, 6)  # 117649 elements, the largest 7-power admitted
+    ref = PolyReference(f)
+    half = (f.q - 1) // 2
+    rng = random.Random(76)
+    for _ in range(2000):
+        a, b = rng.randrange(f.q), rng.randrange(f.q)
+        e = rng.randrange(-f.q, f.q)
+        assert f.add(a, b) == ref.add(a, b)
+        assert f.sub(a, b) == ref.add(a, ref.neg(b))
+        assert f.mul(a, b) == ref.mul(a, b)
+        if a:
+            assert ref.mul(a, f.inv(a)) == 1
+            assert f.pow(a, e) == ref.pow(a, e % (f.q - 1))
+            square = ref.pow(a, half) == 1
+            assert f.square_class(a) is (SquareClass.SQUARE if square
+                                         else SquareClass.NONSQUARE)
+            r = f.sqrt(a)
+            if square:
+                assert ref.mul(r, r) == a and r <= ref.neg(r)
+            else:
+                assert r is None
+
+
+def test_prime_sqrt_is_the_smaller_root():
+    for p in (3, 5, 7, 11, 13, 17, 41, 73, 97, 113, 193, 257):
+        f = field_make(p)
+        for a in range(p):
+            scan = next((x for x in range(p) if x * x % p == a), None)
+            assert f.sqrt(a) == scan
+    p = 15 * 2**27 + 1  # prime; 2^27 divides p - 1
+    f = field_make(p)
+    rng = random.Random(31)
+    for _ in range(200):
+        x = rng.randrange(1, p)
+        r = f.sqrt(x * x % p)
+        assert r == min(x, p - x)

@@ -187,13 +187,13 @@ def reference_graph(f, d, values):
 
 def reference_value_sets(f, mode):
     """First value set of each orbit under nonzero squares, keyed by the
-    least sorted tuple of encodings, computed set by set."""
+    least sorted tuple of values, computed set by set."""
     nonzero = [a for a in f.elements() if a != f.zero]
     squares = {f.mul(x, x) for x in nonzero}
     seen = {}
     for vals in itertools.combinations(
             nonzero, 1 if mode == MODE_EQUILATERAL else 2):
-        key = min(tuple(sorted(f.encode(f.mul(s, v)) for v in vals))
+        key = min(tuple(sorted(f.mul(s, v) for v in vals))
                   for s in squares)
         seen.setdefault(key, vals)
     return list(seen.values())

@@ -5,7 +5,21 @@ The vertex set is all of F_q^d in lexicographic order of integer
 coordinates.  Distance is translation invariant, so one clique vertex
 is pinned at the origin and the search runs inside its neighborhood.
 Candidate distance values are deduplicated up to the scaling symmetry
-x -> lambda x, which multiplies every distance by lambda^2.
+x -> lambda x, which multiplies every distance by lambda^2; a value set
+is keyed by square classes and ratios, which that scaling fixes.
+
+The second clique point is pinned too.  Q(x) = x.x is nondegenerate,
+and p is odd (field_make rejects p = 2), so by Witt's extension theorem
+the isometries of F_q^d fixing the origin act transitively on the
+vectors of each nonzero norm a.  A clique of size >= 2 through the
+origin holds some x with Q(x) = a in the value set, and an isometry
+fixing the origin maps x to e_a, the first neighbor of the origin with
+norm a, without changing the clique's size.  So each value set costs
+one clique search per value a, inside the common neighborhood of 0 and
+e_a.  Sizes, exhaustion and the canonical witness are those of a search
+over the whole neighborhood of the origin; the non-canonical witness
+and the node counts are not, and differ from versions without the pin.
+stats["subproblems"] records each pinned run.
 
 Each graph is a Cayley graph on (F_q^d, +): x ~ y iff Q(x - y) lies in
 the value set.  The norm of every difference is tabulated once per
@@ -19,7 +33,8 @@ building and the clique search (not the canonical pass, which runs
 only after an exhausted search).
 
 The clique engine is exact branch and bound with a greedy sequential
-coloring bound, adjacency held in Python-int bitsets.
+coloring bound (MCQ, Tomita-Seki 2003), adjacency held in Python-int
+bitsets.
 """
 
 import itertools
@@ -28,6 +43,7 @@ from array import array
 from math import comb
 
 from . import geometry
+from .field import SquareClass
 from .geometry import PointSet, FORM_STANDARD
 from .linalg import LawViolated
 
@@ -71,7 +87,10 @@ class SearchResult:
         self.max_size = max_size
         self.witness = witness  # PointSet
         self.exhausted = exhausted
-        self.stats = stats  # {"nodes": int, "seconds": float}
+        # {"nodes": int, "seconds": float, "subproblems": [one record
+        # per pinned clique run: values, norm, graph_size, nodes,
+        # seconds, done]}
+        self.stats = stats
         self.values = values  # distance values of the best subproblem
         self.both_values = both_values  # two-distance mode only
         self.bound_status = bound_status  # two-distance mode only
@@ -99,8 +118,9 @@ class _BudgetHit(Exception):
     pass
 
 
-def _max_clique(adj, n, budget, lower=0):
-    """Exact maximum clique on a bitset adjacency list.
+def _max_clique(adj, mask, budget, lower=0):
+    """Exact maximum clique among the vertices of bitset `mask`, on a
+    bitset adjacency list.
 
     Returns (best_vertices, exhausted).  `lower` seeds the pruning
     bound with an already-known clique size.
@@ -143,7 +163,7 @@ def _max_clique(adj, n, budget, lower=0):
             p_mask &= ~(1 << v)
 
     try:
-        expand([], (1 << n) - 1)
+        expand([], mask)
         return best, True
     except _BudgetHit:
         return best, False
@@ -209,6 +229,10 @@ class _CayleyTable:
         self.norm = array("H", (point_norm[a * p + r]
                                 for a in diff for r in digit))
 
+    def point_norm(self, i):
+        """Q of the point with index i."""
+        return self.norm[self.key[i] + self.off]
+
     def graph(self, values, budget=None):
         """Induced graph on the origin's distance-in-values neighborhood.
 
@@ -217,7 +241,7 @@ class _CayleyTable:
         cand lists point indices in ascending (lexicographic) order."""
         vset = set(values)
         norm, key, off = self.norm, self.key, self.off
-        cand = [i for i in range(1, self.size) if norm[key[i] + off] in vset]
+        cand = [i for i in range(1, self.size) if self.point_norm(i) in vset]
         keys = [key[i] for i in cand]
         n = len(cand)
         adj = [0] * n
@@ -240,24 +264,29 @@ def _point(f, d, i):
 
 def _candidate_value_sets(f, mode, fixed, budget):
     """Distance-value sets to search, one per orbit under multiplication
-    by nonzero squares (the effect of rescaling coordinates).  The
-    first set met in enumeration order represents its orbit, whose key
-    is the least sorted tuple of values over the orbit."""
+    by nonzero squares (the effect of rescaling coordinates), each
+    represented by its first set in enumeration order.
+
+    A square multiplier fixes the square class of a value and the ratio
+    of two values, and any two ordered pairs with the same class of the
+    first value and the same ratio differ by one.  So {a} is keyed by
+    the class of a, and {a, b} by the lesser of its two ordered keys
+    (class of a, b/a) and (class of b, a/b)."""
     if fixed is not None:
         return [fixed]
     nonzero = range(1, f.q)
-    squares = {f.mul(x, x) for x in nonzero}
-    orbit = {v: [f.mul(s, v) for s in squares] for v in nonzero}
+    square = [None] + [f.square_class(v) is SquareClass.SQUARE
+                       for v in nonzero]
     if mode == MODE_EQUILATERAL:
-        sets = ((a,) for a in nonzero)
+        keyed = (((a,), square[a]) for a in nonzero)
     else:
-        sets = ((a, b) for i, a in enumerate(nonzero)
-                for b in nonzero[i + 1:])
+        inv = [None] + [f.inv(v) for v in nonzero]
+        keyed = (((a, b), min((square[a], f.mul(b, inv[a])),
+                              (square[b], f.mul(a, inv[b]))))
+                 for i, a in enumerate(nonzero) for b in nonzero[i + 1:])
     seen = {}
-    for vals in sets:
+    for vals, key in keyed:
         budget.check()
-        key = min(tuple(sorted(images))
-                  for images in zip(*(orbit[v] for v in vals)))
         if key not in seen:
             seen[key] = vals
     return list(seen.values())
@@ -272,22 +301,34 @@ def _search(problem):
     best_indices = [0]  # the origin
     best_values = None
     exhausted = False
+    subproblems = []
     try:
         table = _CayleyTable(f, d)
         value_sets = _candidate_value_sets(f, problem.mode,
                                            problem.fixed_values, budget)
         for values in value_sets:
             cand, adj = table.graph(values, budget)
-            clique, done = _max_clique(adj, len(cand), budget,
-                                       lower=best_size - 1)
-            if 1 + len(clique) > best_size:
-                best_size = 1 + len(clique)
-                best_indices = [0] + [cand[i] for i in clique]
-                best_values = values
-            if not done:
-                break
-        else:
-            exhausted = True
+            for a in values:
+                # the second clique point, pinned by Witt's theorem
+                pin = next((i for i, x in enumerate(cand)
+                            if table.point_norm(x) == a), None)
+                if pin is None:
+                    continue
+                nodes, t0 = budget.nodes, time.monotonic()
+                clique, done = _max_clique(adj, adj[pin], budget,
+                                           lower=best_size - 2)
+                subproblems.append({
+                    "values": list(values), "norm": a,
+                    "graph_size": adj[pin].bit_count(),
+                    "nodes": budget.nodes - nodes,
+                    "seconds": time.monotonic() - t0, "done": done})
+                if 2 + len(clique) > best_size:
+                    best_size = 2 + len(clique)
+                    best_indices = [0, cand[pin]] + [cand[i] for i in clique]
+                    best_values = values
+                if not done:
+                    raise _BudgetHit
+        exhausted = True
     except _BudgetHit:
         pass
     if problem.canonical and exhausted and best_size >= 2:
@@ -308,7 +349,8 @@ def _search(problem):
     witness = PointSet(f, d, FORM_STANDARD,
                        [_point(f, d, i) for i in best_indices])
     stats = {"nodes": budget.nodes,
-             "seconds": time.monotonic() - start}
+             "seconds": time.monotonic() - start,
+             "subproblems": subproblems}
     return best_size, witness, best_values, exhausted, stats
 
 

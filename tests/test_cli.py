@@ -213,6 +213,17 @@ def test_optimized_run_writes_same_bytes(tmp_path):
     assert (opt / "cert.midpoints.json").read_bytes() == mid.read_bytes()
 
 
+def test_search_subproblems_stay_out_of_output(tmp_path, capsys):
+    out = tmp_path / "search.json"
+    assert run_cli("search", "--p", "5", "--d", "2", "--mode",
+                   "two_distance", "--out", str(out)) == 0
+    assert capsys.readouterr().out == (
+        "max two_distance size in GF(5^1)^2: 5 (exhausted)\n")
+    assert sorted(json.loads(out.read_text())["meta"]["search"]) == [
+        "both_values", "bound_status", "exhausted", "max_size", "mode",
+        "nodes", "seconds"]
+
+
 def test_verify_missing_file():
     assert run_cli("verify", "/nonexistent/cert.json") == 2
 
@@ -247,10 +258,10 @@ def test_search_budget_exit_code(tmp_path):
 
 
 def test_search_budget_covers_value_sets():
-    # 79800 value pairs in GF(401): the budget must stop their
-    # enumeration; unbounded, it alone takes several seconds
+    # about 5*10^7 value pairs in GF(9973): the budget must stop their
+    # enumeration; unbounded, it alone takes minutes
     start = time.monotonic()
-    code = run_cli("search", "--p", "401", "--d", "1",
+    code = run_cli("search", "--p", "9973", "--d", "1",
                    "--mode", "two_distance", "--budget-secs", "0.5")
     assert code == 3
     assert time.monotonic() - start < 3

@@ -199,11 +199,26 @@ def reference_value_sets(f, mode):
     return list(seen.values())
 
 
-@pytest.mark.parametrize("p,k,d", [
+CAYLEY_GRIDS = [
     (3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 1), (5, 1, 2),
     (5, 1, 3), (7, 1, 1), (7, 1, 2), (3, 2, 1), (3, 2, 2), (5, 2, 1),
     (5, 2, 2), (3, 3, 1), (3, 3, 2),
-])
+]
+
+
+def nx_graph(nx, adj, vertices):
+    g = nx.Graph()
+    g.add_nodes_from(vertices)
+    g.add_edges_from((i, j) for i in vertices for j in vertices
+                     if j < i and adj[i] >> j & 1)
+    return g
+
+
+def bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@pytest.mark.parametrize("p,k,d", CAYLEY_GRIDS)
 def test_cayley_graph_matches_dist2_oracle(p, k, d):
     nx = None
     try:
@@ -223,10 +238,97 @@ def test_cayley_graph_matches_dist2_oracle(p, k, d):
             assert adj == want_adj
             if nx is None:
                 continue
-            g = nx.Graph()
-            g.add_nodes_from(range(len(cand)))
-            g.add_edges_from((i, j) for i in range(len(cand))
-                             for j in range(i) if adj[i] >> j & 1)
-            clique, done = search._max_clique(adj, len(cand), budget)
+            g = nx_graph(nx, adj, range(len(cand)))
+            clique, done = search._max_clique(adj, (1 << len(cand)) - 1,
+                                              budget)
             assert done
             assert len(clique) == len(nx.max_weight_clique(g, None)[0])
+
+
+@pytest.mark.parametrize("p,k,d", CAYLEY_GRIDS)
+def test_witt_pin_matches_networkx_clique(p, k, d):
+    # Witt's theorem: the clique number of the origin's neighborhood G is
+    # reached through the first neighbor e_a of each norm a, so
+    # max over a of 1 + omega(G[adj[e_a]]) = omega(G)
+    nx = pytest.importorskip("networkx")
+    f = field_make(p, k)
+    origin = (0,) * d
+    table = search._CayleyTable(f, d)
+    budget = search._Budget(600, 10**9)
+    for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
+        for values in search._candidate_value_sets(f, mode, None, budget):
+            cand, adj = table.graph(values)
+            omega = len(nx.max_weight_clique(
+                nx_graph(nx, adj, range(len(cand))), None)[0])
+            pinned = []
+            for a in values:
+                pin = next((i for i, x in enumerate(cand) if geometry.dist2(
+                    f, origin, search._point(f, d, x)) == a), None)
+                if pin is None:
+                    continue
+                want = len(nx.max_weight_clique(
+                    nx_graph(nx, adj, bits(adj[pin])), None)[0])
+                clique, done = search._max_clique(adj, adj[pin], budget)
+                assert done and len(clique) == want
+                pinned.append(1 + want)
+            assert max(pinned, default=0) == omega, (mode, values)
+
+
+# instances whose census up to max_size + 1 points stays small; the two
+# two-distance maxima of 25-point spaces need 177,100 6-subsets each
+BRUTE_FORCE_CASES = [
+    (p, k, d, mode)
+    for p, k, d in [(3, 1, 1), (3, 1, 2), (5, 1, 1), (7, 1, 1), (11, 1, 1),
+                    (13, 1, 1), (3, 2, 1), (3, 3, 1)]
+    for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE)
+] + [(5, 1, 2, MODE_EQUILATERAL), (5, 2, 1, MODE_EQUILATERAL)]
+
+
+@pytest.mark.parametrize("p,k,d,mode", BRUTE_FORCE_CASES)
+def test_max_size_matches_brute_force(p, k, d, mode):
+    # the largest n with a compatible n-subset in the exhaustive census
+    # (an n-set's subsets are compatible too, so the first n without one
+    # ends the scan)
+    f = field_make(p, k)
+    r = (max_equilateral if mode == MODE_EQUILATERAL
+         else max_two_distance)(SearchProblem(f, d, mode))
+    assert r.exhausted
+    n = 1
+    while True:
+        census = brute_force_classify_all(f, d, n + 1)
+        count = census["equilateral"]
+        if mode == MODE_TWO_DISTANCE:
+            count += census["two_distance"]
+        if not count:
+            break
+        n += 1
+    assert r.max_size == n
+
+
+def test_f3_dim7_equilateral_exhausts():
+    # 1,163,226 clique nodes without the Witt pin, 7,229 with it
+    r = run(3, 7, MODE_EQUILATERAL)
+    assert r.exhausted
+    assert r.max_size == 9
+
+
+def test_subproblem_stats():
+    r = run(5, 2, MODE_TWO_DISTANCE)
+    subs = r.stats["subproblems"]
+    value_sets = search._candidate_value_sets(
+        field_make(5), MODE_TWO_DISTANCE, None, search._Budget(60, 10**9))
+    assert len(subs) == 2 * len(value_sets)
+    assert [s["values"] for s in subs[::2]] == [list(v) for v in value_sets]
+    for s in subs:
+        assert set(s) == {"values", "norm", "graph_size", "nodes",
+                          "seconds", "done"}
+        assert s["norm"] in s["values"] and s["done"]
+        assert s["graph_size"] >= 0 and s["seconds"] >= 0
+    assert sum(s["nodes"] for s in subs) == r.stats["nodes"]
+
+
+def test_subproblem_stats_record_budget_hit():
+    r = run(7, 3, MODE_TWO_DISTANCE, node_limit=5)
+    assert not r.exhausted
+    assert r.stats["subproblems"][-1]["done"] is False
+    assert all(s["done"] for s in r.stats["subproblems"][:-1])

@@ -111,7 +111,7 @@ class TwoDistance:
         return isinstance(other, TwoDistance) and other.values == self.values
 
     def __repr__(self):
-        return "TwoDistance(%s)" % ", ".join(map(repr, sorted(self.values, key=str)))
+        return "TwoDistance(%s)" % ", ".join(map(repr, sorted(self.values)))
 
 
 class Other:

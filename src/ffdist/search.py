@@ -8,18 +8,41 @@ Candidate distance values are deduplicated up to the scaling symmetry
 x -> lambda x, which multiplies every distance by lambda^2; a value set
 is keyed by square classes and ratios, which that scaling fixes.
 
-The second clique point is pinned too.  Q(x) = x.x is nondegenerate,
-and p is odd (field_make rejects p = 2), so by Witt's extension theorem
-the isometries of F_q^d fixing the origin act transitively on the
-vectors of each nonzero norm a.  A clique of size >= 2 through the
-origin holds some x with Q(x) = a in the value set, and an isometry
-fixing the origin maps x to e_a, the first neighbor of the origin with
-norm a, without changing the clique's size.  So each value set costs
-one clique search per value a, inside the common neighborhood of 0 and
-e_a.  Sizes, exhaustion and the canonical witness are those of a search
-over the whole neighborhood of the origin; the non-canonical witness
-and the node counts are not, and differ from versions without the pin.
-stats["subproblems"] records each pinned run.
+Three clique points are pinned by triangle type.  Q(x) = x.x is
+nondegenerate and p is odd (field_make rejects p = 2), so Witt's
+extension theorem extends every isometry between subspaces of F_q^d,
+degenerate ones included, to all of F_q^d.  A triangle (0, e, z) is
+therefore fixed up to isometry and translation by its type: whether it
+is collinear, and its sorted sides (Q(e), Q(z), Q(z - e)).  Relabelling
+the vertices permutes the sides in every way, so two triangles of one
+type can be labelled with equal sides in that order.  Those fix the
+Gram matrix of (e, z), and Witt extends the map between two
+non-collinear pairs with equal Gram matrices.  A collinear triangle
+z = lambda e has sides (a, lambda^2 a, (lambda - 1)^2 a), which fix
+lambda for odd p, so the map e -> e' carries z to z'.
+Each type present in a value set is represented by its first triangle
+(0, e_a, z), with e_a the first neighbor of the origin of norm a and z in
+the neighborhood of e_a; that finds every type, since a vertex of any
+triangle can be translated to the origin and the next one moved onto
+e_a.  The types are ordered, non-collinear ones first and then by
+sides, and each costs one clique search in the common neighborhood of
+0, e and z, less every vertex that forms an earlier type with two of
+the three: a clique holding a triangle of an earlier type was searched
+under that type (isomorph rejection in orderly generation, McKay 1998).
+Every test is a few table lookups (see _triangle_subproblems).
+
+When d is even, x.x and nu*(x.x) (nu a nonsquare) are isometric, so a
+similitude with a nonsquare multiplier maps the cliques of a value set V
+onto those of nu*V, and the search pass keeps one value set per orbit
+under all of F_q^* (see _similitude_classes).  The canonical pass still
+walks every square orbit.
+
+Sizes, exhaustion and the canonical witness are those of a search over
+the whole neighborhood of the origin; the non-canonical witness and the
+node counts are not, and differ from versions with fewer pins.  Before
+any value set is enumerated, a point at an allowed distance from the
+origin is recorded as a size-2 witness, so a budget hit never reports
+less.  stats["subproblems"] records each pinned run with its type.
 
 Each graph is a Cayley graph on (F_q^d, +): x ~ y iff Q(x - y) lies in
 the value set.  The norm of every difference is tabulated once per
@@ -88,8 +111,9 @@ class SearchResult:
         self.witness = witness  # PointSet
         self.exhausted = exhausted
         # {"nodes": int, "seconds": float, "subproblems": [one record
-        # per pinned clique run: values, norm, graph_size, nodes,
-        # seconds, done]}
+        # per pinned clique run: values, type ({"collinear": bool,
+        # "sides": sorted side norms}), graph_size, nodes, seconds,
+        # done]}
         self.stats = stats
         self.values = values  # distance values of the best subproblem
         self.both_values = both_values  # two-distance mode only
@@ -193,6 +217,28 @@ def _lex_least_clique(adj, n, size):
     return grow(0, [], (1 << n) - 1)
 
 
+def _rays(f, d):
+    """Ray id of every point index: the index of the point whose first
+    nonzero coordinate is 1 on the same line through the origin (0 for
+    the origin itself).
+
+    Built one leading coordinate at a time: in dimension m + 1 the point
+    c*q^m + r with c != 0 lies on the ray of (1, r/c), whose index is
+    q^m plus the index of r/c, read from scaled[1/c]; scaled[l] maps each
+    point index of dimension m to that of l times the point."""
+    q = f.q
+    inv = [0] + [f.inv(c) for c in range(1, q)]
+    ray = [0]
+    scaled = [[0]] * q
+    for m in range(d):
+        n = q**m
+        ray += [n + s for c in range(1, q) for s in scaled[inv[c]]]
+        if m + 1 < d:
+            scaled = [[f.mul(lam, c) * n + s for c in range(q)
+                       for s in scaled[lam]] for lam in range(q)]
+    return ray
+
+
 class _CayleyTable:
     """Norm Q(x - y) of every pair of points of F_q^d, by one
     subtraction of keys and one lookup.
@@ -203,7 +249,9 @@ class _CayleyTable:
     [-(p-1), p-1] and the subtraction has no carries.  Adding
     off = ((2p-1)^(dk) - 1) / 2 moves each digit into [0, 2p-2], and
     norm[key[x] - key[y] + off] is the encoding of Q(x - y), stored in
-    16 bits since q <= 10^4.
+    16 bits since q <= 10^4.  ray[key[x] - key[y] + off] is the ray id
+    of x - y (see _rays), so x, y, w are collinear iff x - w and y - w
+    have the same ray id.
     """
 
     def __init__(self, f, d):
@@ -221,13 +269,22 @@ class _CayleyTable:
         for _ in range(d - 1):
             point_norm = [f.add(a, s) for a in point_norm for s in square]
         # point index of the difference that each table index stands
-        # for, one digit at a time; the last digit streams into the table
+        # for, one digit at a time: the first digits in head, the last
+        # (at most two) in tail; the tables fill one head entry at a time
         digit = [(v - (p - 1)) % p for v in range(base)]
-        diff = [0]
-        for _ in range(digits - 1):
-            diff = array("H", (a * p + r for a in diff for r in digit))
-        self.norm = array("H", (point_norm[a * p + r]
-                                for a in diff for r in digit))
+        head, tail = [0], [0]
+        for i in range(digits):
+            if i < digits - 2:
+                head = array("H", [a * p + r for a in head for r in digit])
+            else:
+                tail = [a * p + r for a in tail for r in digit]
+        scale = p**min(digits, 2)
+        ray = _rays(f, d)
+        self.norm, self.ray = array("H"), array("H")
+        for a in head:
+            a *= scale
+            self.norm.extend([point_norm[a + t] for t in tail])
+            self.ray.extend([ray[a + t] for t in tail])
 
     def point_norm(self, i):
         """Q of the point with index i."""
@@ -292,6 +349,92 @@ def _candidate_value_sets(f, mode, fixed, budget):
     return list(seen.values())
 
 
+def _similitude_classes(f, d, value_sets):
+    """The first set of each orbit of value_sets under multiplication by
+    all of F_q^*, when d is even; value_sets itself when d is odd.
+
+    For even d, x.x and nu*(x.x) (nu a nonsquare) have the same dimension
+    and discriminant class, so they are isometric: some linear g has
+    Q(gx) = nu*Q(x) and carries the cliques of V onto those of nu*V.
+    All {a} then form one orbit, and {a, b} is keyed by min(b/a, a/b)."""
+    if d % 2:
+        return value_sets
+    seen = {}
+    for vals in value_sets:
+        key = None
+        if len(vals) == 2:
+            a, b = vals
+            key = min(f.mul(b, f.inv(a)), f.mul(a, f.inv(b)))
+        seen.setdefault(key, vals)
+    return list(seen.values())
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _triangle_subproblems(table, cand, adj, values):
+    """The clique subproblems of one value set, one per triangle type,
+    in search order.
+
+    Returns a list of (type, e, z, mask): (0, cand[e], cand[z]) is the
+    first triangle of the type found with e the Witt pin e_a of some
+    value a and z in adj[e], and mask holds the common neighbors of e
+    and z that form no earlier type with two of 0, e, z.  A type is
+    {"collinear": bool, "sides": sorted side norms}; non-collinear types
+    come first, then types in order of their sides.
+
+    Each test is a few table lookups: a type is coded as its collinear
+    flag plus a base-4 count of its sides per value, and collinearity
+    compares ray ids of differences."""
+    norm, ray, off = table.norm, table.ray, table.off
+    keys = [table.key[x] for x in cand]
+    weight = {v: 4**i for i, v in enumerate(values)}
+
+    def code(collinear, s, t, u):
+        return 2 * (weight[s] + weight[t] + weight[u]) + collinear
+
+    first = {}
+    for a in values:
+        e = next((i for i, k in enumerate(keys) if norm[k + off] == a), None)
+        if e is None:
+            continue
+        ke = keys[e]
+        re = ray[ke + off]
+        for z in _bits(adj[e]):
+            kz = keys[z]
+            collinear = ray[kz + off] == re
+            sides = (a, norm[kz + off], norm[kz - ke + off])
+            first.setdefault(code(collinear, *sides),
+                             (collinear, tuple(sorted(sides)), e, z))
+    order = sorted(first, key=lambda c: first[c][:2])
+    rank = {c: i for i, c in enumerate(order)}
+    subproblems = []
+    for i, c in enumerate(order):
+        collinear, sides, e, z = first[c]
+        mask = adj[e] & adj[z]
+        ke, kz = keys[e], keys[z]
+        ne, nz, nze = norm[ke + off], norm[kz + off], norm[kz - ke + off]
+        re, rz, rze = ray[ke + off], ray[kz + off], ray[kz - ke + off]
+        drop = 0
+        for x in _bits(mask if i else 0):
+            kx = keys[x]
+            nx, rx = norm[kx + off], ray[kx + off]
+            nxe, nxz = norm[kx - ke + off], norm[kx - kz + off]
+            if (rank[code(rx == re, ne, nx, nxe)] < i
+                    or rank[code(rx == rz, nz, nx, nxz)] < i
+                    or rank[code(ray[kx - ke + off] == rze,
+                                 nze, nxe, nxz)] < i):
+                drop |= 1 << x
+        subproblems.append(({"collinear": collinear, "sides": list(sides)},
+                            e, z, mask & ~drop))
+    return subproblems
+
+
 def _search(problem):
     f = problem.field
     d = problem.d
@@ -304,27 +447,31 @@ def _search(problem):
     subproblems = []
     try:
         table = _CayleyTable(f, d)
+        # any point at an allowed distance from the origin gives a
+        # size-2 witness before any value set is enumerated
+        allowed = problem.fixed_values or range(1, f.q)
+        e = next((i for i in range(1, table.size)
+                  if table.point_norm(i) in allowed), None)
+        if e is not None:
+            best_size, best_indices = 2, [0, e]
+            best_values = (table.point_norm(e),)
         value_sets = _candidate_value_sets(f, problem.mode,
                                            problem.fixed_values, budget)
-        for values in value_sets:
+        for values in _similitude_classes(f, d, value_sets):
             cand, adj = table.graph(values, budget)
-            for a in values:
-                # the second clique point, pinned by Witt's theorem
-                pin = next((i for i, x in enumerate(cand)
-                            if table.point_norm(x) == a), None)
-                if pin is None:
-                    continue
+            for ttype, e, z, mask in _triangle_subproblems(table, cand, adj,
+                                                           values):
                 nodes, t0 = budget.nodes, time.monotonic()
-                clique, done = _max_clique(adj, adj[pin], budget,
-                                           lower=best_size - 2)
+                clique, done = _max_clique(adj, mask, budget,
+                                           lower=best_size - 3)
                 subproblems.append({
-                    "values": list(values), "norm": a,
-                    "graph_size": adj[pin].bit_count(),
+                    "values": list(values), "type": ttype,
+                    "graph_size": mask.bit_count(),
                     "nodes": budget.nodes - nodes,
                     "seconds": time.monotonic() - t0, "done": done})
-                if 2 + len(clique) > best_size:
-                    best_size = 2 + len(clique)
-                    best_indices = [0, cand[pin]] + [cand[i] for i in clique]
+                if 3 + len(clique) > best_size:
+                    best_size = 3 + len(clique)
+                    best_indices = [0] + [cand[i] for i in (e, z, *clique)]
                     best_values = values
                 if not done:
                     raise _BudgetHit

@@ -267,6 +267,27 @@ def test_search_budget_covers_value_sets():
     assert time.monotonic() - start < 3
 
 
+def test_search_budget_hit_keeps_size_two_witness(capsys):
+    # the witness {0, e} is recorded before any value set is enumerated
+    assert run_cli("search", "--p", "9973", "--d", "1",
+                   "--mode", "two_distance", "--budget-secs", "0.5") == 3
+    assert capsys.readouterr().out == (
+        "max two_distance size in GF(9973^1)^1: 2 (budget hit)\n")
+
+
+def test_verify_prints_two_distance_values_in_numeric_order(tmp_path,
+                                                            capsys):
+    # delta/4 = 10 and delta/2 = 9 here; ordered as strings they would
+    # print as TwoDistance(10, 9)
+    out = tmp_path / "cert.json"
+    assert run_cli("construct", "--p", "11", "--d", "9", "--b", "3",
+                   "--midpoints", "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("verify", str(tmp_path / "cert.midpoints.json")) == 0
+    assert capsys.readouterr().out == (
+        "verified: TwoDistance(9, 10), 55 points\n")
+
+
 # sha256 of search --canonical --out certificates, as written before the
 # graphs were built from the Cayley norm table
 CANONICAL_SEARCH_SHA256 = {

@@ -247,9 +247,12 @@ def test_cayley_graph_matches_dist2_oracle(p, k, d):
 
 @pytest.mark.parametrize("p,k,d", CAYLEY_GRIDS)
 def test_witt_pin_matches_networkx_clique(p, k, d):
-    # Witt's theorem: the clique number of the origin's neighborhood G is
-    # reached through the first neighbor e_a of each norm a, so
-    # max over a of 1 + omega(G[adj[e_a]]) = omega(G)
+    # Witt's theorem: a clique of three or more points through the origin
+    # has an isometric copy through the representative (0, e, z) of the
+    # earliest triangle type it holds, inside that type's mask.  With G
+    # the origin's neighborhood graph (so the Cayley graph's clique
+    # number is 1 + omega(G)), max over types T of 3 + omega(G[mask_T])
+    # = 1 + omega(G) whenever that is >= 3, and no type exists otherwise
     nx = pytest.importorskip("networkx")
     f = field_make(p, k)
     origin = (0,) * d
@@ -258,20 +261,62 @@ def test_witt_pin_matches_networkx_clique(p, k, d):
     for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
         for values in search._candidate_value_sets(f, mode, None, budget):
             cand, adj = table.graph(values)
-            omega = len(nx.max_weight_clique(
+            omega = 1 + len(nx.max_weight_clique(
                 nx_graph(nx, adj, range(len(cand))), None)[0])
+            subs = search._triangle_subproblems(table, cand, adj, values)
+            order = [(t["collinear"], tuple(t["sides"]))
+                     for t, _, _, _ in subs]
+            assert order == sorted(set(order))
             pinned = []
-            for a in values:
-                pin = next((i for i, x in enumerate(cand) if geometry.dist2(
-                    f, origin, search._point(f, d, x)) == a), None)
-                if pin is None:
-                    continue
+            for ttype, e, z, mask in subs:
+                x, y = (search._point(f, d, cand[i]) for i in (e, z))
+                assert ttype == {
+                    "collinear": any(tuple(f.mul(lam, c) for c in x) == y
+                                     for lam in f.elements()),
+                    "sides": sorted([geometry.dist2(f, origin, x),
+                                     geometry.dist2(f, origin, y),
+                                     geometry.dist2(f, x, y)])}
+                assert mask & ~(adj[e] & adj[z]) == 0
                 want = len(nx.max_weight_clique(
-                    nx_graph(nx, adj, bits(adj[pin])), None)[0])
-                clique, done = search._max_clique(adj, adj[pin], budget)
+                    nx_graph(nx, adj, bits(mask)), None)[0])
+                clique, done = search._max_clique(adj, mask, budget)
                 assert done and len(clique) == want
-                pinned.append(1 + want)
-            assert max(pinned, default=0) == omega, (mode, values)
+                pinned.append(3 + want)
+            if omega >= 3:
+                assert max(pinned) == omega, (mode, values)
+            else:
+                assert not subs, (mode, values)
+
+
+@pytest.mark.parametrize("p,k,d", [g for g in CAYLEY_GRIDS if g[2] % 2 == 0])
+def test_similitude_classes_keep_clique_numbers(p, k, d):
+    # for even d a similitude with a nonsquare multiplier exists, so each
+    # value set has the clique number of the first set of its orbit
+    # under all of F_q^*, and only those first sets are searched
+    f = field_make(p, k)
+    table = search._CayleyTable(f, d)
+    budget = search._Budget(600, 10**9)
+
+    def omega(values):
+        cand, adj = table.graph(values)
+        clique, done = search._max_clique(adj, (1 << len(cand)) - 1, budget)
+        assert done
+        return len(clique)
+
+    def orbit(values):
+        return {tuple(sorted(f.mul(lam, v) for v in values))
+                for lam in range(1, f.q)}
+
+    for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
+        value_sets = search._candidate_value_sets(f, mode, None, budget)
+        firsts = {}
+        for values in value_sets:
+            rep = next(w for w in value_sets
+                       if tuple(sorted(w)) in orbit(values))
+            firsts.setdefault(rep, values)
+            assert omega(values) == omega(rep)
+        assert search._similitude_classes(f, d, value_sets) == list(firsts)
+    assert search._similitude_classes(f, d + 1, value_sets) == value_sets
 
 
 # instances whose census up to max_size + 1 points stays small; the two
@@ -305,24 +350,57 @@ def test_max_size_matches_brute_force(p, k, d, mode):
     assert r.max_size == n
 
 
+def test_f3_dim6_two_distance_exhausts():
+    # d + 2 = 8 is a power of two, so the construction does not apply;
+    # 288 s with only two points pinned, a few seconds by triangle type
+    r = run(3, 6, MODE_TWO_DISTANCE)
+    assert r.exhausted
+    assert r.max_size == 27
+    assert r.bound_status == "unreached"
+
+
+def test_f5_dim5_two_distance_exhausts():
+    r = run(5, 5, MODE_TWO_DISTANCE)
+    assert r.exhausted
+    assert r.max_size == 16
+
+
+def test_size_two_witness_needs_an_allowed_norm():
+    # no point of F_5 has the nonsquare norm 2; norm 4 is reached at 2
+    # and 3, whose distance is 1
+    r = run(5, 1, MODE_EQUILATERAL, fixed_values=[2])
+    assert r.exhausted and r.max_size == 1
+    r = run(5, 1, MODE_EQUILATERAL, fixed_values=[4])
+    assert r.exhausted and r.max_size == 2
+    assert r.witness.points == [(0,), (2,)]
+
+
 def test_f3_dim7_equilateral_exhausts():
-    # 1,163,226 clique nodes without the Witt pin, 7,229 with it
+    # 1,163,226 clique nodes with only the origin pinned, 7,229 with two
+    # points pinned, 151 with three pinned by triangle type
     r = run(3, 7, MODE_EQUILATERAL)
     assert r.exhausted
     assert r.max_size == 9
 
 
 def test_subproblem_stats():
+    # one record per triangle type of each searched value set: d is even,
+    # so one set per orbit under all of F_5^*
+    f = field_make(5)
     r = run(5, 2, MODE_TWO_DISTANCE)
     subs = r.stats["subproblems"]
-    value_sets = search._candidate_value_sets(
-        field_make(5), MODE_TWO_DISTANCE, None, search._Budget(60, 10**9))
-    assert len(subs) == 2 * len(value_sets)
-    assert [s["values"] for s in subs[::2]] == [list(v) for v in value_sets]
+    table = search._CayleyTable(f, 2)
+    want = []
+    for values in search._similitude_classes(f, 2, search._candidate_value_sets(
+            f, MODE_TWO_DISTANCE, None, search._Budget(60, 10**9))):
+        cand, adj = table.graph(values)
+        want += [(list(values), t) for t, _, _, _ in
+                 search._triangle_subproblems(table, cand, adj, values)]
+    assert want and [(s["values"], s["type"]) for s in subs] == want
     for s in subs:
-        assert set(s) == {"values", "norm", "graph_size", "nodes",
+        assert set(s) == {"values", "type", "graph_size", "nodes",
                           "seconds", "done"}
-        assert s["norm"] in s["values"] and s["done"]
+        assert set(s["type"]["sides"]) <= set(s["values"]) and s["done"]
         assert s["graph_size"] >= 0 and s["seconds"] >= 0
     assert sum(s["nodes"] for s in subs) == r.stats["nodes"]
 

@@ -176,7 +176,9 @@ def verify(path):
     """Recompute the claim from the raw points and diff it against the
     stored one.  Returns a report dict, whose "srg" is "ok" after the
     SRG recheck and "skipped" for a two-distance claim without
-    meta.srg_report; raises SchemaError (exit 2) or VerificationFailure
+    meta.srg_report, and whose "checks" says of each check
+    ("classification", "blokhuis", "srg") whether it "passed" or was
+    "skipped"; raises SchemaError (exit 2) or VerificationFailure
     (exit 1)."""
     cert, s = load(path)
     f = s.field
@@ -201,7 +203,10 @@ def verify(path):
                 % (sorted(map(f.serialize, cls.values)), claim["values"]))
     meta = cert.get("meta", {})
     _schema(isinstance(meta, dict), "meta must be an object")
-    report = {"classification": repr(cls), "n_points": len(s)}
+    checks = {"classification": "passed", "blokhuis": "skipped",
+              "srg": "skipped"}
+    report = {"classification": repr(cls), "n_points": len(s),
+              "checks": checks}
     bounds = meta.get("bounds")
     if isinstance(bounds, dict) and "blokhuis" in bounds:
         d = meta.get("dimension", s.dimension())
@@ -209,6 +214,7 @@ def verify(path):
                 "meta.dimension must be an integer >= 1")
         if bounds["blokhuis"] != geometry.blokhuis_bound(d):
             raise VerificationFailure("stored blokhuis value is wrong")
+        checks["blokhuis"] = "passed"
     if "srg_report" in meta:
         srg_report = meta["srg_report"]
         _schema(isinstance(srg_report, dict),
@@ -218,6 +224,7 @@ def verify(path):
                 "meta.srg_report.n must be an integer >= 4")
         _verify_srg(s, claim, n)
         report["srg"] = "ok"
+        checks["srg"] = "passed"
     elif claim["type"] == "two_distance":
         report["srg"] = "skipped"
     return report

@@ -49,8 +49,8 @@ def cmd_construct(args):
         params = construct.ModularParams(f, args.d, args.b)
     except construct.NotModular:
         raise UsageError("p does not divide d+2 (p=%d, d=%d)" % (args.p, args.d))
-    except construct.ZeroScale:
-        raise UsageError("scale b must be nonzero")
+    except ValueError as exc:  # ZeroScale, or a dimension below 1
+        raise UsageError(str(exc))
     s = construct.modular_equilateral(params)
     if args.embed == "standard":
         try:
@@ -160,7 +160,10 @@ def cmd_search(args):
 
 def cmd_tables(args):
     if args.d is not None:
-        chars = construct.admissible_chars(args.d)
+        try:
+            chars = construct.admissible_chars(args.d)
+        except ValueError as exc:  # d < 1, or past trial division
+            raise UsageError(str(exc))
         if chars:
             print("d=%d: admissible odd characteristics %s"
                   % (args.d, ", ".join(map(str, chars))))

@@ -8,7 +8,7 @@ set of size C(d+2, 2), which meets the quadratic reference bound.
 """
 
 from . import geometry, srg
-from .geometry import PointSet, FORM_SUM_ZERO, FORM_STANDARD, dist2
+from .geometry import PointSet, FORM_SUM_ZERO, FORM_STANDARD
 from .linalg import MatrixF, LawViolated, dot, isometry_to_standard
 
 
@@ -24,10 +24,6 @@ class NotEquilateral(ValueError):
     pass
 
 
-SHARED_VERTEX = "shared_vertex"
-DISJOINT_EDGES = "disjoint_edges"
-
-
 class ModularParams:
     """Parameters of the modular construction.
 
@@ -37,6 +33,8 @@ class ModularParams:
     """
 
     def __init__(self, field, d, b=1):
+        if d < 1:
+            raise ValueError("dimension must be >= 1")
         if (d + 2) % field.p != 0:
             raise NotModular("characteristic %d does not divide d+2 = %d"
                              % (field.p, d + 2))
@@ -66,16 +64,14 @@ def modular_equilateral(params):
 class MidpointSet:
     """Midpoints of all edges of an equilateral set.
 
-    edges[t] is the source pair (i, j) of midpoint t; pair_types maps
-    unordered midpoint index pairs to SHARED_VERTEX or DISJOINT_EDGES.
-    The shared-vertex pairs sit at d4 = delta/4 and are the edges of
-    graph; the disjoint-edge pairs sit at d2 = delta/2.
+    edges[t] is the source pair (i, j) of midpoint t.  Midpoints of
+    edges that share a vertex sit at d4 = delta/4 and are the edges of
+    graph; those of disjoint edges sit at d2 = delta/2.
     """
 
-    def __init__(self, points, edges, pair_types, delta, d4, d2, graph):
+    def __init__(self, points, edges, delta, d4, d2, graph):
         self.points = points
         self.edges = edges
-        self.pair_types = pair_types
         self.delta = delta
         self.d4 = d4
         self.d2 = d2
@@ -83,13 +79,13 @@ class MidpointSet:
 
 
 def midpoints(s):
-    """Midpoint set of an equilateral input, with the combinatorial type
-    of every midpoint pair.
+    """Midpoint set of an equilateral input and its midpoint graph.
 
     Shared-vertex pairs sit at delta/4, disjoint-edge pairs at delta/2;
     both facts are re-verified here against the actual distances:
     srg.midpoint_graph raises BadDistanceValue for a pair at neither
-    value, and LawViolated marks a pair at the other type's value.
+    value, and LawViolated marks a pair at the other type's value, found
+    by comparing the graph rows with those of the line graph of K_n.
     """
     cls = geometry.classify(s)
     if not isinstance(cls, geometry.Equilateral):
@@ -108,15 +104,16 @@ def midpoints(s):
                           for a, b in zip(s.points[i], s.points[j])))
     mset = PointSet(f, s.ambient_dim, s.form, mids)
     graph = srg.midpoint_graph(mset, delta)
-    pair_types = {}
-    for a in range(len(edges)):
-        for b in range(a + 1, len(edges)):
-            shared = bool(set(edges[a]) & set(edges[b]))
-            pair_types[(a, b)] = SHARED_VERTEX if shared else DISJOINT_EDGES
-            if graph.adjacency[a][b] != shared:
-                raise LawViolated("midpoint distance law violated at %r/%r"
-                                  % (edges[a], edges[b]))
-    return MidpointSet(mset, edges, pair_types, delta, d4, d2, graph)
+    # bit t of incident[i] is set iff vertex i lies on edge t
+    incident = [sum(1 << t for t, e in enumerate(edges) if i in e)
+                for i in range(n)]
+    for t, (i, j) in enumerate(edges):
+        wrong = graph.rows[t] ^ incident[i] ^ incident[j]
+        if wrong:  # both sides are symmetric: the lowest bit is above t
+            u = (wrong & -wrong).bit_length() - 1
+            raise LawViolated("midpoint distance law violated at %r/%r"
+                              % (edges[t], edges[u]))
+    return MidpointSet(mset, edges, delta, d4, d2, graph)
 
 
 def embed_standard(s):
@@ -147,12 +144,12 @@ def embed_standard(s):
     out = PointSet(f, m - 1, FORM_STANDARD,
                    [tuple(dot(f, col, p) for col in zip(*bt))
                     for p in s.points])
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            if dist2(f, out.points[i], out.points[j]) != \
-                    dist2(f, s.points[i], s.points[j]):
-                raise LawViolated("embedding changed the distance of "
-                                  "points %d and %d" % (i, j))
+    for i, (new, old) in enumerate(zip(out.pair_norms(), s.pair_norms())):
+        if new != old:
+            j = next(j for j, (a, b) in enumerate(zip(new, old), i + 1)
+                     if a != b)
+            raise LawViolated("embedding changed the distance of "
+                              "points %d and %d" % (i, j))
     return out
 
 

@@ -1,12 +1,24 @@
 """Point sets over finite fields and the squared-distance census.
 
-"Distance" always means the squared quantity sum((x_i - y_i)^2); there
+"Distance" always means the squared quantity Q(x - y), Q(x) = x.x; there
 are no square roots over a finite field.  Point sets either live in the
 full standard space or in the sum-zero hyperplane of the ambient space;
 either way distances are evaluated in ambient coordinates.
+
+PointSet.pair_norms is the one census: every Q(x - y) from one pass,
+kept on the set.  Q(x - y) = Q(x) + Q(y) - 2 x.y is x'.y' for x' = (x,
+Q(x), 1) and y' = (-2y, 1, Q(y)), n = dim + 2 entries, read off one
+big-int product (Kronecker substitution): each entry's k coefficients,
+reduced mod p, fill a block of 2k - 1 digits base 2^w > n k (p-1)^2 (so
+no digit carries), with y' packed in reverse block order.  Block n - 1
+of the product is then sum_i x'_i(t) y'_i(t) in Z[t], reduced mod p and
+the field modulus once per pair.  dist2 is the pair-by-pair reference.
 """
 
 import math
+from collections import Counter
+from itertools import chain
+from operator import lshift
 
 from .linalg import MatrixF, rank, dot, DimensionMismatch
 
@@ -53,12 +65,51 @@ class PointSet:
                     raise OffHyperplane("point off the sum-zero hyperplane")
         elif form != FORM_STANDARD:
             raise ValueError("unknown form %r" % form)
+        self._pair_norms = None
 
     def __len__(self):
         return len(self.points)
 
     def dimension(self):
         return self.ambient_dim - (1 if self.form == FORM_SUM_ZERO else 0)
+
+    def pair_norms(self):
+        """rows[i][j - i - 1] = Q(p_i - p_j) for i < j (see the module
+        doc), computed on first use."""
+        if self._pair_norms is None:
+            f, n = self.field, self.ambient_dim + 2
+            p, k = f.p, f.k
+            w = (n * k * (p - 1) ** 2).bit_length()
+            shifts = [w * (i * (2 * k - 1) + s)
+                      for i in range(n) for s in range(k)]
+            powers = [p**s for s in range(k)]
+
+            def pack(entries):
+                return sum(map(lshift, [a // c % p for a in entries
+                                        for c in powers], shifts))
+
+            minus2 = f.coerce(-2)
+            norms = [dot(f, x, x) for x in self.points]
+            xs = [pack((*x, q, 1)) for x, q in zip(self.points, norms)]
+            ys = [pack([q, 1] + [f.mul(minus2, a) for a in reversed(x)])
+                  for x, q in zip(self.points, norms)]
+            shift = w * (n - 1) * (2 * k - 1)
+            block = (1 << w * (2 * k - 1)) - 1
+            if k == 1:
+                element = p.__rmod__
+            else:
+                digit = (1 << w) - 1
+                high_first = range(w * (2 * k - 2), -1, -w)
+
+                def element(c):  # Horner's rule on the digits; t is p
+                    acc = 0
+                    for s in high_first:
+                        acc = f.add(f.mul(acc, p), (c >> s & digit) % p)
+                    return acc
+            self._pair_norms = [list(map(element, map(block.__and__, map(
+                shift.__rrshift__, map(x.__mul__, ys[i + 1:])))))
+                for i, x in enumerate(xs)]
+        return self._pair_norms
 
 
 def dist2(f, x, y):
@@ -83,13 +134,8 @@ class Spectrum:
 def spectrum(s):
     if len(s) < 2:
         raise TooFewPoints("spectrum needs at least 2 points")
-    f = s.field
-    values = {}
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            d = dist2(f, s.points[i], s.points[j])
-            values[d] = values.get(d, 0) + 1
-    return Spectrum(values, f.zero in values)
+    values = dict(Counter(chain.from_iterable(s.pair_norms())))
+    return Spectrum(values, s.field.zero in values)
 
 
 class Equilateral:
@@ -134,9 +180,16 @@ def classify(s):
     distinct points (isotropic difference) always lands in Other.
     One-value sets are Equilateral, never a degenerate TwoDistance.
     """
-    sp = spectrum(s)
-    vals = sorted(sp.values)
-    if sp.has_zero:
+    return classify_values(spectrum(s).values)
+
+
+def classify_values(values):
+    """classify for the set of distances of all pairs of a point set;
+    elements are encodings, so the zero distance is 0."""
+    vals = sorted(values)
+    if not vals:
+        raise TooFewPoints("no pair distances to classify")
+    if vals[0] == 0:
         return Other(len(vals), True)
     if len(vals) == 1:
         return Equilateral(vals[0])

@@ -85,6 +85,10 @@ MODE_TWO_DISTANCE = "two_distance"
 class SearchProblem:
     def __init__(self, field, d, mode, fixed_values=None,
                  budget_secs=60.0, node_limit=10**8, canonical=False):
+        if d < 1:
+            raise ValueError("dimension must be >= 1")
+        if not budget_secs >= 0:  # NaN fails this too
+            raise ValueError("budget must be a number of seconds >= 0")
         if field.q**d > ENUMERATION_CEILING:
             raise TooLarge("q^d exceeds the enumeration ceiling %d"
                            % ENUMERATION_CEILING)
@@ -548,10 +552,11 @@ def brute_force_classify_all(f, d, n):
     points = list(itertools.product(f.elements(), repeat=d))
     if comb(len(points), n) > BRUTE_FORCE_CEILING:
         raise TooLarge("C(q^d, n) exceeds the brute-force ceiling")
+    norms = PointSet(f, d, FORM_STANDARD, points).pair_norms()
     census = {"equilateral": 0, "two_distance": 0, "other": 0}
-    for subset in itertools.combinations(points, n):
-        s = PointSet(f, d, FORM_STANDARD, subset)
-        cls = geometry.classify(s)
+    for subset in itertools.combinations(range(len(points)), n):
+        cls = geometry.classify_values(
+            {norms[i][j - i - 1] for i, j in itertools.combinations(subset, 2)})
         if isinstance(cls, geometry.Equilateral):
             census["equilateral"] += 1
         elif isinstance(cls, geometry.TwoDistance):

@@ -1,16 +1,16 @@
 """Strongly-regular verification of the midpoint graph.
 
 The shared-vertex relation on midpoints is the line graph of K_n (the
-triangular / Johnson graph J(n,2)).  All checks here are exact integer
-arithmetic: the A^2 = kI + lambda A + mu (J-I-A) identity entry by
-entry, and then the eigenvalue multiplicities, which that identity
-fixes once mu > 0.  Mod-p statements (the eigenvalue collapse) are
-derived afterwards.
+triangular / Johnson graph J(n,2)).  A Graph holds one bitset row per
+vertex, built directly from the point set's pair norms.  All checks here
+are exact integer arithmetic: the A^2 = kI + lambda A + mu (J-I-A)
+identity row by row, and then the eigenvalue multiplicities, which that
+identity fixes once mu > 0.  Mod-p statements (the eigenvalue collapse)
+are derived afterwards.
 """
 
+from itertools import compress
 from math import comb, isqrt
-
-from .geometry import dist2
 
 
 class TooSmall(ValueError):
@@ -21,21 +21,32 @@ class BadDistanceValue(ValueError):
     pass
 
 
-class Graph:
-    """Simple undirected graph as a symmetric 0/1 matrix, zero diagonal."""
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bit characters <-> 0/1 bytes
+_BITS = bytes.maketrans(b"\0\1", b"01")
 
-    def __init__(self, adjacency):
-        self.adjacency = [list(row) for row in adjacency]
-        self.n_vertices = len(self.adjacency)
-        for i, row in enumerate(self.adjacency):
-            if len(row) != self.n_vertices or row[i] != 0:
-                raise ValueError("adjacency must be square with zero diagonal")
-            for j, x in enumerate(row):
-                if x not in (0, 1) or x != self.adjacency[j][i]:
-                    raise ValueError("adjacency must be symmetric 0/1")
+
+def _transpose(rows, v):
+    """Rows of the transpose of the v x v 0/1 matrix with these rows."""
+    cols = zip(*(format(r, "0%db" % v) for r in rows))
+    return [int("".join(c)[::-1], 2) for c in cols][::-1]
+
+
+class Graph:
+    """Simple undirected graph on vertices 0..v-1; bit j of rows[i] is
+    set iff i and j are adjacent.  Rows must be symmetric with a zero
+    diagonal (checked)."""
+
+    def __init__(self, rows):
+        self.rows = list(rows)
+        self.n_vertices = v = len(self.rows)
+        for i, r in enumerate(self.rows):
+            if not 0 <= r < 1 << v or r >> i & 1:
+                raise ValueError("rows must be v-bit masks with zero diagonal")
+        if _transpose(self.rows, v) != self.rows:
+            raise ValueError("adjacency must be symmetric")
 
     def degrees(self):
-        return [sum(row) for row in self.adjacency]
+        return [r.bit_count() for r in self.rows]
 
     def edge_count(self):
         return sum(self.degrees()) // 2
@@ -57,22 +68,21 @@ def midpoint_graph(mids, delta):
     (the shared-vertex relation); delta/2 pairs are non-edges, anything
     else is an error."""
     f = mids.field
-    inv4 = f.inv(f.coerce(4))
-    inv2 = f.inv(f.coerce(2))
-    d4 = f.mul(delta, inv4)
-    d2 = f.mul(delta, inv2)
-    n = len(mids)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = dist2(f, mids.points[i], mids.points[j])
-            if d == d4:
-                adj[i][j] = adj[j][i] = 1
-            elif d != d2:
-                raise BadDistanceValue(
-                    "midpoint pair (%d, %d) at unexpected distance %r"
-                    % (i, j, f.serialize(d)))
-    return Graph(adj)
+    d4 = f.mul(delta, f.inv(f.coerce(4)))
+    d2 = f.mul(delta, f.inv(f.coerce(2)))
+    allowed = {d4, d2}
+    upper = []  # bit j of upper[i] is the edge {i, j} for j > i
+    for i, norms in enumerate(mids.pair_norms()):
+        if not allowed.issuperset(norms):
+            j, d = next((j, d) for j, d in enumerate(norms, i + 1)
+                        if d not in allowed)
+            raise BadDistanceValue(
+                "midpoint pair (%d, %d) at unexpected distance %r"
+                % (i, j, f.serialize(d)))
+        flags = bytes(map(d4.__eq__, reversed(norms))).translate(_BITS)
+        upper.append(int(flags or b"0", 2) << i + 1)
+    lower = _transpose(upper, len(upper))
+    return Graph([a | b for a, b in zip(upper, lower)])
 
 
 def expected_params(n):
@@ -131,22 +141,31 @@ def srg_check(g, params):
     for i, d in enumerate(degs):
         if d != params.k:
             return fail("vertex %d has degree %d, expected %d" % (i, d, params.k))
-    a = g.adjacency
-    # A^2 = k I + lambda A + mu (J - I - A), entrywise over Z; entry
-    # (i, j) of A^2 counts common neighbours, a popcount of bitset rows
-    rows = [int("".join(map(str, row)), 2) for row in a]
-    for i in range(v):
-        for j in range(v):
-            a2 = (rows[i] & rows[j]).bit_count()
-            if i == j:
-                want = params.k
-            elif a[i][j]:
-                want = params.lam
-            else:
-                want = params.mu
-            if a2 != want:
-                return fail("A^2 entry (%d, %d) is %d, expected %d"
-                            % (i, j, a2, want))
+    # A^2 = k I + lambda A + mu (J - I - A), entrywise over Z.  Row i of
+    # A^2 is the sum of the rows of i's neighbours, each spread to one
+    # w-bit digit per vertex.  Its entries lie in 0..k < 2^w - 1, so no
+    # digit carries, and a wanted value outside 0..k becomes 2^w - 1,
+    # which no entry reaches.
+    w = (params.k + 1).bit_length()
+    top = (1 << w) - 1
+    zero, one = "0" * w, "0" * (w - 1) + "1"
+    spread = [int(bin(r)[2:].replace("0", zero).replace("1", one), 2)
+              for r in g.rows + [(1 << v) - 1]]
+    ones = spread.pop()
+    k, lam, mu = (x if 0 <= x <= params.k else top
+                  for x in (params.k, params.lam, params.mu))
+    for i, r in enumerate(g.rows):
+        unit = 1 << w * i
+        flags = format(r, "0%db" % v)[::-1].encode().translate(_FLAGS)
+        a2 = sum(compress(spread, flags))
+        wrong = a2 ^ (k * unit + lam * spread[i]
+                      + mu * (ones - unit - spread[i]))
+        if wrong:  # its lowest digit is the first wrong entry
+            j = ((wrong & -wrong).bit_length() - 1) // w
+            want = (params.k if i == j
+                    else params.lam if r >> j & 1 else params.mu)
+            return fail("A^2 entry (%d, %d) is %d, expected %d"
+                        % (i, j, a2 >> w * j & top, want))
     if params.mu <= 0:
         return fail("mu = %d does not determine the spectrum" % params.mu)
     spectrum = _spectrum(v, params.k, params.lam, params.mu)

@@ -10,7 +10,7 @@ from ffdist.field import field_make, SquareClass
 from ffdist import certificate, cli, construct, geometry, search, srg
 from ffdist.construct import (
     ModularParams, modular_equilateral, midpoints, embed_standard,
-    sharp_dimensions, SHARED_VERTEX,
+    sharp_dimensions,
 )
 from ffdist.geometry import PointSet, FORM_STANDARD, classify, Equilateral, \
     TwoDistance, gram_rank

@@ -188,6 +188,28 @@ def test_verify_notes_skipped_srg_recheck(tmp_path, capsys):
     assert "SRG recheck skipped" in dropped.err
 
 
+def test_verify_reports_each_check(tmp_path):
+    from ffdist import certificate
+    _, _, mid = construct_pair(tmp_path, 5, 3)
+    cert = json.loads(mid.read_text())
+    report = certificate.verify(str(mid))
+    assert report["checks"] == {"classification": "passed",
+                                "blokhuis": "passed", "srg": "passed"}
+    for drop, checks in ((("srg_report",), {"blokhuis": "passed",
+                                            "srg": "skipped"}),
+                         (("bounds",), {"blokhuis": "skipped",
+                                        "srg": "passed"}),
+                         (("bounds", "srg_report"), {"blokhuis": "skipped",
+                                                     "srg": "skipped"})):
+        bare = json.loads(json.dumps(cert))
+        for key in drop:
+            del bare["meta"][key]
+        path = tmp_path / ("-".join(drop) + ".json")
+        path.write_text(json.dumps(bare))
+        report = certificate.verify(str(path))
+        assert report["checks"] == dict(checks, classification="passed")
+
+
 def test_no_assert_in_package():
     # mathematical claims must survive python -O
     for path in sorted(SRC.glob("*.py")):
@@ -255,6 +277,32 @@ def test_search_budget_exit_code(tmp_path):
     code = run_cli("search", "--p", "7", "--d", "3",
                    "--mode", "two_distance", "--budget-secs", "0")
     assert code == 3
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1", "-0.5"])
+def test_search_rejects_nan_and_negative_budget(capsys, budget):
+    # NaN compares false with every deadline, so it would never stop
+    assert run_cli("search", "--p", "3", "--d", "2", "--mode",
+                   "two_distance", "--budget-secs", budget) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--p", "3", "--d", "0", "--mode", "equilateral"),
+    ("search", "--p", "3", "--d", "-1", "--mode", "two_distance"),
+    ("construct", "--p", "3", "--d", "-2", "--out", "x.json"),
+    ("construct", "--p", "3", "--d", "0", "--out", "x.json"),
+    ("tables", "--d", "0"),
+    ("tables", "--d", "-3"),
+])
+def test_dimension_below_one_is_usage_error(tmp_path, monkeypatch, capsys,
+                                            argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "dimension" in captured.err
+    assert not captured.out and not list(tmp_path.iterdir())
 
 
 def test_search_budget_covers_value_sets():

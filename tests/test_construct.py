@@ -7,13 +7,15 @@ from ffdist import construct, geometry
 from ffdist.construct import (
     ModularParams, modular_equilateral, midpoints, embed_standard,
     sharp_dimensions, admissible_chars, NotModular, ZeroScale,
-    NotEquilateral, SHARED_VERTEX, DISJOINT_EDGES,
+    NotEquilateral,
 )
 from ffdist.geometry import (
     PointSet, FORM_STANDARD, FORM_SUM_ZERO, dist2, classify, Equilateral,
     TwoDistance, gram_rank,
 )
 from ffdist.linalg import NotIsometric
+
+from test_geometry import assert_pair_norms_match_dist2
 
 
 def grid():
@@ -30,6 +32,9 @@ def test_modular_params_validation():
         ModularParams(f3, 2)
     with pytest.raises(ZeroScale):
         ModularParams(f3, 1, 0)
+    for d in (0, -2, -5):  # p divides d + 2, but there is no space
+        with pytest.raises(ValueError):
+            ModularParams(f3, d)
 
 
 def test_modular_equilateral_p3_d1():
@@ -90,7 +95,8 @@ def test_midpoints_n3_is_equilateral():
     mid = midpoints(s)
     assert sorted(mid.points.points) == [(0,), (1,), (2,)]
     assert classify(mid.points) == Equilateral(1)
-    assert all(t == SHARED_VERTEX for t in mid.pair_types.values())
+    # all three midpoint pairs are shared-vertex pairs: L(K_3) = K_3
+    assert mid.graph.rows == [0b110, 0b101, 0b011]
 
 
 def test_midpoints_requires_equilateral():
@@ -107,12 +113,28 @@ def test_midpoint_lemma_exhaustive_grid():
         mid = midpoints(s)  # internally re-verifies every pair distance
         n = d + 2
         assert len(mid.points) == comb(n, 2) == geometry.blokhuis_bound(d)
-        shared = sum(1 for t in mid.pair_types.values() if t == SHARED_VERTEX)
-        disjoint = sum(1 for t in mid.pair_types.values()
-                       if t == DISJOINT_EDGES)
+        # graph rows hold the shared-vertex pairs, at delta/4; the
+        # disjoint-edge pairs are the census count at delta/2
+        shared = sum(r.bit_count() for r in mid.graph.rows) // 2
+        disjoint = geometry.spectrum(mid.points).values.get(mid.d2, 0)
         # each midpoint meets 2(n-2) others in a vertex: handshake count
         assert shared == comb(n, 2) * (n - 2)
-        assert shared + disjoint == comb(comb(n, 2), 2)
+        assert shared + disjoint == comb(len(mid.points), 2)
+
+
+def test_pair_norms_match_dist2_on_grid():
+    # the equilateral set, its standard embedding where it exists, and
+    # its midpoints up to n = 20 (190 points; larger sets cost seconds
+    # of dist2 calls, and the property test covers dimensions to 60)
+    for f, d, b in grid():
+        s = modular_equilateral(ModularParams(f, d, b))
+        assert_pair_norms_match_dist2(s)
+        if d + 2 <= 20:
+            assert_pair_norms_match_dist2(midpoints(s).points)
+        try:
+            assert_pair_norms_match_dist2(embed_standard(s))
+        except NotIsometric:
+            pass
 
 
 def test_delta_quarter_and_half_differ():

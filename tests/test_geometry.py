@@ -19,6 +19,16 @@ def naive_dist2(p, x, y):
     return sum((a - b) ** 2 for a, b in zip(x, y)) % p
 
 
+def assert_pair_norms_match_dist2(s):
+    """The packed pass equals dist2, the pair-by-pair reference."""
+    rows = s.pair_norms()
+    assert [len(r) for r in rows] == list(range(len(s) - 1, -1, -1))
+    for i, x in enumerate(s.points):
+        for j in range(i + 1, len(s)):
+            assert rows[i][j - i - 1] == dist2(s.field, x, s.points[j]), \
+                (s.field, i, j)
+
+
 def test_dist2_examples():
     f3 = field_make(3)
     assert dist2(f3, (1, 2), (1, 2)) == 0
@@ -154,3 +164,56 @@ def test_blokhuis_bound():
     assert blokhuis_bound(8) == 45
     assert blokhuis_bound(3) == 10
     assert blokhuis_bound(1) == 3
+
+
+def test_pair_norms_memoized_and_shared_by_classify():
+    f5 = field_make(5)
+    s = PointSet(f5, 4, FORM_STANDARD, [(0, 0, 0, 0), (1, 2, 0, 0), (4, 4, 4, 4)])
+    rows = s.pair_norms()
+    assert s.pair_norms() is rows
+    assert_pair_norms_match_dist2(s)
+    assert spectrum(s).values == {0: 2, 4: 1}
+
+
+def test_pair_norms_reduce_out_of_range_prime_coordinates():
+    f7 = field_make(7)
+    s = PointSet(f7, 3, FORM_STANDARD, [(-1, 15, 700), (6, 1, 0), (-8, -6, 3)])
+    assert_pair_norms_match_dist2(s)
+
+
+# (p, k) of every field the property test draws from: small and large
+# primes, 2^31 - 1 where the digit width is widest, and extensions
+PROPERTY_FIELDS = [(3, 1), (5, 1), (7, 1), (2**31 - 1, 1), (3, 2), (5, 2),
+                   (3, 3), (7, 2), (7, 6)]
+_fields = {}
+
+
+def _field(p, k):
+    if (p, k) not in _fields:
+        _fields[(p, k)] = field_make(p, k)
+    return _fields[(p, k)]
+
+
+def test_pair_norms_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def point_sets(draw):
+        p, k = draw(st.sampled_from(PROPERTY_FIELDS))
+        dim = draw(st.integers(1, 60))
+        if k == 1:  # any integers: packing reduces them mod p, as dist2
+            coord = st.one_of(st.integers(0, p - 1), st.integers(-3 * p, 3 * p),
+                              st.integers(p - 3, p - 1))
+        else:
+            coord = st.integers(0, p**k - 1)
+        points = draw(st.lists(st.tuples(*[coord] * dim), min_size=2,
+                               max_size=8, unique=True))
+        return PointSet(_field(p, k), dim, FORM_STANDARD, points)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(point_sets())
+    def check(s):
+        assert_pair_norms_match_dist2(s)
+
+    check()

@@ -13,6 +13,8 @@ from ffdist.search import (
     MODE_EQUILATERAL, MODE_TWO_DISTANCE,
 )
 
+from test_geometry import assert_pair_norms_match_dist2
+
 GOLDEN_DIR = Path(os.environ.get("FFDIST_GOLDEN_DIR",
                                  Path(__file__).parent / "golden"))
 
@@ -243,6 +245,14 @@ def test_cayley_graph_matches_dist2_oracle(p, k, d):
                                               budget)
             assert done
             assert len(clique) == len(nx.max_weight_clique(g, None)[0])
+
+
+@pytest.mark.parametrize("p,k,d", CAYLEY_GRIDS)
+def test_pair_norms_match_dist2_on_cayley_spaces(p, k, d):
+    f = field_make(p, k)
+    points = [search._point(f, d, i) for i in range(f.q**d)]
+    assert_pair_norms_match_dist2(
+        geometry.PointSet(f, d, geometry.FORM_STANDARD, points))
 
 
 @pytest.mark.parametrize("p,k,d", CAYLEY_GRIDS)

@@ -13,6 +13,11 @@ from ffdist.srg import (
 )
 
 
+def graph(matrix):
+    """Graph from a 0/1 adjacency matrix, bit j of row i = matrix[i][j]."""
+    return Graph([sum(x << j for j, x in enumerate(row)) for row in matrix])
+
+
 def equilateral_subset(n):
     # first n points of the 11-point modular set (p=11, d=9); any
     # subset of an equilateral set is equilateral
@@ -91,10 +96,11 @@ def test_srg_check_range_4_to_10():
         assert report["ok"], report
         assert sum(m for _, m in report["eigenvalues"]) == comb(n, 2)
         v = g.n_vertices
+        matrix = [[r >> j & 1 for j in range(v)] for r in g.rows]
         for theta, mult in report["eigenvalues"]:
             shifted = [[a - (theta if i == j else 0)
                         for j, a in enumerate(row)]
-                       for i, row in enumerate(g.adjacency)]
+                       for i, row in enumerate(matrix)]
             oracle = MatrixF(f, [[f.coerce(a) for a in row] for row in shifted])
             assert v - rank(oracle) == mult
 
@@ -104,7 +110,7 @@ def cycle(n):
     for i in range(n):
         j = (i + 1) % n
         adj[i][j] = adj[j][i] = 1
-    return Graph(adj)
+    return graph(adj)
 
 
 def test_srg_check_petersen():
@@ -112,7 +118,7 @@ def test_srg_check_petersen():
     edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     adj = [[int(not set(x) & set(y)) for y in edges] for x in edges]
     params = SrgParams(10, 3, 0, 1, [(3, 1), (1, 5), (-2, 4)])
-    assert srg_check(Graph(adj), params)["ok"]
+    assert srg_check(graph(adj), params)["ok"]
 
 
 def test_srg_check_c5_irrational_spectrum():
@@ -132,7 +138,7 @@ def test_srg_check_mu_zero_fails():
     # but mu = 0 leaves the multiplicity of k open
     adj = [[int(i != j and i // 3 == j // 3) for j in range(6)]
            for i in range(6)]
-    report = srg_check(Graph(adj), SrgParams(6, 2, 1, 0, [(2, 2), (-1, 4)]))
+    report = srg_check(graph(adj), SrgParams(6, 2, 1, 0, [(2, 2), (-1, 4)]))
     assert not report["ok"]
     assert "mu = 0" in report["failure"]
 
@@ -141,14 +147,14 @@ def test_srg_check_complete_graph_double_root():
     # K_4 has no non-adjacent pair, so any mu passes the identity; with
     # mu = 4 both roots of x^2 - (lambda - mu) x - (k - mu) are -1
     adj = [[int(i != j) for j in range(4)] for i in range(4)]
-    report = srg_check(Graph(adj), SrgParams(4, 3, 2, 4, [(3, 1), (-1, 3)]))
+    report = srg_check(graph(adj), SrgParams(4, 3, 2, 4, [(3, 1), (-1, 3)]))
     assert report["ok"], report
 
 
 def test_srg_check_rejects_k4():
     # K_4 is not L(K_4) (that one is the octahedron): regularity fails
     adj = [[0 if i == j else 1 for j in range(4)] for i in range(4)]
-    report = srg_check(Graph(adj), expected_params(4))
+    report = srg_check(graph(adj), expected_params(4))
     assert not report["ok"]
     assert "vertex count" in report["failure"]
 
@@ -164,9 +170,9 @@ def test_srg_check_rejects_wrong_identity():
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        Graph([[1, 0], [0, 0]])  # nonzero diagonal
+        graph([[1, 0], [0, 0]])  # nonzero diagonal
     with pytest.raises(ValueError):
-        Graph([[0, 1], [0, 0]])  # asymmetric
+        graph([[0, 1], [0, 0]])  # asymmetric
 
 
 def test_eigen_collapse_examples():

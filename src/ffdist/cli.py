@@ -18,7 +18,7 @@ import sys
 
 from . import certificate, construct, geometry, search, srg
 from .field import field_make
-from .linalg import NotIsometric, gram_rank_law
+from .linalg import LawViolated, NotIsometric, gram_rank_law
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -143,8 +143,8 @@ def cmd_search(args):
             a, b = sorted(cls.values)
             claim = certificate.two_distance_claim(f, a, b)
         else:
-            raise AssertionError("search witness must be equilateral or "
-                                 "two-distance, got %r" % cls)
+            raise LawViolated("search witness must be equilateral or "
+                              "two-distance, got %r" % cls)
         # stats vary run to run; strip them in canonical mode so the
         # file is byte-stable
         if args.canonical:

@@ -1,13 +1,13 @@
 """Exact dense linear algebra over a finite field.
 
-Matrices are small and dense (desk scale: dimension a few dozen at
-most); rank is plain Gaussian elimination with any nonzero pivot, the
-only elimination in the package.  Symmetric forms are diagonalized by
-congruence, compared by discriminant square class, and mapped onto the
-standard form when the discriminant permits.
+Matrices are dense lists of rows; products and dot products skip zero
+entries, so sparse factors cost less.  Rank is plain Gaussian
+elimination with any nonzero pivot, the only elimination in the package.
+Symmetric forms are diagonalized by congruence in O(n^3), each working
+vector carrying its image under the form so a form value is one dot
+product; they are compared by discriminant square class, and mapped onto
+the standard form when the discriminant permits.
 """
-
-from .field import SquareClass
 
 
 class NotSymmetric(ValueError):
@@ -81,21 +81,21 @@ class MatrixF:
                         for j in range(self.cols)])
 
     def mul(self, other):
+        """Row i of the product is sum_t a_it (row t of other), with zero
+        entries of either factor skipped, so sparse factors cost less."""
         f = self.field
         if f != other.field:
             raise FieldMismatch("matrix product across different fields")
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = f.zero
-                for t in range(self.cols):
-                    acc = f.add(acc, f.mul(self.entries[i][t],
-                                           other.entries[t][j]))
-                row.append(acc)
-            out.append(row)
+        for row in self.entries:
+            acc = [f.zero] * other.cols
+            for a, orow in zip(row, other.entries):
+                if a:
+                    acc = [f.add(x, f.mul(a, y)) if y else x
+                           for x, y in zip(acc, orow)]
+            out.append(acc)
         return MatrixF(f, out)
 
     def is_symmetric(self):
@@ -178,18 +178,15 @@ class DiagForm:
         return any(e == self.field.zero for e in self.entries)
 
 
-def _form_value(g, u, v):
-    f = g.field
-    return dot(f, u, [dot(f, row, v) for row in g.entries])
-
-
 def diagonalize_form(g):
-    """Congruence diagonalization of a symmetric matrix.
+    """Congruence diagonalization of a symmetric matrix in O(n^3).
 
     Standard orthogonalization: pick a vector of nonzero norm, project
     it out of the rest, recurse.  If every remaining vector has zero
     norm but some pair has nonzero inner product, u := u+v creates a
     nonzero norm (needs odd characteristic, which the field guarantees).
+    Each remaining vector u carries its image G u, updated along with u,
+    so a form value B(u, v) is one dot product dot(u, G v).
     """
     if not g.is_symmetric():
         raise NotSymmetric("form matrix must be symmetric")
@@ -197,43 +194,40 @@ def diagonalize_form(g):
     n = g.rows
     remaining = [[f.one if i == j else f.zero for j in range(n)]
                  for i in range(n)]
+    images = [row[:] for row in g.entries]  # G e_i is column i = row i
+
+    def add_multiple(i, c, v, gv):  # u_i += c v, so G u_i += c G v
+        remaining[i] = [f.add(x, f.mul(c, y)) if y else x
+                        for x, y in zip(remaining[i], v)]
+        images[i] = [f.add(x, f.mul(c, y)) if y else x
+                     for x, y in zip(images[i], gv)]
+
     basis_cols = []
     diag = []
     while remaining:
-        pivot = None
-        for idx, v in enumerate(remaining):
-            if _form_value(g, v, v) != f.zero:
-                pivot = idx
+        pivot = next((i for i, (u, gu) in enumerate(zip(remaining, images))
+                      if dot(f, u, gu) != f.zero), None)
+        if pivot is None:
+            pair = next(((i, j) for i in range(len(remaining))
+                         for j in range(i + 1, len(remaining))
+                         if dot(f, remaining[i], images[j]) != f.zero), None)
+            if pair is None:
+                # remaining space is totally isotropic: zero diagonal block
+                basis_cols.extend(remaining)
+                diag.extend([f.zero] * len(remaining))
                 break
-        if pivot is None:
-            fixed = False
-            for i in range(len(remaining)):
-                for j in range(i + 1, len(remaining)):
-                    if _form_value(g, remaining[i], remaining[j]) != f.zero:
-                        remaining[i] = [f.add(x, y) for x, y in
-                                        zip(remaining[i], remaining[j])]
-                        pivot = i
-                        fixed = True
-                        break
-                if fixed:
-                    break
-        if pivot is None:
-            # remaining space is totally isotropic: zero diagonal block
-            basis_cols.extend(remaining)
-            diag.extend([f.zero] * len(remaining))
-            break
-        v = remaining.pop(pivot)
-        d = _form_value(g, v, v)
+            pivot, j = pair
+            add_multiple(pivot, f.one, remaining[j], images[j])
+        v, gv = remaining.pop(pivot), images.pop(pivot)
+        d = dot(f, v, gv)
         basis_cols.append(v)
         diag.append(d)
-        dinv = f.inv(d)
+        minus_dinv = f.neg(f.inv(d))
         for idx, u in enumerate(remaining):
-            c = f.mul(_form_value(g, u, v), dinv)
+            c = f.mul(dot(f, u, gv), minus_dinv)
             if c != f.zero:
-                remaining[idx] = [f.sub(x, f.mul(c, y)) for x, y in zip(u, v)]
-    basis = MatrixF(f, [[basis_cols[j][i] for j in range(n)]
-                        for i in range(n)])
-    return DiagForm(f, diag, basis)
+                add_multiple(idx, c, v, gv)
+    return DiagForm(f, diag, MatrixF(f, zip(*basis_cols)))
 
 
 def form_equivalent(d1, d2):
@@ -260,7 +254,7 @@ def _represent_one(f, a, b):
         y = f.sqrt(target)
         if y is not None:
             return x, y
-    raise AssertionError("binary form failed to represent 1")
+    raise LawViolated("binary form failed to represent 1")
 
 
 def isometry_to_standard(g):
@@ -277,20 +271,17 @@ def isometry_to_standard(g):
     if d.is_degenerate():
         raise Degenerate("form is degenerate")
     n = len(d.entries)
-    cols = [[d.basis.entries[i][j] for i in range(n)] for j in range(n)]
-    square_idx = []
+    cols = d.basis.transpose().entries
     nonsquare_idx = []
     for i, e in enumerate(d.entries):
-        if f.square_class(e) is SquareClass.SQUARE:
-            square_idx.append(i)
-        else:
+        root = f.sqrt(e)  # None for a nonsquare
+        if root is None:
             nonsquare_idx.append(i)
+        else:
+            scale = f.inv(root)
+            cols[i] = [f.mul(scale, x) for x in cols[i]]
     if len(nonsquare_idx) % 2 == 1:
         raise NotIsometric(f, d.entries[nonsquare_idx[-1]])
-    for i in square_idx:
-        root = f.sqrt(d.entries[i])
-        scale = f.inv(root)
-        cols[i] = [f.mul(scale, x) for x in cols[i]]
     for i, j in zip(nonsquare_idx[::2], nonsquare_idx[1::2]):
         a, b = d.entries[i], d.entries[j]
         x, y = _represent_one(f, a, b)
@@ -301,7 +292,8 @@ def isometry_to_standard(g):
         ax = f.mul(s, f.mul(a, x))
         new_j = [f.add(f.mul(mby, u), f.mul(ax, v)) for u, v in zip(ci, cj)]
         cols[i], cols[j] = new_i, new_j
-    t = MatrixF(f, [[cols[j][i] for j in range(n)] for i in range(n)])
-    if t.transpose().mul(g).mul(t) != MatrixF.identity(f, n):
+    t = MatrixF(f, zip(*cols))
+    # G T first: G is tridiagonal in embed_standard, so it costs O(n^2)
+    if t.transpose().mul(g.mul(t)) != MatrixF.identity(f, n):
         raise LawViolated("T^T G T is not the identity")
     return t

@@ -11,6 +11,7 @@ import pytest
 
 import ffdist
 from ffdist import cli
+from ffdist.linalg import LawViolated
 
 SRC = Path(ffdist.__file__).parent
 
@@ -221,18 +222,24 @@ def test_no_assert_in_package():
 
 def test_optimized_run_writes_same_bytes(tmp_path):
     _, out, mid = construct_pair(tmp_path, 5, 3)
+    emb = tmp_path / "embed.json"
+    assert run_cli("construct", "--p", "5", "--d", "3", "--b", "1",
+                   "--embed", "standard", "--out", str(emb)) == 0
     opt = tmp_path / "opt"
     opt.mkdir()
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     argv = [sys.executable, "-O", "-m", "ffdist.cli"]
-    subprocess.run(argv + ["construct", "--p", "5", "--d", "3", "--b", "1",
-                           "--midpoints", "--out", "cert.json"],
-                   cwd=opt, env=env, check=True, capture_output=True)
-    for name in ("cert.json", "cert.midpoints.json"):
+    for extra in (("--midpoints", "--out", "cert.json"),
+                  ("--embed", "standard", "--out", "embed.json")):
+        subprocess.run(argv + ["construct", "--p", "5", "--d", "3", "--b", "1",
+                               *extra],
+                       cwd=opt, env=env, check=True, capture_output=True)
+    for name in ("cert.json", "cert.midpoints.json", "embed.json"):
         subprocess.run(argv + ["verify", name], cwd=opt, env=env, check=True,
                        capture_output=True)
     assert (opt / "cert.json").read_bytes() == out.read_bytes()
     assert (opt / "cert.midpoints.json").read_bytes() == mid.read_bytes()
+    assert (opt / "embed.json").read_bytes() == emb.read_bytes()
 
 
 def test_search_subproblems_stay_out_of_output(tmp_path, capsys):
@@ -303,6 +310,16 @@ def test_dimension_below_one_is_usage_error(tmp_path, monkeypatch, capsys,
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "dimension" in captured.err
     assert not captured.out and not list(tmp_path.iterdir())
+
+
+def test_search_witness_of_other_class_is_law_violation(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setattr(cli.geometry, "classify",
+                        lambda s: cli.geometry.Other(3, False))
+    with pytest.raises(LawViolated):
+        run_cli("search", "--p", "3", "--d", "2", "--mode", "two_distance",
+                "--out", str(tmp_path / "s.json"))
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_search_budget_covers_value_sets():
@@ -443,6 +460,17 @@ CONSTRUCT_EXTENSION_SHA256 = {
         "ffd68b75b6910edd1ee1b6cb10142aa72cd328ce3a163a142c44cab55948eb4d"),
 }
 
+# sha256 of construct --embed standard certificates over prime fields,
+# keyed by (p, d), as written before the O(n^3) diagonalization
+CONSTRUCT_PRIME_EMBED_SHA256 = {
+    (5, 28):
+        "95ca85e9943354ef69573d6d793de7917f7e61c20cee9853638ad3ab3f991173",
+    (13, 24):
+        "eb0dd7fe6de7ecd9959b6c99813cb2ce96cb3109e2ae7adb7ff83d36c7e1eea9",
+    (5, 98):
+        "690f62728ca7eedb0697bbaefa7e45ebfdd020973e300847d66502124b81f8df",
+}
+
 GF27_EMBED_STDERR = (
     "embedding failed: form is not isometric to the standard form; "
     "leftover square class witness [2, 0, 0]\n")
@@ -471,6 +499,14 @@ def test_construct_extension_bytes_pinned(tmp_path, capsys, p, k, d, b):
     else:
         assert code == 0
         assert sha256(emb) == embed_sha
+
+
+@pytest.mark.parametrize("p,d", sorted(CONSTRUCT_PRIME_EMBED_SHA256))
+def test_construct_prime_embed_bytes_pinned(tmp_path, p, d):
+    out = tmp_path / "e.json"
+    assert run_cli("construct", "--p", str(p), "--d", str(d),
+                   "--embed", "standard", "--out", str(out)) == 0
+    assert sha256(out) == CONSTRUCT_PRIME_EMBED_SHA256[(p, d)]
 
 
 def test_tables(capsys):

@@ -5,9 +5,12 @@ import pytest
 from ffdist.field import field_make, SquareClass
 from ffdist.linalg import (
     MatrixF, DiagForm, rank, gram_rank_law, diagonalize_form,
-    form_equivalent, isometry_to_standard,
+    form_equivalent, isometry_to_standard, _represent_one,
     NotSymmetric, Degenerate, DimensionMismatch, FieldMismatch, NotIsometric,
+    LawViolated,
 )
+
+PRODUCT_FIELDS = ((3, 1), (7, 1), (3, 2), (5, 2))  # GF(3, 7, 9, 25)
 
 
 def i_plus_j(f, size):
@@ -16,17 +19,47 @@ def i_plus_j(f, size):
                        for i in range(size)])
 
 
-def random_matrix(f, n, rng):
-    els = list(f.elements())
-    return MatrixF(f, [[rng.choice(els) for _ in range(n)] for _ in range(n)])
+def naive_mul(a, b):
+    """Textbook triple-loop product, the oracle for MatrixF.mul."""
+    f = a.field
+    assert a.cols == b.rows
+    out = [[f.zero] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for t in range(a.cols):
+                out[i][j] = f.add(out[i][j],
+                                  f.mul(a.entries[i][t], b.entries[t][j]))
+    return MatrixF(f, out)
 
 
-def random_symmetric(f, n, rng):
-    els = list(f.elements())
+def congruence(b, g):
+    """B^T G B by the naive product."""
+    return naive_mul(naive_mul(b.transpose(), g), b)
+
+
+def diagonal(f, entries):
+    n = len(entries)
+    return MatrixF(f, [[entries[i] if i == j else f.zero for j in range(n)]
+                       for i in range(n)])
+
+
+def random_entry(f, rng, zero_frac):
+    if zero_frac and rng.random() < zero_frac:
+        return f.zero
+    return rng.randrange(f.q)
+
+
+def random_matrix(f, n, rng, cols=None, zero_frac=0.0):
+    cols = n if cols is None else cols
+    return MatrixF(f, [[random_entry(f, rng, zero_frac) for _ in range(cols)]
+                       for _ in range(n)])
+
+
+def random_symmetric(f, n, rng, zero_frac=0.0, zero_diagonal=False):
     e = [[f.zero] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
-            e[i][j] = e[j][i] = rng.choice(els)
+        for j in range(i + zero_diagonal, n):
+            e[i][j] = e[j][i] = random_entry(f, rng, zero_frac)
     return MatrixF(f, e)
 
 
@@ -85,6 +118,28 @@ def test_rank_invariance():
             assert rank(m.mul(t)) == r
 
 
+def test_mul_matches_naive_product():
+    rng = random.Random(31)
+    for p, k in PRODUCT_FIELDS:
+        f = field_make(p, k)
+        for _ in range(40):
+            rows, inner, cols = (rng.randint(1, 7) for _ in range(3))
+            if rng.random() < 0.3:
+                rows = inner = cols
+            zero_frac = rng.choice((0.5, 0.7, 0.9))
+            a = random_matrix(f, rows, rng, inner, zero_frac)
+            b = random_matrix(f, inner, rng, cols, zero_frac)
+            assert a.mul(b) == naive_mul(a, b)
+
+
+def test_mul_dimension_and_field_errors():
+    f3, f5 = field_make(3), field_make(5)
+    with pytest.raises(DimensionMismatch):
+        MatrixF.zeros(f3, 2, 3).mul(MatrixF.zeros(f3, 2, 3))
+    with pytest.raises(FieldMismatch):
+        MatrixF.identity(f3, 2).mul(MatrixF.identity(f5, 2))
+
+
 def test_diagonalize_already_diagonal():
     f5 = field_make(5)
     g = MatrixF(f5, [[2, 0], [0, 3]])
@@ -97,9 +152,7 @@ def test_diagonalize_hyperbolic_plane():
     f5 = field_make(5)
     g = MatrixF(f5, [[0, 1], [1, 0]])
     d = diagonalize_form(g)
-    b = d.basis
-    prod = b.transpose().mul(g).mul(b)
-    assert prod == MatrixF(f5, [[d.entries[0], 0], [0, d.entries[1]]])
+    assert congruence(d.basis, g) == diagonal(f5, d.entries)
     # discriminant of the hyperbolic plane is the class of -1
     assert f5.square_class(d.determinant()) == f5.square_class(f5.neg(f5.one))
 
@@ -110,6 +163,7 @@ def test_diagonalize_hyperplane_gram():
     f5 = field_make(5)
     g = MatrixF(f5, [[2, 4, 0], [4, 2, 4], [0, 4, 2]])
     d = diagonalize_form(g)
+    assert congruence(d.basis, g) == diagonal(f5, d.entries)
     assert f5.square_class(d.determinant()) is SquareClass.SQUARE
 
 
@@ -120,12 +174,36 @@ def test_diagonalize_random_congruence():
             n = rng.randint(1, 4)
             g = random_symmetric(f, n, rng)
             d = diagonalize_form(g)
-            b = d.basis
-            assert rank(b) == n  # invertible basis
-            prod = b.transpose().mul(g).mul(b)
-            expect = MatrixF(f, [[d.entries[i] if i == j else f.zero
-                                  for j in range(n)] for i in range(n)])
-            assert prod == expect
+            assert rank(d.basis) == n  # invertible basis
+            assert congruence(d.basis, g) == diagonal(f, d.entries)
+
+
+def test_diagonalize_every_branch_up_to_n8():
+    # A nonzero form with zero diagonal has no vector of nonzero norm
+    # among the e_i, so its first step is the isotropic pair fix-up; a
+    # rank-deficient form ends in the totally isotropic tail, which is
+    # where the zero entries come from.
+    rng = random.Random(2718)
+    fixups = tails = 0
+    for p, k in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2)):
+        f = field_make(p, k)
+        for n in range(1, 9):
+            forms = [MatrixF.zeros(f, n, n)]
+            for zero_frac in (0.0, 0.6, 0.9):
+                forms.append(random_symmetric(f, n, rng, zero_frac))
+                forms.append(random_symmetric(f, n, rng, zero_frac,
+                                              zero_diagonal=True))
+            for g in forms:
+                d = diagonalize_form(g)
+                assert rank(d.basis) == n
+                assert congruence(d.basis, g) == diagonal(f, d.entries)
+                r = rank(g)
+                assert d.entries.count(f.zero) == n - r
+                assert all(d.entries[:r])  # zeros only in the tail
+                fixups += r > 0 and not any(g.entries[i][i]
+                                            for i in range(n))
+                tails += r < n
+    assert fixups >= 40 and tails >= 40
 
 
 def test_diagonalize_rejects_asymmetric():
@@ -171,7 +249,7 @@ def test_isometry_hyperplane_form_f5():
     f5 = field_make(5)
     g = MatrixF(f5, [[2, 4, 0], [4, 2, 4], [0, 4, 2]])
     t = isometry_to_standard(g)
-    assert t.transpose().mul(g).mul(t) == MatrixF.identity(f5, 3)
+    assert congruence(t, g) == MatrixF.identity(f5, 3)
 
 
 def test_isometry_obstruction_f3():
@@ -201,6 +279,40 @@ def test_isometry_random_success_or_obstruction():
             except NotIsometric:
                 assert f.square_class(d.determinant()) is SquareClass.NONSQUARE
             else:
-                assert t.transpose().mul(g).mul(t) == MatrixF.identity(f, n)
+                assert congruence(t, g) == MatrixF.identity(f, n)
                 assert f.square_class(d.determinant()) is SquareClass.SQUARE
 
+
+
+def test_isometry_tridiagonal_gram_sizes():
+    # the Gram matrices construct.embed_standard hands over, at sizes
+    # where the O(n^3) diagonalization and sparse product matter
+    for p, k, n in ((5, 1, 28), (13, 1, 22), (5, 2, 27), (7, 2, 12)):
+        f = field_make(p, k)
+        g = MatrixF(f, [[f.coerce({0: 2, 1: -1}.get(abs(i - j), 0))
+                         for j in range(n)] for i in range(n)])
+        assert congruence(isometry_to_standard(g), g) == MatrixF.identity(f, n)
+
+
+def test_represent_one_failure_is_law_violation(monkeypatch):
+    f5 = field_make(5)
+    assert _represent_one(f5, 2, 2) == (2, 2)  # 2*4 + 2*4 = 16 = 1
+    monkeypatch.setattr(f5, "sqrt", lambda a: None)
+    with pytest.raises(LawViolated):
+        _represent_one(f5, 2, 2)
+
+
+def test_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    rng = random.Random(1618)
+    for p in (3, 5, 7, 13):
+        f = field_make(p)
+        domain = sympy.GF(p)
+        for _ in range(30):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            m = random_matrix(f, rows, rng, cols,
+                              zero_frac=rng.choice((0.0, 0.5, 0.8)))
+            oracle = DomainMatrix([[domain(x) for x in row]
+                                   for row in m.entries], (rows, cols), domain)
+            assert rank(m) == oracle.rank()

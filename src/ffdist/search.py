@@ -46,10 +46,13 @@ less.  stats["subproblems"] records each pinned run with its type.
 
 Each graph is a Cayley graph on (F_q^d, +): x ~ y iff Q(x - y) lies in
 the value set.  The norm of every difference is tabulated once per
-(q, d), in (2p-1)^(dk) entries (at most 5^8 = 390625 under the
-enumeration ceiling), so an adjacency test is one subtraction of point
-keys and one lookup (see _CayleyTable); the canonical pass rebuilds its
-graphs from the same table.
+(q, d), so an adjacency test is one subtraction of point keys and one
+lookup (see _CayleyTable).  The search pass builds adjacency only among
+the vertices of each subproblem, in ascending point order: the clique
+engine sees the induced subgraph under an order-preserving relabelling.
+The canonical pass builds the neighborhood graph of each square orbit.
+Ceilings: q^d <= 2^16 keeps norm and ray ids in 16 bits, the table has
+(2p-1)^(dk) <= 9^6 entries, and --canonical keeps q^d <= 10^4.
 
 The time budget covers the whole run: value-set enumeration, graph
 building and the clique search (not the canonical pass, which runs
@@ -75,7 +78,9 @@ class TooLarge(ValueError):
     pass
 
 
-ENUMERATION_CEILING = 10**4
+POINT_CEILING = 2**16
+TABLE_CEILING = 9**6
+CANONICAL_CEILING = 10**4
 BRUTE_FORCE_CEILING = 10**7
 
 MODE_EQUILATERAL = "equilateral"
@@ -89,9 +94,13 @@ class SearchProblem:
             raise ValueError("dimension must be >= 1")
         if not budget_secs >= 0:  # NaN fails this too
             raise ValueError("budget must be a number of seconds >= 0")
-        if field.q**d > ENUMERATION_CEILING:
-            raise TooLarge("q^d exceeds the enumeration ceiling %d"
-                           % ENUMERATION_CEILING)
+        ceiling = CANONICAL_CEILING if canonical else POINT_CEILING
+        if field.q**d > ceiling:
+            raise TooLarge("q^d exceeds the %s ceiling %d" % (
+                "--canonical" if canonical else "point", ceiling))
+        if (2 * field.p - 1)**(d * field.k) > TABLE_CEILING:
+            raise TooLarge("(2p-1)^(dk) exceeds the norm-table ceiling %d"
+                           % TABLE_CEILING)
         if mode not in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
             raise ValueError("unknown mode %r" % mode)
         if fixed_values is not None:
@@ -114,10 +123,9 @@ class SearchResult:
         self.max_size = max_size
         self.witness = witness  # PointSet
         self.exhausted = exhausted
-        # {"nodes": int, "seconds": float, "subproblems": [one record
-        # per pinned clique run: values, type ({"collinear": bool,
-        # "sides": sorted side norms}), graph_size, nodes, seconds,
-        # done]}
+        # {"nodes": int, "seconds": float, "subproblems": [one record per
+        # pinned clique run: values, type (see _triangle_subproblems),
+        # graph_size, nodes, seconds, done]}
         self.stats = stats
         self.values = values  # distance values of the best subproblem
         self.both_values = both_values  # two-distance mode only
@@ -146,28 +154,25 @@ class _BudgetHit(Exception):
     pass
 
 
-def _max_clique(adj, mask, budget, lower=0):
-    """Exact maximum clique among the vertices of bitset `mask`, on a
-    bitset adjacency list.
+def _max_clique(adj, budget, lower=0):
+    """Exact maximum clique of a graph given as a bitset adjacency list.
 
     Returns (best_vertices, exhausted).  `lower` seeds the pruning
-    bound with an already-known clique size.
-    """
+    bound with an already-known clique size."""
     best = []
     best_size = lower
 
     def color_order(p_mask):
         order, bounds = [], []
-        uncolored = p_mask
         color = 0
-        while uncolored:
+        while p_mask:
             color += 1
-            cand = uncolored
+            cand = p_mask
             while cand:
-                v = (cand & -cand).bit_length() - 1
-                bit = 1 << v
-                cand &= ~(bit | adj[v])
-                uncolored &= ~bit
+                low = cand & -cand
+                v = low.bit_length() - 1
+                cand = (cand ^ low) & ~adj[v]
+                p_mask ^= low
                 order.append(v)
                 bounds.append(color)
         return order, bounds
@@ -191,34 +196,33 @@ def _max_clique(adj, mask, budget, lower=0):
             p_mask &= ~(1 << v)
 
     try:
-        expand([], mask)
+        expand([], (1 << len(adj)) - 1)
         return best, True
     except _BudgetHit:
         return best, False
 
 
-def _lex_least_clique(adj, n, size):
+def _lex_least_clique(adj, size):
     """Lexicographically least clique of the given size (vertices in
     ascending index order), or None if none exists."""
 
-    def grow(start, stack, p_mask):
+    def grow(stack, p_mask):
+        # p_mask holds the common neighbors of stack above its last vertex
         if len(stack) == size:
-            return stack[:]
-        for v in range(start, n):
-            bit = 1 << v
-            if not (p_mask & bit):
-                continue
+            return stack
+        while p_mask:
+            low = p_mask & -p_mask
+            p_mask ^= low
+            v = low.bit_length() - 1
             rest = p_mask & adj[v]
-            if len(stack) + 1 + bin(rest >> (v + 1)).count("1") < size:
+            if len(stack) + 1 + rest.bit_count() < size:
                 continue
-            stack.append(v)
-            found = grow(v + 1, stack, rest)
-            stack.pop()
+            found = grow(stack + [v], rest)
             if found:
                 return found
         return None
 
-    return grow(0, [], (1 << n) - 1)
+    return grow([], (1 << len(adj)) - 1)
 
 
 def _rays(f, d):
@@ -243,6 +247,23 @@ def _rays(f, d):
     return ray
 
 
+def _spread(by_point, p, digits):
+    """by_point[point index of x - y] at each table index of x - y (see
+    _CayleyTable), a base-p digit at a time from the last: table digit v
+    stands for (v - (p - 1)) mod p, so p blocks become 1..p-1, 0..p-1."""
+    size = 1
+    for _ in range(digits):
+        src, step, new = memoryview(by_point), p * size, (2 * p - 1) * size
+        by_point = array("H", [0]) * (len(src) // step * new)
+        dst = memoryview(by_point)
+        for i in range(len(src) // step):
+            g, o = i * step, i * new
+            dst[o:o + step - size] = src[g + size:g + step]
+            dst[o + step - size:o + new] = src[g:g + step]
+        size = new
+    return by_point
+
+
 class _CayleyTable:
     """Norm Q(x - y) of every pair of points of F_q^d, by one
     subtraction of keys and one lookup.
@@ -253,15 +274,16 @@ class _CayleyTable:
     [-(p-1), p-1] and the subtraction has no carries.  Adding
     off = ((2p-1)^(dk) - 1) / 2 moves each digit into [0, 2p-2], and
     norm[key[x] - key[y] + off] is the encoding of Q(x - y), stored in
-    16 bits since q <= 10^4.  ray[key[x] - key[y] + off] is the ray id
-    of x - y (see _rays), so x, y, w are collinear iff x - w and y - w
-    have the same ray id.
+    16 bits since q^d <= 2^16 (POINT_CEILING).  ray[key[x] - key[y] +
+    off] is the ray id of x - y (see _rays), so x, y, w are collinear
+    iff x - w and y - w have the same ray id.  by_norm[a] lists the
+    points of norm a; graph builds adjacency among any ascending list of
+    points, such as the vertices of one subproblem.
     """
 
     def __init__(self, f, d):
         p, digits = f.p, d * f.k
         base = 2 * p - 1
-        self.size = f.q**d
         self.off = (base**digits - 1) // 2
         key = [0]
         for _ in range(digits):
@@ -272,39 +294,25 @@ class _CayleyTable:
         point_norm = square
         for _ in range(d - 1):
             point_norm = [f.add(a, s) for a in point_norm for s in square]
-        # point index of the difference that each table index stands
-        # for, one digit at a time: the first digits in head, the last
-        # (at most two) in tail; the tables fill one head entry at a time
-        digit = [(v - (p - 1)) % p for v in range(base)]
-        head, tail = [0], [0]
-        for i in range(digits):
-            if i < digits - 2:
-                head = array("H", [a * p + r for a in head for r in digit])
-            else:
-                tail = [a * p + r for a in tail for r in digit]
-        scale = p**min(digits, 2)
-        ray = _rays(f, d)
-        self.norm, self.ray = array("H"), array("H")
-        for a in head:
-            a *= scale
-            self.norm.extend([point_norm[a + t] for t in tail])
-            self.ray.extend([ray[a + t] for t in tail])
+        self.ray = _spread(array("H", _rays(f, d)), p, digits)
+        self.norm = _spread(array("H", point_norm), p, digits)
+        self.by_norm = [array("H") for _ in range(f.q)]
+        for i, a in enumerate(point_norm):
+            self.by_norm[a].append(i)
 
-    def point_norm(self, i):
-        """Q of the point with index i."""
-        return self.norm[self.key[i] + self.off]
+    def neighbors(self, values):
+        """Point indices at a distance in values from the origin, in
+        ascending (lexicographic) order."""
+        return sorted(i for a in set(values) for i in self.by_norm[a])
 
-    def graph(self, values, budget=None):
-        """Induced graph on the origin's distance-in-values neighborhood.
-
-        Pinning the origin is sound because distance is translation
-        invariant and the origin is the lexicographically first point.
-        cand lists point indices in ascending (lexicographic) order."""
+    def graph(self, verts, values, budget=None):
+        """Bitset adjacency among the point indices verts, in ascending
+        order: bit j of row i is set iff Q(verts[i] - verts[j]) lies in
+        values, so ordering and cliques follow the points."""
         vset = set(values)
-        norm, key, off = self.norm, self.key, self.off
-        cand = [i for i in range(1, self.size) if self.point_norm(i) in vset]
-        keys = [key[i] for i in cand]
-        n = len(cand)
+        norm, off = self.norm, self.off
+        keys = [self.key[i] for i in verts]
+        n = len(keys)
         adj = [0] * n
         for i in range(n):
             if budget is not None:
@@ -315,7 +323,7 @@ class _CayleyTable:
                 if norm[row - keys[j]] in vset:
                     adj[i] |= 1 << j
                     adj[j] |= bit
-        return cand, adj
+        return adj
 
 
 def _point(f, d, i):
@@ -373,44 +381,36 @@ def _similitude_classes(f, d, value_sets):
     return list(seen.values())
 
 
-def _bits(mask):
-    """Indices of the set bits of mask, in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _triangle_subproblems(table, cand, adj, values):
+def _triangle_subproblems(table, cand, values):
     """The clique subproblems of one value set, one per triangle type,
     in search order.
 
-    Returns a list of (type, e, z, mask): (0, cand[e], cand[z]) is the
-    first triangle of the type found with e the Witt pin e_a of some
-    value a and z in adj[e], and mask holds the common neighbors of e
-    and z that form no earlier type with two of 0, e, z.  A type is
+    Returns a list of (type, e, z, verts) in point indices: (0, e, z) is
+    the first triangle of the type with e the Witt pin e_a of some value
+    a and z in the row of e in cand (the origin's neighborhood), and
+    verts lists in ascending order the common neighbors of e and z in
+    cand that form no earlier type with two of 0, e, z.  A type is
     {"collinear": bool, "sides": sorted side norms}; non-collinear types
     come first, then types in order of their sides.
 
     Each test is a few table lookups: a type is coded as its collinear
     flag plus a base-4 count of its sides per value, and collinearity
     compares ray ids of differences."""
-    norm, ray, off = table.norm, table.ray, table.off
-    keys = [table.key[x] for x in cand]
+    norm, ray, off, key = table.norm, table.ray, table.off, table.key
+    vset = set(values)
     weight = {v: 4**i for i, v in enumerate(values)}
 
     def code(collinear, s, t, u):
         return 2 * (weight[s] + weight[t] + weight[u]) + collinear
 
-    first = {}
-    for a in values:
-        e = next((i for i, k in enumerate(keys) if norm[k + off] == a), None)
-        if e is None:
-            continue
-        ke = keys[e]
+    first, rows = {}, {}
+    pins = {a: table.by_norm[a][0] for a in values if table.by_norm[a]}
+    for a, e in pins.items():
+        ke = key[e]
         re = ray[ke + off]
-        for z in _bits(adj[e]):
-            kz = keys[z]
+        rows[e] = [z for z in cand if norm[key[z] - ke + off] in vset]
+        for z in rows[e]:
+            kz = key[z]
             collinear = ray[kz + off] == re
             sides = (a, norm[kz + off], norm[kz - ke + off])
             first.setdefault(code(collinear, *sides),
@@ -420,33 +420,32 @@ def _triangle_subproblems(table, cand, adj, values):
     subproblems = []
     for i, c in enumerate(order):
         collinear, sides, e, z = first[c]
-        mask = adj[e] & adj[z]
-        ke, kz = keys[e], keys[z]
+        ke, kz = key[e], key[z]
         ne, nz, nze = norm[ke + off], norm[kz + off], norm[kz - ke + off]
         re, rz, rze = ray[ke + off], ray[kz + off], ray[kz - ke + off]
-        drop = 0
-        for x in _bits(mask if i else 0):
-            kx = keys[x]
-            nx, rx = norm[kx + off], ray[kx + off]
-            nxe, nxz = norm[kx - ke + off], norm[kx - kz + off]
-            if (rank[code(rx == re, ne, nx, nxe)] < i
-                    or rank[code(rx == rz, nz, nx, nxz)] < i
-                    or rank[code(ray[kx - ke + off] == rze,
-                                 nze, nxe, nxz)] < i):
-                drop |= 1 << x
+        verts = []
+        for x in rows[e]:
+            kx = key[x]
+            nxz = norm[kx - kz + off]
+            if nxz not in vset:
+                continue
+            nx, rx, nxe = norm[kx + off], ray[kx + off], norm[kx - ke + off]
+            if i and (rank[code(rx == re, ne, nx, nxe)] < i
+                      or rank[code(rx == rz, nz, nx, nxz)] < i
+                      or rank[code(ray[kx - ke + off] == rze,
+                                   nze, nxe, nxz)] < i):
+                continue
+            verts.append(x)
         subproblems.append(({"collinear": collinear, "sides": list(sides)},
-                            e, z, mask & ~drop))
+                            e, z, verts))
     return subproblems
 
 
 def _search(problem):
-    f = problem.field
-    d = problem.d
+    f, d = problem.field, problem.d
     start = time.monotonic()
     budget = _Budget(problem.budget_secs, problem.node_limit)
-    best_size = 1
-    best_indices = [0]  # the origin
-    best_values = None
+    best_size, best_indices, best_values = 1, [0], None  # the origin
     exhausted = False
     subproblems = []
     try:
@@ -454,28 +453,28 @@ def _search(problem):
         # any point at an allowed distance from the origin gives a
         # size-2 witness before any value set is enumerated
         allowed = problem.fixed_values or range(1, f.q)
-        e = next((i for i in range(1, table.size)
-                  if table.point_norm(i) in allowed), None)
-        if e is not None:
-            best_size, best_indices = 2, [0, e]
-            best_values = (table.point_norm(e),)
+        firsts = [(table.by_norm[a][0], a) for a in allowed
+                  if table.by_norm[a]]
+        if firsts:
+            e, a = min(firsts)
+            best_size, best_indices, best_values = 2, [0, e], (a,)
         value_sets = _candidate_value_sets(f, problem.mode,
                                            problem.fixed_values, budget)
         for values in _similitude_classes(f, d, value_sets):
-            cand, adj = table.graph(values, budget)
-            for ttype, e, z, mask in _triangle_subproblems(table, cand, adj,
-                                                           values):
+            cand = table.neighbors(values)
+            for ttype, e, z, verts in _triangle_subproblems(table, cand,
+                                                            values):
                 nodes, t0 = budget.nodes, time.monotonic()
-                clique, done = _max_clique(adj, mask, budget,
-                                           lower=best_size - 3)
+                adj = table.graph(verts, values, budget)
+                clique, done = _max_clique(adj, budget, lower=best_size - 3)
                 subproblems.append({
                     "values": list(values), "type": ttype,
-                    "graph_size": mask.bit_count(),
+                    "graph_size": len(verts),
                     "nodes": budget.nodes - nodes,
                     "seconds": time.monotonic() - t0, "done": done})
                 if 3 + len(clique) > best_size:
                     best_size = 3 + len(clique)
-                    best_indices = [0] + [cand[i] for i in (e, z, *clique)]
+                    best_indices = [0, e, z] + [verts[i] for i in clique]
                     best_values = values
                 if not done:
                     raise _BudgetHit
@@ -488,8 +487,9 @@ def _search(problem):
         # indices are in lexicographic order, so they compare as points
         best_key = None
         for values in value_sets:
-            cand, adj = table.graph(values)
-            clique = _lex_least_clique(adj, len(cand), best_size - 1)
+            cand = table.neighbors(values)
+            clique = _lex_least_clique(table.graph(cand, values),
+                                       best_size - 1)
             if clique is None:
                 continue
             key = [0] + [cand[i] for i in clique]

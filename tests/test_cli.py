@@ -295,6 +295,18 @@ def test_search_rejects_nan_and_negative_budget(capsys, budget):
     assert captured.err.startswith("error: ") and not captured.out
 
 
+@pytest.mark.parametrize("argv,ceiling", [
+    (("--p", "3", "--d", "9"), "norm-table ceiling 531441"),
+    (("--p", "17", "--d", "4"), "point ceiling 65536"),
+    (("--p", "7", "--d", "5", "--canonical"), "--canonical ceiling 10000"),
+])
+def test_search_above_ceiling_is_usage_error(capsys, argv, ceiling):
+    assert run_cli("search", *argv, "--mode", "equilateral") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and ceiling in captured.err
+    assert not captured.out
+
+
 @pytest.mark.parametrize("argv", [
     ("search", "--p", "3", "--d", "0", "--mode", "equilateral"),
     ("search", "--p", "3", "--d", "-1", "--mode", "two_distance"),

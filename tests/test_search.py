@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,8 @@ GOLDEN_DIR = Path(os.environ.get("FFDIST_GOLDEN_DIR",
                                  Path(__file__).parent / "golden"))
 
 
-def run(p, d, mode, **kw):
-    f = field_make(p)
+def run(p, d, mode, k=1, **kw):
+    f = field_make(p, k)
     prob = SearchProblem(f, d, mode, **kw)
     if mode == MODE_EQUILATERAL:
         return max_equilateral(prob)
@@ -117,9 +118,19 @@ def test_budget_exhaustion_reports_partial():
 
 
 def test_ceiling_enforced():
-    f = field_make(11)
-    with pytest.raises(TooLarge):
-        SearchProblem(f, 4, MODE_EQUILATERAL)  # 11^4 > 10^4
+    # 11^4 points fit the point and norm-table ceilings (21^4 entries),
+    # but not the canonical one
+    SearchProblem(field_make(11), 4, MODE_EQUILATERAL)
+    with pytest.raises(TooLarge, match="--canonical ceiling 10000"):
+        SearchProblem(field_make(11), 4, MODE_EQUILATERAL, canonical=True)
+    with pytest.raises(TooLarge, match="norm-table ceiling 531441"):
+        SearchProblem(field_make(3), 9, MODE_EQUILATERAL)  # 5^9 entries
+    with pytest.raises(TooLarge, match="point ceiling 65536"):
+        SearchProblem(field_make(17), 4, MODE_EQUILATERAL)  # 83,521 points
+    with pytest.raises(TooLarge, match="point ceiling 65536"):
+        # 131,073 table entries, but 65,537 points overflow 16-bit ids
+        SearchProblem(field_make(65537), 1, MODE_TWO_DISTANCE)
+    SearchProblem(field_make(3, 6), 1, MODE_EQUILATERAL)  # 5^6 entries
 
 
 def test_brute_force_examples():
@@ -166,7 +177,9 @@ def test_golden_files():
     assert files, "golden directory is empty"
     for path in files:
         rec = json.loads(path.read_text())
-        r = run(rec["p"], rec["d"], rec["mode"], budget_secs=120)
+        assert path.name == "q%d_d%d_%s.json" % (
+            rec["p"]**rec["k"], rec["d"], rec["mode"]), path.name
+        r = run(rec["p"], rec["d"], rec["mode"], k=rec["k"], budget_secs=120)
         assert r.max_size == rec["max_size"], path.name
         assert r.exhausted == rec["exhausted"], path.name
         if "bound_status" in rec:
@@ -216,10 +229,6 @@ def nx_graph(nx, adj, vertices):
     return g
 
 
-def bits(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 @pytest.mark.parametrize("p,k,d", CAYLEY_GRIDS)
 def test_cayley_graph_matches_dist2_oracle(p, k, d):
     nx = None
@@ -234,15 +243,23 @@ def test_cayley_graph_matches_dist2_oracle(p, k, d):
         value_sets = search._candidate_value_sets(f, mode, None, budget)
         assert value_sets == reference_value_sets(f, mode)
         for values in value_sets:
-            cand, adj = table.graph(values)
+            cand = table.neighbors(values)
+            adj = table.graph(cand, values)
             want_cand, want_adj = reference_graph(f, d, values)
             assert [search._point(f, d, i) for i in cand] == want_cand
             assert adj == want_adj
+            # a random ascending subset of cand gets its induced
+            # subgraph, relabelled in order
+            rng = random.Random(repr((p, k, d, values)))
+            for _ in range(4):
+                sub = [i for i in range(len(cand)) if rng.random() < 0.5]
+                assert table.graph([cand[i] for i in sub], values) == [
+                    sum(1 << t for t, j in enumerate(sub)
+                        if want_adj[i] >> j & 1) for i in sub]
             if nx is None:
                 continue
             g = nx_graph(nx, adj, range(len(cand)))
-            clique, done = search._max_clique(adj, (1 << len(cand)) - 1,
-                                              budget)
+            clique, done = search._max_clique(adj, budget)
             assert done
             assert len(clique) == len(nx.max_weight_clique(g, None)[0])
 
@@ -270,26 +287,32 @@ def test_witt_pin_matches_networkx_clique(p, k, d):
     budget = search._Budget(600, 10**9)
     for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
         for values in search._candidate_value_sets(f, mode, None, budget):
-            cand, adj = table.graph(values)
+            cand = table.neighbors(values)
+            adj = table.graph(cand, values)
+            pos = {x: i for i, x in enumerate(cand)}
             omega = 1 + len(nx.max_weight_clique(
                 nx_graph(nx, adj, range(len(cand))), None)[0])
-            subs = search._triangle_subproblems(table, cand, adj, values)
+            subs = search._triangle_subproblems(table, cand, values)
             order = [(t["collinear"], tuple(t["sides"]))
                      for t, _, _, _ in subs]
             assert order == sorted(set(order))
             pinned = []
-            for ttype, e, z, mask in subs:
-                x, y = (search._point(f, d, cand[i]) for i in (e, z))
+            for ttype, e, z, verts in subs:
+                x, y = (search._point(f, d, i) for i in (e, z))
                 assert ttype == {
                     "collinear": any(tuple(f.mul(lam, c) for c in x) == y
                                      for lam in f.elements()),
                     "sides": sorted([geometry.dist2(f, origin, x),
                                      geometry.dist2(f, origin, y),
                                      geometry.dist2(f, x, y)])}
-                assert mask & ~(adj[e] & adj[z]) == 0
+                assert adj[pos[e]] >> pos[z] & 1
+                assert verts == sorted(set(verts))
+                assert all(adj[pos[e]] >> pos[v] & adj[pos[z]] >> pos[v] & 1
+                           for v in verts)
                 want = len(nx.max_weight_clique(
-                    nx_graph(nx, adj, bits(mask)), None)[0])
-                clique, done = search._max_clique(adj, mask, budget)
+                    nx_graph(nx, adj, [pos[v] for v in verts]), None)[0])
+                clique, done = search._max_clique(table.graph(verts, values),
+                                                  budget)
                 assert done and len(clique) == want
                 pinned.append(3 + want)
             if omega >= 3:
@@ -308,8 +331,8 @@ def test_similitude_classes_keep_clique_numbers(p, k, d):
     budget = search._Budget(600, 10**9)
 
     def omega(values):
-        cand, adj = table.graph(values)
-        clique, done = search._max_clique(adj, (1 << len(cand)) - 1, budget)
+        clique, done = search._max_clique(
+            table.graph(table.neighbors(values), values), budget)
         assert done
         return len(clique)
 
@@ -403,10 +426,11 @@ def test_subproblem_stats():
     want = []
     for values in search._similitude_classes(f, 2, search._candidate_value_sets(
             f, MODE_TWO_DISTANCE, None, search._Budget(60, 10**9))):
-        cand, adj = table.graph(values)
-        want += [(list(values), t) for t, _, _, _ in
-                 search._triangle_subproblems(table, cand, adj, values)]
-    assert want and [(s["values"], s["type"]) for s in subs] == want
+        want += [(list(values), t, len(verts)) for t, _, _, verts in
+                 search._triangle_subproblems(
+                     table, table.neighbors(values), values)]
+    assert want and [(s["values"], s["type"], s["graph_size"])
+                     for s in subs] == want
     for s in subs:
         assert set(s) == {"values", "type", "graph_size", "nodes",
                           "seconds", "done"}
@@ -420,3 +444,23 @@ def test_subproblem_stats_record_budget_hit():
     assert not r.exhausted
     assert r.stats["subproblems"][-1]["done"] is False
     assert all(s["done"] for s in r.stats["subproblems"][:-1])
+
+
+# the clique tree of four instances as the search ran when it still built
+# the whole neighborhood graph of each value set: building adjacency per
+# subproblem, in ascending point order, must not move a node or a witness
+TREE_PINS = json.loads(
+    (Path(__file__).parent / "search_trees.json").read_text())
+
+
+@pytest.mark.parametrize("rec", TREE_PINS, ids=lambda rec: "q%d_d%d_%s" % (
+    rec["p"]**rec["k"], rec["d"], rec["mode"]))
+def test_clique_tree_pinned(rec):
+    r = run(rec["p"], rec["d"], rec["mode"], k=rec["k"])
+    assert r.exhausted and r.max_size == rec["max_size"]
+    assert r.stats["nodes"] == rec["nodes"]
+    assert [{key: s[key] for key in ("values", "type", "graph_size",
+                                     "nodes", "done")}
+            for s in r.stats["subproblems"]] == rec["subproblems"]
+    assert [list(x) for x in r.witness.points] == rec["witness"]
+

@@ -11,6 +11,8 @@ newline) so identical inputs produce byte-identical certificates.
 
 import json
 import math
+from itertools import chain
+from operator import mul
 
 from . import field as field_mod
 from . import geometry
@@ -142,11 +144,21 @@ def load(path):
     raw_points = cert.get("points")
     _schema(isinstance(raw_points, list) and len(raw_points) >= 2,
             "need at least 2 points")
+    p, k = f.p, f.k
+    powers = [p**i for i in range(k)]
     points = []
     for rp in raw_points:
         _schema(isinstance(rp, list) and len(rp) == dim,
                 "point of wrong length")
-        points.append(tuple(_element(f, c, "coordinate") for c in rp))
+        if k == 1 and {int}.issuperset(map(type, rp)):
+            points.append(tuple(map(p.__rmod__, rp)))
+        elif (k > 1 and {list}.issuperset(map(type, rp))
+              and {k}.issuperset(map(len, rp))
+              and {int}.issuperset(map(type, chain.from_iterable(rp)))):
+            points.append(tuple(sum(map(mul, map(p.__rmod__, c), powers))
+                                for c in rp))
+        else:  # a malformed coordinate: _element names it
+            points.append(tuple(_element(f, c, "coordinate") for c in rp))
     _schema(len(set(points)) == len(points), "points must be distinct")
     claim = cert.get("claim")
     _schema(isinstance(claim, dict), "missing claim")

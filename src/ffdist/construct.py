@@ -9,7 +9,7 @@ set of size C(d+2, 2), which meets the quadratic reference bound.
 
 from . import geometry, srg
 from .geometry import PointSet, FORM_SUM_ZERO, FORM_STANDARD
-from .linalg import MatrixF, LawViolated, dot, isometry_to_standard
+from .linalg import MatrixF, LawViolated, isometry_to_standard, product
 
 
 class NotModular(ValueError):
@@ -141,9 +141,7 @@ def embed_standard(s):
     padded = [[f.zero] * (m - 1)] + t.entries + [[f.zero] * (m - 1)]
     bt = [[f.sub(a, b) for a, b in zip(padded[i + 1], padded[i])]
           for i in range(m)]
-    out = PointSet(f, m - 1, FORM_STANDARD,
-                   [tuple(dot(f, col, p) for col in zip(*bt))
-                    for p in s.points])
+    out = PointSet(f, m - 1, FORM_STANDARD, product(f, s.points, bt))
     for i, (new, old) in enumerate(zip(out.pair_norms(), s.pair_norms())):
         if new != old:
             j = next(j for j, (a, b) in enumerate(zip(new, old), i + 1)

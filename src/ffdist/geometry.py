@@ -7,20 +7,16 @@ either way distances are evaluated in ambient coordinates.
 
 PointSet.pair_norms is the one census: every Q(x - y) from one pass,
 kept on the set.  Q(x - y) = Q(x) + Q(y) - 2 x.y is x'.y' for x' = (x,
-Q(x), 1) and y' = (-2y, 1, Q(y)), n = dim + 2 entries, read off one
-big-int product (Kronecker substitution): each entry's k coefficients,
-reduced mod p, fill a block of 2k - 1 digits base 2^w > n k (p-1)^2 (so
-no digit carries), with y' packed in reverse block order.  Block n - 1
-of the product is then sum_i x'_i(t) y'_i(t) in Z[t], reduced mod p and
-the field modulus once per pair.  dist2 is the pair-by-pair reference.
+Q(x), 1) and y' = (-2y, 1, Q(y)), so the census is the upper triangle
+of one matrix product, linalg.row_product.  dist2 is the pair-by-pair
+reference.
 """
 
 import math
 from collections import Counter
 from itertools import chain
-from operator import lshift
 
-from .linalg import MatrixF, rank, dot, DimensionMismatch
+from .linalg import MatrixF, rank, dot, row_product, DimensionMismatch
 
 
 class TooFewPoints(ValueError):
@@ -77,38 +73,14 @@ class PointSet:
         """rows[i][j - i - 1] = Q(p_i - p_j) for i < j (see the module
         doc), computed on first use."""
         if self._pair_norms is None:
-            f, n = self.field, self.ambient_dim + 2
-            p, k = f.p, f.k
-            w = (n * k * (p - 1) ** 2).bit_length()
-            shifts = [w * (i * (2 * k - 1) + s)
-                      for i in range(n) for s in range(k)]
-            powers = [p**s for s in range(k)]
-
-            def pack(entries):
-                return sum(map(lshift, [a // c % p for a in entries
-                                        for c in powers], shifts))
-
+            f, points = self.field, self.points
             minus2 = f.coerce(-2)
-            norms = [dot(f, x, x) for x in self.points]
-            xs = [pack((*x, q, 1)) for x, q in zip(self.points, norms)]
-            ys = [pack([q, 1] + [f.mul(minus2, a) for a in reversed(x)])
-                  for x, q in zip(self.points, norms)]
-            shift = w * (n - 1) * (2 * k - 1)
-            block = (1 << w * (2 * k - 1)) - 1
-            if k == 1:
-                element = p.__rmod__
-            else:
-                digit = (1 << w) - 1
-                high_first = range(w * (2 * k - 2), -1, -w)
-
-                def element(c):  # Horner's rule on the digits; t is p
-                    acc = 0
-                    for s in high_first:
-                        acc = f.add(f.mul(acc, p), (c >> s & digit) % p)
-                    return acc
-            self._pair_norms = [list(map(element, map(block.__and__, map(
-                shift.__rrshift__, map(x.__mul__, ys[i + 1:])))))
-                for i, x in enumerate(xs)]
+            norms = [dot(f, x, x) for x in points]
+            row = row_product(f, [[f.mul(minus2, a) for a in coords]
+                                  for coords in zip(*points)]
+                              + [[f.one] * len(points), norms])
+            self._pair_norms = [row((*x, q, 1), i + 1)
+                                for i, (x, q) in enumerate(zip(points, norms))]
         return self._pair_norms
 
 

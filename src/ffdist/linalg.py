@@ -1,13 +1,30 @@
 """Exact dense linear algebra over a finite field.
 
-Matrices are dense lists of rows; products and dot products skip zero
-entries, so sparse factors cost less.  Rank is plain Gaussian
-elimination with any nonzero pivot, the only elimination in the package.
-Symmetric forms are diagonalized by congruence in O(n^3), each working
-vector carrying its image under the form so a form value is one dot
-product; they are compared by discriminant square class, and mapped onto
-the standard form when the discriminant permits.
+Matrices are dense lists of rows.  Every bulk product (MatrixF.mul, the
+embedding map, the pair-norm census) is one kernel, product: row i of
+A B is sum_t a_it (row t of B), read off one big-int sum (Kronecker
+substitution).  Each row t of B is packed into one int: the k
+coefficients of an element, reduced mod p, open a block of 2k - 1
+digits.  Coefficient s of a_it multiplies the packed row shifted by s
+digits, so a block of the sum holds the product polynomial in Z[t],
+each digit at most n k (p-1)^2 for inner dimension n.  For k > 1 the
+digits of t^k .. t^(2k-2) are folded into the low k by one big-int
+linear map, a table of t^s mod the modulus, which multiplies that bound
+by at most 1 + (k-1)(p-1).  Digits are 1, 2, 4 or 8 bytes wide (wider
+only near p = 2^31), enough that none carries into the next; they are
+read through one to_bytes and reduced mod p.  dot is the pairwise form
+for single vectors.
+
+Rank is plain Gaussian elimination with any nonzero pivot, the only
+elimination in the package.  Symmetric forms are diagonalized by
+congruence in O(n^3), each working vector carrying its image under the
+form so a form value is one dot product; they are compared by
+discriminant square class, and mapped onto the standard form when the
+discriminant permits.
 """
+
+import sys
+from operator import lshift, mul
 
 
 class NotSymmetric(ValueError):
@@ -81,22 +98,13 @@ class MatrixF:
                         for j in range(self.cols)])
 
     def mul(self, other):
-        """Row i of the product is sum_t a_it (row t of other), with zero
-        entries of either factor skipped, so sparse factors cost less."""
-        f = self.field
-        if f != other.field:
+        """The matrix product self times other, by the kernel product."""
+        if self.field != other.field:
             raise FieldMismatch("matrix product across different fields")
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
-        out = []
-        for row in self.entries:
-            acc = [f.zero] * other.cols
-            for a, orow in zip(row, other.entries):
-                if a:
-                    acc = [f.add(x, f.mul(a, y)) if y else x
-                           for x, y in zip(acc, orow)]
-            out.append(acc)
-        return MatrixF(f, out)
+        return MatrixF(self.field,
+                       product(self.field, self.entries, other.entries))
 
     def is_symmetric(self):
         return (self.rows == self.cols
@@ -112,6 +120,64 @@ def dot(f, u, v):
         if a and b:
             acc = f.add(acc, f.mul(a, b))
     return acc
+
+
+# memoryview formats of the unsigned digit widths, in bytes
+_DIGIT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def row_product(f, b_rows):
+    """The function (a, start=0) -> entries start, start + 1, ... of
+    the row vector a times the matrix with rows b_rows, over f (see the
+    module doc).  Entries of a and b_rows may be any integers when k = 1;
+    they are reduced mod p."""
+    p, k = f.p, f.k
+    n, cols = len(b_rows), len(b_rows[0]) if b_rows else 0
+    span = 2 * k - 1  # digits per entry: the product has degree 2k - 2
+    # bits of the largest digit, after the fold (see the module doc)
+    bits = (n * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1))).bit_length()
+    width = next((b for b in _DIGIT_FORMATS if 8 * b >= bits),
+                 (bits + 7) // 8)  # bytes per digit
+    w = 8 * width
+    powers = [p**s for s in range(k)]
+    shifts = [w * (j * span + s) for j in range(cols) for s in range(k)]
+    terms = [packed << w * s
+             for packed in (sum(map(lshift, [a // c % p for a in row
+                                             for c in powers], shifts))
+                            for row in b_rows)
+             for s in range(k)]
+    if k > 1:
+        blocks = ((1 << w * span * cols) - 1) // ((1 << w * span) - 1)
+        low = blocks * ((1 << w) - 1)  # digit 0 of every block
+        keep = blocks * ((1 << w * k) - 1)  # digits 0..k-1
+        # t^s mod the modulus, s = k..2k-2, as k digits from digit 0
+        folds = [sum(f.pow(p, s) // c % p << w * r
+                     for r, c in enumerate(powers)) for s in range(k, span)]
+    order = sys.byteorder
+
+    def row(a, start=0):
+        acc = sum(map(mul, [x // c % p for x in a for c in powers], terms))
+        if k > 1:
+            acc = (acc & keep) + sum(map(mul, [acc >> w * s & low for s in
+                                               range(k, span)], folds))
+        raw = acc.to_bytes(cols * span * width, order)
+        first = start * span
+        if width in _DIGIT_FORMATS:
+            digits = memoryview(raw).cast(_DIGIT_FORMATS[width])[first:]
+        else:
+            digits = [int.from_bytes(raw[i:i + width], order)
+                      for i in range(first * width, len(raw), width)]
+        out = [d % p for d in digits[k - 1::span]]
+        for r in range(k - 2, -1, -1):  # Horner on the coefficients
+            out = [e * p + d % p for e, d in zip(out, digits[r::span])]
+        return out
+    return row
+
+
+def product(f, a_rows, b_rows):
+    """Rows of the matrix product A B over f, A and B given by rows."""
+    row = row_product(f, b_rows)
+    return [row(a) for a in a_rows]
 
 
 def rank(m):
@@ -293,7 +359,6 @@ def isometry_to_standard(g):
         new_j = [f.add(f.mul(mby, u), f.mul(ax, v)) for u, v in zip(ci, cj)]
         cols[i], cols[j] = new_i, new_j
     t = MatrixF(f, zip(*cols))
-    # G T first: G is tridiagonal in embed_standard, so it costs O(n^2)
     if t.transpose().mul(g.mul(t)) != MatrixF.identity(f, n):
         raise LawViolated("T^T G T is not the identity")
     return t

@@ -95,7 +95,9 @@ class SearchProblem:
         if not budget_secs >= 0:  # NaN fails this too
             raise ValueError("budget must be a number of seconds >= 0")
         ceiling = CANONICAL_CEILING if canonical else POINT_CEILING
-        if field.q**d > ceiling:
+        # q >= 3 > 2, so a d this long is past the ceiling before the
+        # power, which would take seconds to compute for a huge d
+        if d >= ceiling.bit_length() or field.q**d > ceiling:
             raise TooLarge("q^d exceeds the %s ceiling %d" % (
                 "--canonical" if canonical else "point", ceiling))
         if (2 * field.p - 1)**(d * field.k) > TABLE_CEILING:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ffdist
-from ffdist import cli
+from ffdist import certificate, cli
 from ffdist.linalg import LawViolated
 
 SRC = Path(ffdist.__file__).parent
@@ -162,6 +162,25 @@ def test_verify_malformed_input(tmp_path, path, value):
     assert run_cli("verify", str(bad)) == 2
 
 
+@pytest.mark.parametrize("value,message", [
+    (True, "bad coordinate True: not an integer or integer array"),
+    (1.5, "bad coordinate 1.5: not an integer or integer array"),
+    ([1, 2, 3], "bad coordinate: extension element must be a 2-array"),
+    ([[1], [2]], "bad coordinate [[1], [2]]: not an integer or integer array"),
+])
+def test_load_names_bad_coordinate_of_last_extension_point(tmp_path, value,
+                                                          message):
+    out = tmp_path / "c.json"
+    assert run_cli("construct", "--p", "5", "--k", "2", "--d", "3",
+                   "--out", str(out)) == 0
+    cert = json.loads(out.read_text())
+    cert["points"][-1][-1] = value
+    out.write_text(json.dumps(cert))
+    with pytest.raises(certificate.SchemaError) as excinfo:
+        certificate.load(str(out))
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("modulus", [["a", 0, 1], 5, [1, 0, True]])
 def test_verify_malformed_modulus(tmp_path, modulus):
     out = tmp_path / "c.json"
@@ -305,6 +324,19 @@ def test_search_above_ceiling_is_usage_error(capsys, argv, ceiling):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and ceiling in captured.err
     assert not captured.out
+
+
+@pytest.mark.parametrize("extra,ceiling", [
+    ((), "point ceiling 65536"),
+    (("--canonical",), "--canonical ceiling 10000"),
+])
+def test_search_huge_dimension_refused_fast(capsys, extra, ceiling):
+    # 3^(10^7) alone takes seconds to compute
+    start = time.perf_counter()
+    assert run_cli("search", "--p", "3", "--d", str(10**7), "--mode",
+                   "equilateral", *extra) == 2
+    assert time.perf_counter() - start < 0.1
+    assert ceiling in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,13 +4,17 @@ import pytest
 
 from ffdist.field import field_make, SquareClass
 from ffdist.linalg import (
-    MatrixF, DiagForm, rank, gram_rank_law, diagonalize_form,
-    form_equivalent, isometry_to_standard, _represent_one,
+    MatrixF, DiagForm, product, row_product, rank, gram_rank_law,
+    diagonalize_form, form_equivalent, isometry_to_standard, _represent_one,
     NotSymmetric, Degenerate, DimensionMismatch, FieldMismatch, NotIsometric,
     LawViolated,
 )
 
-PRODUCT_FIELDS = ((3, 1), (7, 1), (3, 2), (5, 2))  # GF(3, 7, 9, 25)
+from test_geometry import _field
+
+# GF(3, 7, 9, 25, 27, 49); 2^31 - 1 needs digits wider than 64 bits
+PRODUCT_FIELDS = ((3, 1), (7, 1), (3, 2), (5, 2), (2**31 - 1, 1), (3, 3),
+                  (7, 2))
 
 
 def i_plus_j(f, size):
@@ -130,6 +134,52 @@ def test_mul_matches_naive_product():
             a = random_matrix(f, rows, rng, inner, zero_frac)
             b = random_matrix(f, inner, rng, cols, zero_frac)
             assert a.mul(b) == naive_mul(a, b)
+
+
+# the kernel's fields: every PRODUCT_FIELDS entry and GF(7^6), k = 6
+KERNEL_FIELDS = PRODUCT_FIELDS + ((7, 6),)
+
+
+def test_product_matches_naive_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def factors(draw):
+        f = _field(*draw(st.sampled_from(KERNEL_FIELDS)))
+        rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
+        entry = st.one_of(st.just(f.zero), st.integers(0, f.q - 1),
+                          st.integers(f.q - 3, f.q - 1))
+
+        def matrix(r, c):  # some rows all zero
+            line = st.one_of(st.just([f.zero] * c),
+                             st.lists(entry, min_size=c, max_size=c))
+            return MatrixF(f, [draw(line) for _ in range(r)])
+        return matrix(rows, inner), matrix(inner, cols)
+
+    def pair(p, k, a, b):
+        f = _field(p, k)
+        return MatrixF(f, a), MatrixF(f, b)
+
+    top, big = 7**6 - 1, 2**31 - 2
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(factors())
+    # inner dimension 1 at k = 6; a single column and an all-zero row;
+    # digits wider than 64 bits
+    @hypothesis.example(pair(7, 6, [[top], [0], [1234]], [[top, 1, 0, 7]]))
+    @hypothesis.example(pair(5, 2, [[0, 0, 0], [24, 5, 1]], [[24], [24], [7]]))
+    @hypothesis.example(pair(2**31 - 1, 1, [[big] * 6], [[big]] * 6))
+    def check(ab):
+        a, b = ab
+        want = naive_mul(a, b)
+        assert product(a.field, a.entries, b.entries) == want.entries
+        row = row_product(a.field, b.entries)
+        for i, r in enumerate(a.entries):
+            for start in range(b.cols + 1):
+                assert row(r, start) == want.entries[i][start:]
+
+    check()
 
 
 def test_mul_dimension_and_field_errors():

@@ -338,6 +338,11 @@ def field_make(p, k=1, modulus=None):
     """
     if p == 2:
         raise EvenCharacteristic("characteristic 2 is not supported")
+    # bounded first: trial division of a p near 2^61 takes minutes, and
+    # p >= 3 > 2 puts a k this long past 2^31 before the power, which
+    # would take seconds to compute for a huge k
+    if p > MAX_Q or k >= MAX_Q.bit_length():
+        raise ValueError("field too large: p^k must be <= 2^31")
     if not _is_prime(p):
         raise NotPrime("%d is not prime" % p)
     if k < 1:

@@ -34,8 +34,13 @@ Every test is a few table lookups (see _triangle_subproblems).
 When d is even, x.x and nu*(x.x) (nu a nonsquare) are isometric, so a
 similitude with a nonsquare multiplier maps the cliques of a value set V
 onto those of nu*V, and the search pass keeps one value set per orbit
-under all of F_q^* (see _similitude_classes).  The canonical pass still
-walks every square orbit.
+under all of F_q^* (see _similitude_classes).  A square orbit lies in
+one such class and a similitude keeps clique numbers, so the canonical
+pass walks only the square orbits whose class reaches the maximum: with
+--canonical the search pass seeks, in each class, a clique that ties the
+best so far until it has one, which makes the recorded class maximum
+exact wherever it reaches the best (orbit-level isomorph rejection,
+McKay 1998).
 
 Sizes, exhaustion and the canonical witness are those of a search over
 the whole neighborhood of the origin; the non-canonical witness and the
@@ -50,13 +55,15 @@ the value set.  The norm of every difference is tabulated once per
 lookup (see _CayleyTable).  The search pass builds adjacency only among
 the vertices of each subproblem, in ascending point order: the clique
 engine sees the induced subgraph under an order-preserving relabelling.
-The canonical pass builds the neighborhood graph of each square orbit.
+The canonical pass builds the neighborhood graph of each orbit it walks.
 Ceilings: q^d <= 2^16 keeps norm and ray ids in 16 bits, the table has
 (2p-1)^(dk) <= 9^6 entries, and --canonical keeps q^d <= 10^4.
 
-The time budget covers the whole run: value-set enumeration, graph
-building and the clique search (not the canonical pass, which runs
-only after an exhausted search).
+The time and node budget covers the whole run: value-set enumeration,
+graph building, the clique search and the canonical pass, which runs
+only after an exhausted search.  A hit in the canonical pass reports
+exhausted=False with the proven maximum size and the search pass's
+witness.
 
 The clique engine is exact branch and bound with a greedy sequential
 coloring bound (MCQ, Tomita-Seki 2003), adjacency held in Python-int
@@ -127,7 +134,11 @@ class SearchResult:
         self.exhausted = exhausted
         # {"nodes": int, "seconds": float, "subproblems": [one record per
         # pinned clique run: values, type (see _triangle_subproblems),
-        # graph_size, nodes, seconds, done]}
+        # graph_size, nodes, seconds, done]}; nodes counts the search
+        # pass.  With --canonical also "canonical": {"orbits": square
+        # orbits, "visited": those walked, "nodes", "seconds", "classes":
+        # [per searched class: values, max]}; max is a lower bound on the
+        # class's clique number, exact wherever either reaches max_size.
         self.stats = stats
         self.values = values  # distance values of the best subproblem
         self.both_values = both_values  # two-distance mode only
@@ -204,12 +215,13 @@ def _max_clique(adj, budget, lower=0):
         return best, False
 
 
-def _lex_least_clique(adj, size):
+def _lex_least_clique(adj, size, budget):
     """Lexicographically least clique of the given size (vertices in
     ascending index order), or None if none exists."""
 
     def grow(stack, p_mask):
         # p_mask holds the common neighbors of stack above its last vertex
+        budget.tick()
         if len(stack) == size:
             return stack
         while p_mask:
@@ -369,18 +381,23 @@ def _similitude_classes(f, d, value_sets):
 
     For even d, x.x and nu*(x.x) (nu a nonsquare) have the same dimension
     and discriminant class, so they are isometric: some linear g has
-    Q(gx) = nu*Q(x) and carries the cliques of V onto those of nu*V.
-    All {a} then form one orbit, and {a, b} is keyed by min(b/a, a/b)."""
-    if d % 2:
-        return value_sets
+    Q(gx) = nu*Q(x) and carries the cliques of V onto those of nu*V."""
     seen = {}
     for vals in value_sets:
-        key = None
-        if len(vals) == 2:
-            a, b = vals
-            key = min(f.mul(b, f.inv(a)), f.mul(a, f.inv(b)))
-        seen.setdefault(key, vals)
+        seen.setdefault(_class_key(f, d, vals), vals)
     return list(seen.values())
+
+
+def _class_key(f, d, vals):
+    """Key of the class of vals in _similitude_classes: vals itself for
+    odd d; for even d all {a} form one orbit, keyed None, and {a, b} is
+    keyed by min(b/a, a/b)."""
+    if d % 2:
+        return tuple(vals)
+    if len(vals) == 2:
+        a, b = vals
+        return min(f.mul(b, f.inv(a)), f.mul(a, f.inv(b)))
+    return None
 
 
 def _triangle_subproblems(table, cand, values):
@@ -449,7 +466,7 @@ def _search(problem):
     budget = _Budget(problem.budget_secs, problem.node_limit)
     best_size, best_indices, best_values = 1, [0], None  # the origin
     exhausted = False
-    subproblems = []
+    subproblems, classes, value_sets = [], [], []
     try:
         table = _CayleyTable(f, d)
         # any point at an allowed distance from the origin gives a
@@ -464,46 +481,69 @@ def _search(problem):
                                            problem.fixed_values, budget)
         for values in _similitude_classes(f, d, value_sets):
             cand = table.neighbors(values)
+            top = 2 if cand else 1  # the class maximum so far
             for ttype, e, z, verts in _triangle_subproblems(table, cand,
                                                             values):
                 nodes, t0 = budget.nodes, time.monotonic()
                 adj = table.graph(verts, values, budget)
-                clique, done = _max_clique(adj, budget, lower=best_size - 3)
+                # --canonical seeks a tie with the best until the class
+                # has one, so top ends exact wherever it reaches best_size
+                tie = problem.canonical and top < best_size
+                clique, done = _max_clique(adj, budget,
+                                           lower=best_size - 3 - tie)
                 subproblems.append({
                     "values": list(values), "type": ttype,
                     "graph_size": len(verts),
                     "nodes": budget.nodes - nodes,
                     "seconds": time.monotonic() - t0, "done": done})
+                top = max(top, 3 + len(clique))  # the triangle counts
                 if 3 + len(clique) > best_size:
                     best_size = 3 + len(clique)
                     best_indices = [0, e, z] + [verts[i] for i in clique]
                     best_values = values
                 if not done:
                     raise _BudgetHit
+            classes.append({"values": list(values), "max": top})
         exhausted = True
     except _BudgetHit:
         pass
+    stats = {"nodes": budget.nodes, "subproblems": subproblems}
+    if problem.canonical:
+        stats["canonical"] = canon = {
+            "orbits": len(value_sets), "visited": 0, "nodes": 0,
+            "seconds": 0.0, "classes": classes}
     if problem.canonical and exhausted and best_size >= 2:
         # second pass: lexicographically least witness of the maximum
-        # size across the (deduplicated) value-set subproblems; point
+        # size across the square orbits whose class reaches it; point
         # indices are in lexicographic order, so they compare as points
+        t0 = time.monotonic()
+        class_top = {_class_key(f, d, c["values"]): c["max"]
+                     for c in classes}
         best_key = None
-        for values in value_sets:
-            cand = table.neighbors(values)
-            clique = _lex_least_clique(table.graph(cand, values),
-                                       best_size - 1)
-            if clique is None:
-                continue
-            key = [0] + [cand[i] for i in clique]
-            if best_key is None or key < best_key:
-                best_key = key
-                best_values = values
-        best_indices = best_key
+        try:
+            for values in value_sets:
+                if class_top[_class_key(f, d, values)] < best_size:
+                    continue
+                canon["visited"] += 1
+                cand = table.neighbors(values)
+                clique = _lex_least_clique(table.graph(cand, values, budget),
+                                           best_size - 1, budget)
+                if clique is None:
+                    continue
+                key = [0] + [cand[i] for i in clique]
+                if best_key is None or key < best_key:
+                    best_key, key_values = key, values
+            if best_key is None:
+                raise LawViolated("no square orbit of a class that reaches "
+                                  "size %d holds such a clique" % best_size)
+            best_indices, best_values = best_key, key_values
+        except _BudgetHit:
+            exhausted = False  # the search pass's witness stands
+        canon["nodes"] = budget.nodes - stats["nodes"]
+        canon["seconds"] = time.monotonic() - t0
     witness = PointSet(f, d, FORM_STANDARD,
                        [_point(f, d, i) for i in best_indices])
-    stats = {"nodes": budget.nodes,
-             "seconds": time.monotonic() - start,
-             "subproblems": subproblems}
+    stats["seconds"] = time.monotonic() - start
     return best_size, witness, best_values, exhausted, stats
 
 

@@ -1,4 +1,5 @@
 import ast
+import functools
 import hashlib
 import json
 import os
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import ffdist
-from ffdist import certificate, cli
+from ffdist import certificate, cli, search
+from ffdist.field import field_make
 from ffdist.linalg import LawViolated
 
 SRC = Path(ffdist.__file__).parent
@@ -384,6 +386,64 @@ def test_search_budget_hit_keeps_size_two_witness(capsys):
         "max two_distance size in GF(9973^1)^1: 2 (budget hit)\n")
 
 
+def test_search_canonical_budget_hit_keeps_search_pass_witness(
+        tmp_path, monkeypatch, capsys):
+    # a node limit just above the search pass's own node count: only the
+    # canonical pass hits it, so the run prints the proven size as a
+    # budget hit, exits 3 and writes the search pass's witness
+    f = field_make(7)
+    limit = search.max_two_distance(search.SearchProblem(
+        f, 3, "two_distance", canonical=True)).stats["nodes"] + 1
+    problem = functools.partial(search.SearchProblem, node_limit=limit)
+    hit = search.max_two_distance(problem(f, 3, "two_distance",
+                                          canonical=True))
+    monkeypatch.setattr(search, "SearchProblem", problem)
+    out = tmp_path / "s.json"
+    assert run_cli("search", "--p", "7", "--d", "3", "--mode",
+                   "two_distance", "--canonical", "--out", str(out)) == 3
+    assert capsys.readouterr().out == (
+        "max two_distance size in GF(7^1)^3: 7 (budget hit)\n")
+    cert = json.loads(out.read_text())
+    assert cert["meta"]["search"]["max_size"] == 7
+    assert cert["meta"]["search"]["exhausted"] is False
+    assert cert["points"] == [list(x) for x in hit.witness.points]
+    assert run_cli("verify", str(out)) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--p", "5", "--k", "100000000", "--d", "3",
+     "--out", "x.json"),
+    ("search", "--p", "5", "--k", "100000000", "--d", "1",
+     "--mode", "equilateral"),
+])
+def test_huge_extension_degree_refused_fast(tmp_path, monkeypatch, capsys,
+                                            argv):
+    # 5^(10^8) alone takes seconds to compute
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert run_cli(*argv) == 2
+    assert time.perf_counter() - start < 0.1
+    assert "field too large" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("field", [{"p": 5, "k": 10**8},
+                                   {"p": 2**61 - 1, "k": 1}])
+def test_verify_huge_field_refused_fast(tmp_path, capsys, field):
+    # trial division of 2^61 - 1 alone takes minutes
+    out = tmp_path / "c.json"
+    assert run_cli("construct", "--p", "5", "--d", "3",
+                   "--out", str(out)) == 0
+    cert = json.loads(out.read_text())
+    cert["field"].update(field)
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run_cli("verify", str(out)) == 2
+    assert time.perf_counter() - start < 0.1
+    assert "field too large" in capsys.readouterr().err
+
+
 def test_verify_prints_two_distance_values_in_numeric_order(tmp_path,
                                                             capsys):
     # delta/4 = 10 and delta/2 = 9 here; ordered as strings they would
@@ -420,6 +480,12 @@ CANONICAL_SEARCH_SHA256 = {
         "3bb6070d45ca187c84cfc88a2a32976e3c73949babcbadf07f2556a21eece7ff",
     ("3", "3", "1", "two_distance"):
         "d6d9b3043c85b850a07b792de2e58a27e3d4ce6502440f4b607711a2378e6533",
+    # written while the canonical pass walked every square orbit (9 s and
+    # 42 s then)
+    ("7", "1", "4", "two_distance"):
+        "7b0838ca0d130b68a387c8e0e80de7fd19ffd875a2e3c237fb3990414c4ddf7e",
+    ("3", "2", "4", "two_distance"):
+        "21937be3bf91d5bc17003659f748e4f085e17cdecc349022864215057a04e53c",
 }
 
 

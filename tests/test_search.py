@@ -464,3 +464,123 @@ def test_clique_tree_pinned(rec):
             for s in r.stats["subproblems"]] == rec["subproblems"]
     assert [list(x) for x in r.witness.points] == rec["witness"]
 
+
+@pytest.mark.parametrize("p,k,d", CAYLEY_GRIDS)
+def test_canonical_pass_visits_exactly_the_orbits_that_reach_the_maximum(
+        p, k, d):
+    # a square orbit lies in one folded class and a similitude keeps
+    # clique numbers, so the recorded class maximum must reach max_size
+    # exactly when 1 + the clique number of the orbit's whole
+    # neighborhood graph does; the canonical pass walks just those orbits
+    nx = None
+    try:
+        import networkx as nx
+    except ImportError:
+        pass
+    f = field_make(p, k)
+    table = search._CayleyTable(f, d)
+    budget = search._Budget(600, 10**9)
+    for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
+        r = run(p, d, mode, k=k, canonical=True)
+        canon = r.stats["canonical"]
+        top = {search._class_key(f, d, c["values"]): c["max"]
+               for c in canon["classes"]}
+        value_sets = search._candidate_value_sets(f, mode, None, budget)
+        assert r.exhausted and canon["orbits"] == len(value_sets)
+        reach = 0
+        for values in value_sets:
+            adj = table.graph(table.neighbors(values), values)
+            clique, done = search._max_clique(adj, budget)
+            assert done
+            if nx is not None:
+                assert len(clique) == len(nx.max_weight_clique(
+                    nx_graph(nx, adj, range(len(adj))), None)[0])
+            omega = 1 + len(clique)
+            t = top[search._class_key(f, d, values)]
+            assert t <= omega, (mode, values)
+            assert (t == r.max_size) == (omega == r.max_size), (mode, values)
+            reach += omega == r.max_size
+        assert reach and canon["visited"] == reach
+
+
+def walk_every_orbit(f, d, mode, size):
+    """The canonical witness as found by walking the whole neighborhood
+    graph of every square orbit: (least clique through the origin of the
+    given size as point indices, its value set)."""
+    table = search._CayleyTable(f, d)
+    budget = search._Budget(600, 10**9)
+    best = None
+    for values in search._candidate_value_sets(f, mode, None, budget):
+        cand = table.neighbors(values)
+        clique = search._lex_least_clique(table.graph(cand, values),
+                                          size - 1, budget)
+        if clique is None:
+            continue
+        key = [0] + [cand[i] for i in clique]
+        if best is None or key < best[0]:
+            best = key, values
+    return best
+
+
+# 28 spaces, 56 instances with both modes
+WALK_CASES = ([(3, 1, d) for d in range(1, 6)]
+              + [(5, 1, d) for d in range(1, 5)]
+              + [(7, 1, d) for d in range(1, 4)]
+              + [(q, 1, d) for q in (11, 13) for d in (1, 2)]
+              + [(17, 1, 2), (19, 1, 2), (23, 1, 2), (7, 2, 1), (7, 2, 2)]
+              + [(3, 2, d) for d in range(1, 4)] + [(5, 2, 1), (5, 2, 2)]
+              + [(3, 3, 1), (3, 3, 2)])
+
+
+@pytest.mark.parametrize("p,k,d", WALK_CASES)
+def test_canonical_witness_matches_walk_of_every_orbit(p, k, d):
+    f = field_make(p, k)
+    for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
+        r = run(p, d, mode, k=k, canonical=True)
+        key, values = walk_every_orbit(f, d, mode, r.max_size)
+        assert r.witness.points == [search._point(f, d, i) for i in key]
+        assert r.values == values
+
+
+def test_canonical_pass_budget_hit_keeps_proven_size():
+    # the node limit sits just above the search pass's own node count, so
+    # only the canonical pass can hit it: the proven size and the search
+    # pass's witness stand, and the run is not exhausted
+    full = run(7, 3, MODE_TWO_DISTANCE, canonical=True)
+    assert full.exhausted and full.stats["canonical"]["nodes"] > 2
+    r = run(7, 3, MODE_TWO_DISTANCE, canonical=True,
+            node_limit=full.stats["nodes"] + 1)
+    assert not r.exhausted
+    assert r.stats["nodes"] == full.stats["nodes"]
+    assert r.stats["canonical"]["nodes"] == 2  # the second one hits
+    assert r.stats["subproblems"] == [
+        dict(s, seconds=t["seconds"]) for s, t in
+        zip(full.stats["subproblems"], r.stats["subproblems"])]
+    assert (r.max_size, r.bound_status) == (full.max_size, full.bound_status)
+    assert len(r.witness.points) == r.max_size
+    sp = geometry.spectrum(r.witness)
+    assert set(sp.values) <= set(r.values)
+
+
+def test_canonical_pass_checks_the_deadline(monkeypatch):
+    # every graph of a canonical run is built under the budget, and both
+    # the build and the lexicographic walk stop at a passed deadline
+    budgets = []
+    graph = search._CayleyTable.graph
+
+    def spy(self, verts, values, budget=None):
+        budgets.append(budget)
+        return graph(self, verts, values, budget)
+
+    monkeypatch.setattr(search._CayleyTable, "graph", spy)
+    r = run(7, 3, MODE_TWO_DISTANCE, canonical=True)
+    assert len(budgets) > len(r.stats["subproblems"]) and None not in budgets
+    monkeypatch.undo()
+    f = field_make(7)
+    table = search._CayleyTable(f, 3)
+    cand = table.neighbors((1, 5))
+    late = search._Budget(-1, 10**9)
+    with pytest.raises(search._BudgetHit):
+        table.graph(cand, (1, 5), late)
+    with pytest.raises(search._BudgetHit):
+        search._lex_least_clique(table.graph(cand, (1, 5)), 6, late)

@@ -7,12 +7,13 @@ except the points and re-derives the claim from scratch.
 
 Files are deterministic JSON (sorted keys, fixed indentation, trailing
 newline) so identical inputs produce byte-identical certificates.
+dumps writes json.dumps(indent=2, sort_keys=True) byte for byte, but
+formats "points" itself: an indent turns off json's C encoder.
 """
 
 import json
 import math
-from itertools import chain
-from operator import mul
+from itertools import chain, islice
 
 from . import field as field_mod
 from . import geometry
@@ -37,7 +38,10 @@ def field_block(f):
 
 def points_block(s):
     f = s.field
-    return [[f.serialize(c) for c in p] for p in s.points]
+    if f.k == 1:
+        return [list(p) for p in s.points]
+    form = {a: f.serialize(a) for a in set(chain.from_iterable(s.points))}
+    return [[list(form[c]) for c in p] for p in s.points]
 
 
 def equilateral_claim(f, delta):
@@ -84,8 +88,37 @@ def make(s, claim, meta):
     }
 
 
+def _json_list(items, indent):
+    """Item texts joined as json.dumps(indent=2) nests a list at indent."""
+    inner = "\n" + " " * (indent + 2)
+    return ("[" + inner + ("," + inner).join(items) + "\n" + " " * indent
+            + "]" if items else "[]")
+
+
+def _points_text(points):
+    """The "points" text of dumps, each distinct coordinate formatted
+    once; None unless all coordinates are ints or all are int lists."""
+    if type(points) is not list or not {list}.issuperset(map(type, points)):
+        return None
+    keys = ints = list(chain.from_iterable(points))
+    if {list}.issuperset(map(type, keys)):  # k > 1
+        ints, keys = list(chain.from_iterable(keys)), list(map(tuple, keys))
+    if not {int}.issuperset(map(type, ints)):
+        return None
+    texts = {key: repr(key) if type(key) is int
+             else _json_list(list(map(repr, key)), 6) for key in set(keys)}
+    cells = iter(map(texts.__getitem__, keys))
+    return _json_list([_json_list(list(islice(cells, len(point))), 4)
+                       for point in points], 2)
+
+
 def dumps(cert):
-    return json.dumps(cert, indent=2, sort_keys=True) + "\n"
+    """json.dumps(cert, indent=2, sort_keys=True) + "\n", byte for byte."""
+    text = type(cert) is dict and _points_text(cert.get("points"))
+    if not text:
+        return json.dumps(cert, indent=2, sort_keys=True) + "\n"
+    rest = json.dumps(dict(cert, points=0), indent=2, sort_keys=True)
+    return rest.replace('\n  "points": 0', '\n  "points": ' + text, 1) + "\n"
 
 
 def write(cert, path):
@@ -145,7 +178,6 @@ def load(path):
     _schema(isinstance(raw_points, list) and len(raw_points) >= 2,
             "need at least 2 points")
     p, k = f.p, f.k
-    powers = [p**i for i in range(k)]
     points = []
     for rp in raw_points:
         _schema(isinstance(rp, list) and len(rp) == dim,
@@ -155,8 +187,11 @@ def load(path):
         elif (k > 1 and {list}.issuperset(map(type, rp))
               and {k}.issuperset(map(len, rp))
               and {int}.issuperset(map(type, chain.from_iterable(rp)))):
-            points.append(tuple(sum(map(mul, map(p.__rmod__, c), powers))
-                                for c in rp))
+            flat = list(map(p.__rmod__, chain.from_iterable(rp)))
+            coords = flat[k - 1::k]
+            for r in range(k - 2, -1, -1):  # Horner on the coefficients
+                coords = [e * p + c for e, c in zip(coords, flat[r::k])]
+            points.append(tuple(coords))
         else:  # a malformed coordinate: _element names it
             points.append(tuple(_element(f, c, "coordinate") for c in rp))
     _schema(len(set(points)) == len(points), "points must be distinct")

@@ -9,7 +9,7 @@ set of size C(d+2, 2), which meets the quadratic reference bound.
 
 from . import geometry, srg
 from .geometry import PointSet, FORM_SUM_ZERO, FORM_STANDARD
-from .linalg import MatrixF, LawViolated, isometry_to_standard, product
+from .linalg import MatrixF, LawViolated, isometry_to_standard, row_product
 
 
 class NotModular(ValueError):
@@ -121,9 +121,9 @@ def embed_standard(s):
     the hyperplane, dropping one dimension while preserving every
     squared distance.
 
-    Raises NotIsometric when the hyperplane form is not congruent to
-    the standard one (discriminant obstruction, e.g. characteristic 3
-    with ambient dimension 5), and LawViolated if a distance changed.
+    Raises NotIsometric when the hyperplane form is not congruent to the
+    standard one (discriminant obstruction, e.g. characteristic 3 with
+    ambient dimension 5), LawViolated if T^T G T != I or a distance moved.
     """
     if s.form != FORM_SUM_ZERO:
         raise ValueError("embed_standard expects a sum-zero hyperplane set")
@@ -131,7 +131,7 @@ def embed_standard(s):
     m = s.ambient_dim
     # Gram matrix G = B^T B of the hyperplane basis B with columns
     # e_i - e_(i+1): tridiagonal, 2 on the diagonal and -1 beside it
-    g = MatrixF(f, [[f.coerce({0: 2, 1: -1}.get(abs(i - j), 0))
+    g = MatrixF(f, [[f.coerce((2, -1, 0)[min(abs(i - j), 2)])
                      for j in range(m - 1)] for i in range(m - 1)])
     t = isometry_to_standard(g)  # may raise NotIsometric
     # A point p = B c of the hyperplane (PointSet checked the sum) has
@@ -139,9 +139,11 @@ def embed_standard(s):
     # y = (B T)^T p: one linear map for every point.  B is bidiagonal,
     # so row i of B T is T_i - T_(i-1), taking zero rows outside T.
     padded = [[f.zero] * (m - 1)] + t.entries + [[f.zero] * (m - 1)]
-    bt = [[f.sub(a, b) for a, b in zip(padded[i + 1], padded[i])]
-          for i in range(m)]
-    out = PointSet(f, m - 1, FORM_STANDARD, product(f, s.points, bt))
+    bt = [list(map(f.sub, y, x)) for x, y in zip(padded, padded[1:])]
+    times_bt = row_product(f, bt)  # (B T)^T (B T) = T^T G T is the law
+    if list(map(times_bt, zip(*bt))) != MatrixF.identity(f, m - 1).entries:
+        raise LawViolated("T^T G T is not the identity")
+    out = PointSet(f, m - 1, FORM_STANDARD, list(map(times_bt, s.points)))
     for i, (new, old) in enumerate(zip(out.pair_norms(), s.pair_norms())):
         if new != old:
             j = next(j for j, (a, b) in enumerate(zip(new, old), i + 1)

@@ -11,9 +11,9 @@ each digit at most n k (p-1)^2 for inner dimension n.  For k > 1 the
 digits of t^k .. t^(2k-2) are folded into the low k by one big-int
 linear map, a table of t^s mod the modulus, which multiplies that bound
 by at most 1 + (k-1)(p-1).  Digits are 1, 2, 4 or 8 bytes wide (wider
-only near p = 2^31), enough that none carries into the next; they are
-read through one to_bytes and reduced mod p.  dot is the pairwise form
-for single vectors.
+only near p = 2^31), enough that none carries into the next; rows are
+packed by one from_bytes, sums read by one to_bytes and reduced mod p.
+dot is the pairwise form for single vectors.
 
 Rank is plain Gaussian elimination with any nonzero pivot, the only
 elimination in the package.  Symmetric forms are diagonalized by
@@ -24,6 +24,7 @@ discriminant permits.
 """
 
 import sys
+from array import array
 from operator import lshift, mul
 
 
@@ -122,7 +123,7 @@ def dot(f, u, v):
     return acc
 
 
-# memoryview formats of the unsigned digit widths, in bytes
+# array and memoryview formats of the unsigned digit widths, in bytes
 _DIGIT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -140,11 +141,19 @@ def row_product(f, b_rows):
                  (bits + 7) // 8)  # bytes per digit
     w = 8 * width
     powers = [p**s for s in range(k)]
-    shifts = [w * (j * span + s) for j in range(cols) for s in range(k)]
-    terms = [packed << w * s
-             for packed in (sum(map(lshift, [a // c % p for a in row
-                                             for c in powers], shifts))
-                            for row in b_rows)
+    order = sys.byteorder
+    fmt = _DIGIT_FORMATS.get(width)
+    shifts = [w * (j * span + s) for s in range(k) for j in range(cols)]
+
+    def pack(row):  # coefficient s of entry j is digit j span + s
+        digits = [a // c % p for c in powers for a in row]
+        if fmt is None:  # digits wider than 8 bytes
+            return sum(map(lshift, digits, shifts))
+        buf = array(fmt, bytes(cols * span * width))
+        for s in range(k):
+            buf[s::span] = array(fmt, digits[s * cols:(s + 1) * cols])
+        return int.from_bytes(buf, order)
+    terms = [packed << w * s for packed in map(pack, b_rows)
              for s in range(k)]
     if k > 1:
         blocks = ((1 << w * span * cols) - 1) // ((1 << w * span) - 1)
@@ -153,7 +162,6 @@ def row_product(f, b_rows):
         # t^s mod the modulus, s = k..2k-2, as k digits from digit 0
         folds = [sum(f.pow(p, s) // c % p << w * r
                      for r, c in enumerate(powers)) for s in range(k, span)]
-    order = sys.byteorder
 
     def row(a, start=0):
         acc = sum(map(mul, [x // c % p for x in a for c in powers], terms))
@@ -162,8 +170,8 @@ def row_product(f, b_rows):
                                                range(k, span)], folds))
         raw = acc.to_bytes(cols * span * width, order)
         first = start * span
-        if width in _DIGIT_FORMATS:
-            digits = memoryview(raw).cast(_DIGIT_FORMATS[width])[first:]
+        if fmt:
+            digits = memoryview(raw).cast(fmt)[first:]
         else:
             digits = [int.from_bytes(raw[i:i + width], order)
                       for i in range(first * width, len(raw), width)]
@@ -331,12 +339,12 @@ def isometry_to_standard(g):
     a x^2 + b y^2 = 1, the columns (x, y) and s(-b y, a x) with
     s = 1/sqrt(ab) are orthonormal for diag(a, b) (ab is a square).
     A single unpaired nonsquare is exactly the discriminant obstruction.
+    The caller checks T^T G T = I (embed_standard does, on B T).
     """
     f = g.field
     d = diagonalize_form(g)
     if d.is_degenerate():
         raise Degenerate("form is degenerate")
-    n = len(d.entries)
     cols = d.basis.transpose().entries
     nonsquare_idx = []
     for i, e in enumerate(d.entries):
@@ -358,7 +366,4 @@ def isometry_to_standard(g):
         ax = f.mul(s, f.mul(a, x))
         new_j = [f.add(f.mul(mby, u), f.mul(ax, v)) for u, v in zip(ci, cj)]
         cols[i], cols[j] = new_i, new_j
-    t = MatrixF(f, zip(*cols))
-    if t.transpose().mul(g.mul(t)) != MatrixF.identity(f, n):
-        raise LawViolated("T^T G T is not the identity")
-    return t
+    return MatrixF(f, zip(*cols))

@@ -153,9 +153,10 @@ class _Budget:
         self.node_limit = node_limit
         self.nodes = 0
 
-    def tick(self):
+    def tick(self):  # reads the clock at nodes 1, 257, 513, ...
         self.nodes += 1
-        if self.nodes > self.node_limit or time.monotonic() > self.deadline:
+        if self.nodes > self.node_limit or (
+                self.nodes & 255 == 1 and time.monotonic() > self.deadline):
             raise _BudgetHit
 
     def check(self):

@@ -242,25 +242,28 @@ def test_no_assert_in_package():
 
 
 def test_optimized_run_writes_same_bytes(tmp_path):
-    _, out, mid = construct_pair(tmp_path, 5, 3)
-    emb = tmp_path / "embed.json"
-    assert run_cli("construct", "--p", "5", "--d", "3", "--b", "1",
-                   "--embed", "standard", "--out", str(emb)) == 0
-    opt = tmp_path / "opt"
+    # prime and extension field, so every writer and decoder path runs
+    ref, opt = tmp_path / "ref", tmp_path / "opt"
+    ref.mkdir()
     opt.mkdir()
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     argv = [sys.executable, "-O", "-m", "ffdist.cli"]
-    for extra in (("--midpoints", "--out", "cert.json"),
-                  ("--embed", "standard", "--out", "embed.json")):
-        subprocess.run(argv + ["construct", "--p", "5", "--d", "3", "--b", "1",
-                               *extra],
-                       cwd=opt, env=env, check=True, capture_output=True)
-    for name in ("cert.json", "cert.midpoints.json", "embed.json"):
+    for field_args, tag in ((("--p", "5"), "k1_"),
+                            (("--p", "5", "--k", "2"), "k2_")):
+        for extra, name in ((("--midpoints",), "cert.json"),
+                            (("--embed", "standard"), "embed.json")):
+            args = ["construct", *field_args, "--d", "3", "--b", "1", *extra,
+                    "--out"]
+            assert run_cli(*args, str(ref / (tag + name))) == 0
+            subprocess.run(argv + args + [tag + name], cwd=opt, env=env,
+                           check=True, capture_output=True)
+    names = sorted(path.name for path in ref.iterdir())
+    assert len(names) == 6
+    assert names == sorted(path.name for path in opt.iterdir())
+    for name in names:
         subprocess.run(argv + ["verify", name], cwd=opt, env=env, check=True,
                        capture_output=True)
-    assert (opt / "cert.json").read_bytes() == out.read_bytes()
-    assert (opt / "cert.midpoints.json").read_bytes() == mid.read_bytes()
-    assert (opt / "embed.json").read_bytes() == emb.read_bytes()
+        assert (opt / name).read_bytes() == (ref / name).read_bytes()
 
 
 def test_search_subproblems_stay_out_of_output(tmp_path, capsys):
@@ -581,6 +584,23 @@ CONSTRUCT_PRIME_EMBED_SHA256 = {
         "690f62728ca7eedb0697bbaefa7e45ebfdd020973e300847d66502124b81f8df",
 }
 
+# sha256 of larger construct certificates, keyed by the construct
+# arguments (all with --b 1 --out c.json), as written while
+# certificate.dumps was json.dumps(indent=2, sort_keys=True) itself
+CONSTRUCT_LARGE_SHA256 = {
+    ("--p", "5", "--k", "2", "--d", "98", "--embed", "standard"): {
+        "c.json":
+        "44043350045f5c5d238a6fd448a81fb35edc4efc7c713b7286d3de1a2c2706aa"},
+    ("--p", "3", "--k", "2", "--d", "97", "--embed", "standard"): {
+        "c.json":
+        "6924d51b6325ae4c8f7b01af047050c57b731877c0632b7a65d61cfaa8af8465"},
+    ("--p", "7", "--d", "47", "--midpoints"): {
+        "c.json":
+        "8c6177e07660c0b20041c5e0e102bf1b13cbd44a28f15eff36a00aa0a04393a1",
+        "c.midpoints.json":
+        "2ac3eb5c60e674c64c1f7cf9d44f5a61b5cb94069ed3724d3d2f41e946053477"},
+}
+
 GF27_EMBED_STDERR = (
     "embedding failed: form is not isometric to the standard form; "
     "leftover square class witness [2, 0, 0]\n")
@@ -617,6 +637,14 @@ def test_construct_prime_embed_bytes_pinned(tmp_path, p, d):
     assert run_cli("construct", "--p", str(p), "--d", str(d),
                    "--embed", "standard", "--out", str(out)) == 0
     assert sha256(out) == CONSTRUCT_PRIME_EMBED_SHA256[(p, d)]
+
+
+@pytest.mark.parametrize("args", sorted(CONSTRUCT_LARGE_SHA256))
+def test_construct_large_bytes_pinned(tmp_path, args):
+    assert run_cli("construct", *args, "--b", "1",
+                   "--out", str(tmp_path / "c.json")) == 0
+    assert {path.name: sha256(path) for path in tmp_path.iterdir()} == (
+        CONSTRUCT_LARGE_SHA256[args])
 
 
 def test_tables(capsys):

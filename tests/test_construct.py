@@ -13,7 +13,7 @@ from ffdist.geometry import (
     PointSet, FORM_STANDARD, FORM_SUM_ZERO, dist2, classify, Equilateral,
     TwoDistance, gram_rank,
 )
-from ffdist.linalg import NotIsometric
+from ffdist.linalg import LawViolated, NotIsometric
 
 from test_geometry import assert_pair_norms_match_dist2
 
@@ -177,6 +177,43 @@ def test_embed_standard_obstruction_p3_d1():
         embed_standard(s)
     standard = PointSet(f3, 1, FORM_STANDARD, [(0,), (1,), (2,)])
     assert classify(standard) == Equilateral(1)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (5, 2), (13, 1)])
+def test_embed_isometry_law_is_checked(monkeypatch, p, k):
+    # a T with one entry changed fails (B T)^T (B T) = T^T G T = I
+    f = field_make(p, k)
+    s = modular_equilateral(ModularParams(f, p - 2, 1))
+    real = construct.isometry_to_standard
+
+    def corrupted(g):
+        t = real(g)
+        t.entries[-1][0] = f.add(t.entries[-1][0], f.one)
+        return t
+    monkeypatch.setattr(construct, "isometry_to_standard", corrupted)
+    with pytest.raises(LawViolated, match="T\\^T G T is not the identity"):
+        embed_standard(s)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (5, 2), (13, 1)])
+def test_embed_pair_norm_law_is_checked(monkeypatch, p, k):
+    # a map that passes the identity check but moves one point
+    f = field_make(p, k)
+    s = modular_equilateral(ModularParams(f, p - 2, 1))
+    real = construct.row_product
+
+    def corrupted(field, rows):
+        row = real(field, rows)
+
+        def wrong(a, start=0):
+            out = row(a, start)
+            if tuple(a) == s.points[2]:
+                out[0] = field.add(out[0], field.one)
+            return out
+        return wrong
+    monkeypatch.setattr(construct, "row_product", corrupted)
+    with pytest.raises(LawViolated, match="distance of points 0 and 2"):
+        embed_standard(s)
 
 
 def test_embed_preserves_distances_on_grid():

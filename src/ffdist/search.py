@@ -50,14 +50,15 @@ origin is recorded as a size-2 witness, so a budget hit never reports
 less.  stats["subproblems"] records each pinned run with its type.
 
 Each graph is a Cayley graph on (F_q^d, +): x ~ y iff Q(x - y) lies in
-the value set.  The norm of every difference is tabulated once per
-(q, d), so an adjacency test is one subtraction of point keys and one
-lookup (see _CayleyTable).  The search pass builds adjacency only among
-the vertices of each subproblem, in ascending point order: the clique
-engine sees the induced subgraph under an order-preserving relabelling.
-The canonical pass builds the neighborhood graph of each orbit it walks.
-Ceilings: q^d <= 2^16 keeps norm and ray ids in 16 bits, the table has
-(2p-1)^(dk) <= 9^6 entries, and --canonical keeps q^d <= 10^4.
+the value set.  The norm and ray of every difference are tabulated once
+per (q, d) in whole-table passes, so an adjacency or collinearity test
+is one subtraction of point keys and one lookup (see _CayleyTable).
+The search pass builds adjacency only among the vertices of each
+subproblem, in ascending point order: the clique engine sees the
+induced subgraph under an order-preserving relabelling.  The canonical
+pass builds the neighborhood graph of each orbit it walks.  Ceilings:
+q^d <= 2^16 keeps ray ids in 16 bits (and q <= 256 for d >= 2), the
+table has (2p-1)^(dk) <= 9^6 entries, and --canonical keeps q^d <= 10^4.
 
 The time and node budget covers the whole run: value-set enumeration,
 graph building, the clique search and the canonical pass, which runs
@@ -67,13 +68,14 @@ witness.
 
 The clique engine is exact branch and bound with a greedy sequential
 coloring bound (MCQ, Tomita-Seki 2003), adjacency held in Python-int
-bitsets.
+bitsets; colour classes too low to branch on are coloured but not
+recorded (MCS, Tomita et al. 2010).
 """
 
-import itertools
+import sys
 import time
 from array import array
-from math import comb
+from itertools import compress, repeat
 
 from . import geometry
 from .field import SquareClass
@@ -88,7 +90,6 @@ class TooLarge(ValueError):
 POINT_CEILING = 2**16
 TABLE_CEILING = 9**6
 CANONICAL_CEILING = 10**4
-BRUTE_FORCE_CEILING = 10**7
 
 MODE_EQUILATERAL = "equilateral"
 MODE_TWO_DISTANCE = "two_distance"
@@ -175,17 +176,26 @@ def _max_clique(adj, budget, lower=0):
     bound with an already-known clique size."""
     best = []
     best_size = lower
+    apart = [~(a | 1 << v) for v, a in enumerate(adj)]  # drops v too
 
-    def color_order(p_mask):
+    def color_order(p_mask, dead):
+        # expand never branches on classes 1..dead: best_size only grows
         order, bounds = [], []
         color = 0
+        while p_mask and color < dead:
+            color += 1
+            cand = p_mask
+            while cand:
+                low = cand & -cand
+                cand &= apart[low.bit_length() - 1]
+                p_mask ^= low
         while p_mask:
             color += 1
             cand = p_mask
             while cand:
                 low = cand & -cand
                 v = low.bit_length() - 1
-                cand = (cand ^ low) & ~adj[v]
+                cand &= apart[v]
                 p_mask ^= low
                 order.append(v)
                 bounds.append(color)
@@ -194,7 +204,7 @@ def _max_clique(adj, budget, lower=0):
     def expand(stack, p_mask):
         nonlocal best, best_size
         budget.tick()
-        order, bounds = color_order(p_mask)
+        order, bounds = color_order(p_mask, best_size - len(stack))
         for i in range(len(order) - 1, -1, -1):
             if len(stack) + bounds[i] <= best_size:
                 return
@@ -207,7 +217,7 @@ def _max_clique(adj, budget, lower=0):
                 best = stack[:]
                 best_size = len(stack)
             stack.pop()
-            p_mask &= ~(1 << v)
+            p_mask ^= 1 << v
 
     try:
         expand([], (1 << len(adj)) - 1)
@@ -240,43 +250,31 @@ def _lex_least_clique(adj, size, budget):
     return grow([], (1 << len(adj)) - 1)
 
 
-def _rays(f, d):
-    """Ray id of every point index: the index of the point whose first
-    nonzero coordinate is 1 on the same line through the origin (0 for
-    the origin itself).
-
-    Built one leading coordinate at a time: in dimension m + 1 the point
-    c*q^m + r with c != 0 lies on the ray of (1, r/c), whose index is
-    q^m plus the index of r/c, read from scaled[1/c]; scaled[l] maps each
-    point index of dimension m to that of l times the point."""
-    q = f.q
-    inv = [0] + [f.inv(c) for c in range(1, q)]
-    ray = [0]
-    scaled = [[0]] * q
-    for m in range(d):
-        n = q**m
-        ray += [n + s for c in range(1, q) for s in scaled[inv[c]]]
-        if m + 1 < d:
-            scaled = [[f.mul(lam, c) * n + s for c in range(q)
-                       for s in scaled[lam]] for lam in range(q)]
-    return ray
+def _keys(p, digits):
+    """array("I") of key[i] (see _CayleyTable), a digit at a time: block
+    r is the keys so far plus r (2p-1)^s, in 32-bit lanes of one int."""
+    keys, order = array("I", range(p)), sys.byteorder
+    for s in range(1, digits):  # so p <= 256
+        rest, n = int.from_bytes(keys, order), len(keys)
+        ones = ((1 << 32 * n) - 1) // 0xFFFFFFFF
+        keys = array("I", b"".join(
+            (rest + r * (2 * p - 1)**s * ones).to_bytes(4 * n, order)
+            for r in range(p)))
+    return keys
 
 
-def _spread(by_point, p, digits):
-    """by_point[point index of x - y] at each table index of x - y (see
-    _CayleyTable), a base-p digit at a time from the last: table digit v
-    stands for (v - (p - 1)) mod p, so p blocks become 1..p-1, 0..p-1."""
-    size = 1
-    for _ in range(digits):
-        src, step, new = memoryview(by_point), p * size, (2 * p - 1) * size
-        by_point = array("H", [0]) * (len(src) // step * new)
-        dst = memoryview(by_point)
-        for i in range(len(src) // step):
-            g, o = i * step, i * new
-            dst[o:o + step - size] = src[g + size:g + step]
-            dst[o + step - size:o + new] = src[g:g + step]
-        size = new
-    return by_point
+def _by_code(table, p, k):
+    """table (bytes or an array) by field element, re-indexed by
+    difference code (see _CayleyTable): each round moves the lowest digit
+    to the top by strided slices and spreads it, 1..p-1 then 0..p-1."""
+    view = memoryview(table)
+    for _ in range(k):
+        rows = len(view) // p
+        top = view.tobytes() if rows == 1 else b"".join(
+            view[j::p].tobytes() for j in range(p))
+        view = memoryview(top[rows * view.itemsize:] + top).cast(view.format)
+    lanes = view.tobytes()
+    return lanes if isinstance(table, bytes) else array(table.typecode, lanes)
 
 
 class _CayleyTable:
@@ -287,38 +285,64 @@ class _CayleyTable:
     integer coordinates; it has d*k base-p digits.  key[i] reads the
     same digits in base 2p-1, so every digit of key[x] - key[y] lies in
     [-(p-1), p-1] and the subtraction has no carries.  Adding
-    off = ((2p-1)^(dk) - 1) / 2 moves each digit into [0, 2p-2], and
-    norm[key[x] - key[y] + off] is the encoding of Q(x - y), stored in
-    16 bits since q^d <= 2^16 (POINT_CEILING).  ray[key[x] - key[y] +
-    off] is the ray id of x - y (see _rays), so x, y, w are collinear
-    iff x - w and y - w have the same ray id.  by_norm[a] lists the
-    points of norm a; graph builds adjacency among any ascending list of
-    points, such as the vertices of one subproblem.
+    off = ((2p-1)^(dk) - 1) / 2 moves each digit into [0, 2p-2], where
+    digit v stands for the coefficient (v + 1) mod p of x - y; the k
+    digits of a coordinate form its difference code.
+
+    The tables are built a coordinate at a time, the new one most
+    significant, one block per code c of it.  norm[key[x] - key[y] + off]
+    encodes Q(x - y) and point_norm[i] Q(point i): block c is the table
+    so far translated (bytes.translate) by a -> a + c^2.  ray[key[x] -
+    key[y] + off] indexes the point with last nonzero coordinate 1 on the
+    line of x - y, so x, y, w are collinear iff x - w and y - w share a
+    ray id.  (c, rest) is on the ray of (c/l, rest/l), l the last nonzero
+    coordinate of rest: block c is the rays so far plus q^m times the
+    table of 1/l translated by a -> c a, in 16-bit lanes of one int; q
+    stands in for 1/l of rest = 0 and maps to 1 if c != 0.
     """
 
     def __init__(self, f, d):
-        p, digits = f.p, d * f.k
-        base = 2 * p - 1
-        self.off = (base**digits - 1) // 2
-        key = [0]
-        for _ in range(digits):
-            key = [a * base + r for a in key for r in range(p)]
-        self.key = array("I", key)
-        # norm of each point, by point index
+        p, q, order = f.p, f.q, sys.byteorder
+        self.off = ((2 * p - 1)**(d * f.k) - 1) // 2
+        self.key = _keys(p, d * f.k)
         square = [f.mul(x, x) for x in f.elements()]
-        point_norm = square
-        for _ in range(d - 1):
-            point_norm = [f.add(a, s) for a in point_norm for s in square]
-        self.ray = _spread(array("H", _rays(f, d)), p, digits)
-        self.norm = _spread(array("H", point_norm), p, digits)
-        self.by_norm = [array("H") for _ in range(f.q)]
-        for i, a in enumerate(point_norm):
-            self.by_norm[a].append(i)
+        point_norm = bytes(square) if q <= 256 else array("H", square)
+        norm = _by_code(point_norm, p, f.k)
+        ray = _by_code(array("H", [0] + [1] * (q - 1)), p, f.k)
+        if d > 1:  # so q <= 256 (POINT_CEILING): rows of 256 bytes
+            pad, elem = bytes(256 - q), _by_code(bytes(range(q)), p, f.k)
+            inv = [q] + [f.inv(x) for x in range(1, q)]
+            add = {s: bytes(map(f.add, repeat(s), range(q))) + pad
+                   for s in set(square)}
+            mul = [bytes(map(f.mul, repeat(c), range(q))) + bytes([c and 1])
+                   + pad[1:] for c in range(q)]
+            fix = [bytes([*range(q), inv[c]]) + pad[1:] for c in range(q)]
+            code_add = list(map(add.__getitem__, norm))
+            last = bytes([q])  # 1/l of rest, for the empty rest
+        for m in range(1, d):
+            last = b"".join(map(last.translate, map(fix.__getitem__, elem)))
+            point_norm = b"".join(map(point_norm.translate,
+                                      map(add.__getitem__, square)))
+            norm = b"".join(map(norm.translate, code_add))
+            rest, n, blocks = int.from_bytes(ray, order), len(ray), []
+            for c in range(q):
+                lanes = bytearray(2 * n)  # c/l as the low byte of each
+                lanes[order == "big"::2] = last.translate(mul[c])
+                blocks.append((int.from_bytes(lanes, order) * q**m + rest)
+                              .to_bytes(2 * n, order))
+            ray = array("H", b"".join(map(blocks.__getitem__, elem)))
+        self.norm, self.point_norm, self.ray = norm, point_norm, ray
 
     def neighbors(self, values):
         """Point indices at a distance in values from the origin, in
         ascending (lexicographic) order."""
-        return sorted(i for a in set(values) for i in self.by_norm[a])
+        norms = self.point_norm
+        wide = not isinstance(norms, bytes)  # d = 1 and q > 256: q points
+        want = bytearray(len(norms) if wide else 256)  # 1 at each value
+        for a in values:
+            want[a] = 1
+        mask = map(want.__getitem__, norms) if wide else norms.translate(want)
+        return list(compress(range(len(norms)), mask))
 
     def graph(self, verts, values, budget=None):
         """Bitset adjacency among the point indices verts, in ascending
@@ -424,7 +448,8 @@ def _triangle_subproblems(table, cand, values):
         return 2 * (weight[s] + weight[t] + weight[u]) + collinear
 
     first, rows = {}, {}
-    pins = {a: table.by_norm[a][0] for a in values if table.by_norm[a]}
+    norms = table.point_norm
+    pins = {a: norms.index(a) for a in values if a in norms}
     for a, e in pins.items():
         ke = key[e]
         re = ray[ke + off]
@@ -472,12 +497,10 @@ def _search(problem):
         table = _CayleyTable(f, d)
         # any point at an allowed distance from the origin gives a
         # size-2 witness before any value set is enumerated
-        allowed = problem.fixed_values or range(1, f.q)
-        firsts = [(table.by_norm[a][0], a) for a in allowed
-                  if table.by_norm[a]]
+        firsts = table.neighbors(problem.fixed_values or range(1, f.q))
         if firsts:
-            e, a = min(firsts)
-            best_size, best_indices, best_values = 2, [0, e], (a,)
+            best_size, best_indices = 2, [0, firsts[0]]
+            best_values = (table.point_norm[firsts[0]],)
         value_sets = _candidate_value_sets(f, problem.mode,
                                            problem.fixed_values, budget)
         for values in _similitude_classes(f, d, value_sets):
@@ -584,26 +607,3 @@ def max_two_distance(problem):
         status = "unreached"
     return SearchResult(problem, size, witness, exhausted, stats,
                         values=values, both_values=both, bound_status=status)
-
-
-def brute_force_classify_all(f, d, n):
-    """Classify every n-subset of F_q^d by exhaustive enumeration.
-
-    Returns counts keyed by 'equilateral' / 'two_distance' / 'other'.
-    Cross-validation oracle for the clique engine on tiny instances.
-    """
-    points = list(itertools.product(f.elements(), repeat=d))
-    if comb(len(points), n) > BRUTE_FORCE_CEILING:
-        raise TooLarge("C(q^d, n) exceeds the brute-force ceiling")
-    norms = PointSet(f, d, FORM_STANDARD, points).pair_norms()
-    census = {"equilateral": 0, "two_distance": 0, "other": 0}
-    for subset in itertools.combinations(range(len(points)), n):
-        cls = geometry.classify_values(
-            {norms[i][j - i - 1] for i, j in itertools.combinations(subset, 2)})
-        if isinstance(cls, geometry.Equilateral):
-            census["equilateral"] += 1
-        elif isinstance(cls, geometry.TwoDistance):
-            census["two_distance"] += 1
-        else:
-            census["other"] += 1
-    return census

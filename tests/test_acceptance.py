@@ -16,6 +16,8 @@ from ffdist.geometry import PointSet, FORM_STANDARD, classify, Equilateral, \
     TwoDistance, gram_rank
 from ffdist.linalg import gram_rank_law, NotIsometric
 
+from brute_force import brute_force_classify_all
+
 
 def report(number, ok, text):
     print("ACCEPTANCE %d: %s - %s" % (number, "PASS" if ok else "FAIL", text))
@@ -152,7 +154,7 @@ def test_criterion_7_oracle_agreement():
                 r = search.max_two_distance(prob)
             bf_best = 1
             for n in range(2, 5):
-                census = search.brute_force_classify_all(f, d, n)
+                census = brute_force_classify_all(f, d, n)
                 if mode == search.MODE_EQUILATERAL:
                     count = census["equilateral"]
                 else:

@@ -9,11 +9,11 @@ import pytest
 from ffdist.field import field_make
 from ffdist import geometry, search
 from ffdist.search import (
-    SearchProblem, max_equilateral, max_two_distance,
-    brute_force_classify_all, TooLarge,
+    SearchProblem, max_equilateral, max_two_distance, TooLarge,
     MODE_EQUILATERAL, MODE_TWO_DISTANCE,
 )
 
+from brute_force import brute_force_classify_all
 from test_geometry import assert_pair_norms_match_dist2
 
 GOLDEN_DIR = Path(os.environ.get("FFDIST_GOLDEN_DIR",
@@ -264,6 +264,57 @@ def test_cayley_graph_matches_dist2_oracle(p, k, d):
             assert len(clique) == len(nx.max_weight_clique(g, None)[0])
 
 
+def on_one_line(f, u, v):
+    """Whether v = lambda u for some nonzero lambda, by scanning lambda."""
+    return any(tuple(f.mul(lam, c) for c in u) == v for lam in range(1, f.q))
+
+
+# the 16-bit d = 1 path beside every space the search graphs are checked on
+@pytest.mark.parametrize("p,k,d", CAYLEY_GRIDS + [(257, 1, 1), (9973, 1, 1)])
+def test_cayley_table_matches_dist2_and_lines(p, k, d):
+    f = field_make(p, k)
+    table = search._CayleyTable(f, d)
+    n = f.q**d
+    points = [search._point(f, d, i) for i in range(n)]
+    origin = points[0]
+    rng = random.Random(repr((p, k, d)))
+
+    def entry(x, y):  # table index of points[x] - points[y]
+        return table.key[x] - table.key[y] + table.off
+
+    def diff(x, y):
+        return tuple(f.sub(a, b) for a, b in zip(points[x], points[y]))
+
+    if n <= 100:
+        pairs = list(itertools.product(range(n), repeat=2))
+    else:
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3000)]
+    for x, y in pairs:
+        assert table.norm[entry(x, y)] == geometry.dist2(
+            f, points[x], points[y])
+    norms = [geometry.dist2(f, origin, x) for x in points]
+    assert list(table.point_norm) == norms
+    for size in (1, 2, 3):
+        values = rng.sample(range(1, f.q), min(size, f.q - 1))
+        assert table.neighbors(values) == [
+            i for i, a in enumerate(norms) if a in values]
+    # ray ids of differences from w: equal iff the differences are on one
+    # line, and each the index of the point with last nonzero coordinate 1
+    # on it; y = w + lambda (x - w) half the time, so both sides show
+    index = {x: i for i, x in enumerate(points)}
+    for _ in range(300 if f.q <= 256 else 60):
+        w, x, y = rng.sample(range(n), 3)
+        if rng.random() < 0.5:
+            lam = rng.randrange(1, f.q)
+            y = index[tuple(f.add(a, f.mul(lam, b))
+                            for a, b in zip(points[w], diff(x, w)))]
+        u, v = diff(x, w), diff(y, w)
+        rx, ry = table.ray[entry(x, w)], table.ray[entry(y, w)]
+        assert (rx == ry) == on_one_line(f, u, v)
+        r = points[rx]
+        assert [c for c in r if c][-1] == 1 and on_one_line(f, u, r)
+
+
 @pytest.mark.parametrize("p,k,d", CAYLEY_GRIDS)
 def test_pair_norms_match_dist2_on_cayley_spaces(p, k, d):
     f = field_make(p, k)
@@ -350,6 +401,63 @@ def test_similitude_classes_keep_clique_numbers(p, k, d):
             assert omega(values) == omega(rep)
         assert search._similitude_classes(f, d, value_sets) == list(firsts)
     assert search._similitude_classes(f, d + 1, value_sets) == value_sets
+
+
+def brute_force_clique_number(adj):
+    """Size of the largest vertex subset whose members are pairwise
+    adjacent, over all 2^n subsets (subset s extends s less its lowest
+    vertex v by v, a clique iff v is adjacent to all of the rest)."""
+    n = len(adj)
+    clique = [True] * (1 << n)
+    best = 0
+    for s in range(1, 1 << n):
+        v = (s & -s).bit_length() - 1
+        rest = s & (s - 1)
+        clique[s] = clique[rest] and adj[v] & rest == rest
+        if clique[s]:
+            best = max(best, s.bit_count())
+    return best
+
+
+def test_max_clique_with_a_lower_seed_property():
+    # a seed below the clique number must not cost the maximum, and one at
+    # or above it leaves nothing to find: pins the colour-class skip, which
+    # drops classes up to best_size - depth, at its boundary
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    try:
+        import networkx as nx
+    except ImportError:
+        nx = None
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(0, 14))
+        adj = [0] * n
+        for i, j in itertools.combinations(range(n), 2):
+            if draw(st.booleans()):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        return adj
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(graphs(), st.data())
+    def check(adj, data):
+        omega = brute_force_clique_number(adj)
+        if nx is not None:
+            assert omega == len(nx.max_weight_clique(
+                nx_graph(nx, adj, range(len(adj))), None)[0])
+        lower = data.draw(st.integers(0, omega + 1))
+        clique, done = search._max_clique(adj, search._Budget(600, 10**9),
+                                          lower=lower)
+        assert done
+        if lower < omega:
+            assert len(clique) == omega
+            assert all(adj[u] >> v & 1
+                       for u, v in itertools.combinations(clique, 2))
+        else:
+            assert clique == []
+    check()
 
 
 # instances whose census up to max_size + 1 points stays small; the two

@@ -63,16 +63,9 @@ def bounds_block(d, n_points, f=None, target="two_distance"):
     block = {"blokhuis": blok}
     if f is not None:
         block["equilateral_upper"] = geometry.equilateral_upper(f, d)
-    if target == "two_distance":
-        reference = blok
-    else:
-        reference = block["equilateral_upper"]
-    if n_points > reference:
-        block["attained_flag"] = "exceeded"
-    elif n_points == reference:
-        block["attained_flag"] = "attained"
-    else:
-        block["attained_flag"] = "unreached"
+    reference = (blok if target == "two_distance"
+                 else block["equilateral_upper"])
+    block["attained_flag"] = geometry.bound_status(n_points, reference)
     return block
 
 
@@ -291,9 +284,8 @@ def _verify_srg(s, claim, n):
     params = srg_mod.expected_params(n)
     failures = []
     for value in claim["values"]:
-        edge = f.deserialize(value)
         try:
-            g = srg_mod.midpoint_graph(s, f.mul(f.coerce(4), edge))
+            g = srg_mod.midpoint_graph(s, f.deserialize(value))
         except srg_mod.BadDistanceValue as exc:
             failures.append(str(exc))
             continue

@@ -172,6 +172,8 @@ def cmd_tables(args):
         return EXIT_OK
     if args.p is None or args.max_d is None:
         raise UsageError("tables needs either --d or both --p and --max-d")
+    if args.max_d < 1:
+        raise UsageError("--max-d: dimension must be >= 1")
     f = _make_field(args)
     dims = construct.sharp_dimensions(args.p, args.max_d)
     print("sharp dimensions for p=%d up to d=%d: %s"

@@ -9,7 +9,7 @@ set of size C(d+2, 2), which meets the quadratic reference bound.
 
 from . import geometry, srg
 from .geometry import PointSet, FORM_SUM_ZERO, FORM_STANDARD
-from .linalg import MatrixF, LawViolated, isometry_to_standard, row_product
+from .linalg import LawViolated, isometry_to_standard, row_product
 
 
 class NotModular(ValueError):
@@ -103,7 +103,7 @@ def midpoints(s):
         mids.append(tuple(f.mul(half, f.add(a, b))
                           for a, b in zip(s.points[i], s.points[j])))
     mset = PointSet(f, s.ambient_dim, s.form, mids)
-    graph = srg.midpoint_graph(mset, delta)
+    graph = srg.midpoint_graph(mset, d4)
     # bit t of incident[i] is set iff vertex i lies on edge t
     incident = [sum(1 << t for t, e in enumerate(edges) if i in e)
                 for i in range(n)]
@@ -131,17 +131,19 @@ def embed_standard(s):
     m = s.ambient_dim
     # Gram matrix G = B^T B of the hyperplane basis B with columns
     # e_i - e_(i+1): tridiagonal, 2 on the diagonal and -1 beside it
-    g = MatrixF(f, [[f.coerce((2, -1, 0)[min(abs(i - j), 2)])
-                     for j in range(m - 1)] for i in range(m - 1)])
-    t = isometry_to_standard(g)  # may raise NotIsometric
+    g = [[f.coerce((2, -1, 0)[min(abs(i - j), 2)]) for j in range(m - 1)]
+         for i in range(m - 1)]
+    t = isometry_to_standard(f, g)  # may raise NotIsometric
     # A point p = B c of the hyperplane (PointSet checked the sum) has
     # coordinates y = T^-1 c.  T^T G T = I gives T^-1 = T^T B^T B, so
     # y = (B T)^T p: one linear map for every point.  B is bidiagonal,
     # so row i of B T is T_i - T_(i-1), taking zero rows outside T.
-    padded = [[f.zero] * (m - 1)] + t.entries + [[f.zero] * (m - 1)]
+    padded = [[f.zero] * (m - 1)] + t + [[f.zero] * (m - 1)]
     bt = [list(map(f.sub, y, x)) for x, y in zip(padded, padded[1:])]
     times_bt = row_product(f, bt)  # (B T)^T (B T) = T^T G T is the law
-    if list(map(times_bt, zip(*bt))) != MatrixF.identity(f, m - 1).entries:
+    eye = [[f.one if i == j else f.zero for j in range(m - 1)]
+           for i in range(m - 1)]
+    if list(map(times_bt, zip(*bt))) != eye:
         raise LawViolated("T^T G T is not the identity")
     out = PointSet(f, m - 1, FORM_STANDARD, list(map(times_bt, s.points)))
     for i, (new, old) in enumerate(zip(out.pair_norms(), s.pair_norms())):

@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from itertools import chain
 
-from .linalg import MatrixF, rank, dot, row_product, DimensionMismatch
+from .linalg import rank, dot, row_product, DimensionMismatch
 
 
 class TooFewPoints(ValueError):
@@ -171,7 +171,8 @@ def classify_values(values):
 
 
 def gram(s):
-    """Gram matrix of v_i = P_i - P_0 under the standard bilinear form.
+    """Rows of the Gram matrix of v_i = P_i - P_0 under the standard
+    bilinear form.
 
     For an equilateral set with common value delta this is the
     (n-1)x(n-1) matrix with diagonal delta and off-diagonal delta/2,
@@ -182,11 +183,11 @@ def gram(s):
     f = s.field
     p0 = s.points[0]
     vs = [tuple(f.sub(a, b) for a, b in zip(p, p0)) for p in s.points[1:]]
-    return MatrixF(f, [[dot(f, u, v) for v in vs] for u in vs])
+    return [[dot(f, u, v) for v in vs] for u in vs]
 
 
 def gram_rank(s):
-    return rank(gram(s))
+    return rank(s.field, gram(s))
 
 
 def equilateral_upper(f, d):
@@ -206,3 +207,10 @@ def blokhuis_bound(d):
     if d < 1:
         raise ValueError("dimension must be >= 1")
     return math.comb(d + 2, 2)
+
+
+def bound_status(size, bound):
+    """"exceeded", "attained" or "unreached": a set size against a
+    bound value."""
+    return ("exceeded" if size > bound else
+            "attained" if size == bound else "unreached")

@@ -1,26 +1,26 @@
 """Exact dense linear algebra over a finite field.
 
-Matrices are dense lists of rows.  Every bulk product (MatrixF.mul, the
-embedding map, the pair-norm census) is one kernel, product: row i of
-A B is sum_t a_it (row t of B), read off one big-int sum (Kronecker
-substitution).  Each row t of B is packed into one int: the k
-coefficients of an element, reduced mod p, open a block of 2k - 1
-digits.  Coefficient s of a_it multiplies the packed row shifted by s
-digits, so a block of the sum holds the product polynomial in Z[t],
-each digit at most n k (p-1)^2 for inner dimension n.  For k > 1 the
-digits of t^k .. t^(2k-2) are folded into the low k by one big-int
-linear map, a table of t^s mod the modulus, which multiplies that bound
-by at most 1 + (k-1)(p-1).  Digits are 1, 2, 4 or 8 bytes wide (wider
-only near p = 2^31), enough that none carries into the next; rows are
-packed by one from_bytes, sums read by one to_bytes and reduced mod p.
-dot is the pairwise form for single vectors.
+A matrix is a list of rows of field encodings, with the field passed
+beside it.  Every bulk product (the embedding map, the pair-norm
+census) is one kernel, row_product: row i of A B is sum_t a_it (row t
+of B), read off one big-int sum (Kronecker substitution).  Each row t
+of B is packed into one int: the k coefficients of an element, reduced
+mod p, open a block of 2k - 1 digits.  Coefficient s of a_it multiplies
+the packed row shifted by s digits, so a block of the sum holds the
+product polynomial in Z[t], each digit at most n k (p-1)^2 for inner
+dimension n.  For k > 1 the digits of t^k .. t^(2k-2) are folded into
+the low k by one big-int linear map, a table of t^s mod the modulus,
+which multiplies that bound by at most 1 + (k-1)(p-1).  Digits are 1,
+2, 4 or 8 bytes wide (wider only near p = 2^31), enough that none
+carries into the next; rows are packed by one from_bytes, sums read by
+one to_bytes and reduced mod p.  dot is the pairwise form for single
+vectors.
 
 Rank is plain Gaussian elimination with any nonzero pivot, the only
 elimination in the package.  Symmetric forms are diagonalized by
 congruence in O(n^3), each working vector carrying its image under the
-form so a form value is one dot product; they are compared by
-discriminant square class, and mapped onto the standard form when the
-discriminant permits.
+form so a form value is one dot product, and mapped onto the standard
+form when the discriminant permits.
 """
 
 import sys
@@ -37,10 +37,6 @@ class Degenerate(ValueError):
 
 
 class DimensionMismatch(ValueError):
-    pass
-
-
-class FieldMismatch(ValueError):
     pass
 
 
@@ -63,54 +59,6 @@ class NotIsometric(ValueError):
         super().__init__(
             "form is not isometric to the standard form; "
             "leftover square class witness %r" % (field.serialize(witness),))
-
-
-class MatrixF:
-    """Dense matrix over a Field; entries row-major, already reduced."""
-
-    def __init__(self, field, entries):
-        self.field = field
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise DimensionMismatch("ragged rows")
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, [[field.one if i == j else field.zero
-                            for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field, rows, cols):
-        return cls(field, [[field.zero] * cols for _ in range(rows)])
-
-    def __eq__(self, other):
-        return (isinstance(other, MatrixF) and self.field == other.field
-                and self.entries == other.entries)
-
-    def __repr__(self):
-        return "MatrixF(%r, %r)" % (self.field, self.entries)
-
-    def transpose(self):
-        return MatrixF(self.field,
-                       [[self.entries[i][j] for i in range(self.rows)]
-                        for j in range(self.cols)])
-
-    def mul(self, other):
-        """The matrix product self times other, by the kernel product."""
-        if self.field != other.field:
-            raise FieldMismatch("matrix product across different fields")
-        if self.cols != other.rows:
-            raise DimensionMismatch("inner dimensions differ")
-        return MatrixF(self.field,
-                       product(self.field, self.entries, other.entries))
-
-    def is_symmetric(self):
-        return (self.rows == self.cols
-                and all(self.entries[i][j] == self.entries[j][i]
-                        for i in range(self.rows) for j in range(i)))
 
 
 def dot(f, u, v):
@@ -182,20 +130,13 @@ def row_product(f, b_rows):
     return row
 
 
-def product(f, a_rows, b_rows):
-    """Rows of the matrix product A B over f, A and B given by rows."""
-    row = row_product(f, b_rows)
-    return [row(a) for a in a_rows]
-
-
-def rank(m):
+def rank(f, rows):
     """Rank by Gaussian elimination; exact, any nonzero pivot works."""
-    f = m.field
-    a = [row[:] for row in m.entries]
-    r = 0
-    for c in range(m.cols):
+    a = [list(row) for row in rows]
+    n_rows, r = len(a), 0
+    for c in range(len(a[0]) if a else 0):
         pivot = None
-        for i in range(r, m.rows):
+        for i in range(r, n_rows):
             if a[i][c] != f.zero:
                 pivot = i
                 break
@@ -204,13 +145,13 @@ def rank(m):
         a[r], a[pivot] = a[pivot], a[r]
         inv = f.inv(a[r][c])
         a[r] = [f.mul(x, inv) for x in a[r]]
-        for i in range(r + 1, m.rows):
+        for i in range(r + 1, n_rows):
             factor = a[i][c]
             if factor != f.zero:
                 a[i] = [f.sub(x, f.mul(factor, y))
                         for x, y in zip(a[i], a[r])]
         r += 1
-        if r == m.rows:
+        if r == n_rows:
             break
     return r
 
@@ -224,9 +165,8 @@ def gram_rank_law(n, f):
     if n < 2:
         raise ValueError("need n >= 2")
     one, two = f.one, f.add(f.one, f.one)
-    m = MatrixF(f, [[two if i == j else one for j in range(n - 1)]
-                    for i in range(n - 1)])
-    r = rank(m)
+    r = rank(f, [[two if i == j else one for j in range(n - 1)]
+                 for i in range(n - 1)])
     expected = n - 2 if n % f.p == 0 else n - 1
     if r != expected:
         raise LawViolated("rank law violated: got %d for n=%d over %r"
@@ -234,26 +174,9 @@ def gram_rank_law(n, f):
     return r
 
 
-class DiagForm:
-    """Diagonalized symmetric form: basis B with B^T G B = diag(entries)."""
-
-    def __init__(self, field, entries, basis):
-        self.field = field
-        self.entries = list(entries)
-        self.basis = basis
-
-    def determinant(self):
-        d = self.field.one
-        for e in self.entries:
-            d = self.field.mul(d, e)
-        return d
-
-    def is_degenerate(self):
-        return any(e == self.field.zero for e in self.entries)
-
-
-def diagonalize_form(g):
-    """Congruence diagonalization of a symmetric matrix in O(n^3).
+def diagonalize_form(f, g):
+    """Congruence diagonalization of a symmetric matrix g (rows) in
+    O(n^3): (diag, cols) with c_i^T G c_j = diag[i] if i = j, else 0.
 
     Standard orthogonalization: pick a vector of nonzero norm, project
     it out of the rest, recurse.  If every remaining vector has zero
@@ -262,13 +185,12 @@ def diagonalize_form(g):
     Each remaining vector u carries its image G u, updated along with u,
     so a form value B(u, v) is one dot product dot(u, G v).
     """
-    if not g.is_symmetric():
-        raise NotSymmetric("form matrix must be symmetric")
-    f = g.field
-    n = g.rows
+    images = [list(row) for row in g]  # G e_i is column i = row i
+    if list(map(list, zip(*images))) != images:  # ragged or non-square too
+        raise NotSymmetric("form matrix must be square and symmetric")
+    n = len(images)
     remaining = [[f.one if i == j else f.zero for j in range(n)]
                  for i in range(n)]
-    images = [row[:] for row in g.entries]  # G e_i is column i = row i
 
     def add_multiple(i, c, v, gv):  # u_i += c v, so G u_i += c G v
         remaining[i] = [f.add(x, f.mul(c, y)) if y else x
@@ -276,7 +198,7 @@ def diagonalize_form(g):
         images[i] = [f.add(x, f.mul(c, y)) if y else x
                      for x, y in zip(images[i], gv)]
 
-    basis_cols = []
+    cols = []
     diag = []
     while remaining:
         pivot = next((i for i, (u, gu) in enumerate(zip(remaining, images))
@@ -287,34 +209,21 @@ def diagonalize_form(g):
                          if dot(f, remaining[i], images[j]) != f.zero), None)
             if pair is None:
                 # remaining space is totally isotropic: zero diagonal block
-                basis_cols.extend(remaining)
+                cols.extend(remaining)
                 diag.extend([f.zero] * len(remaining))
                 break
             pivot, j = pair
             add_multiple(pivot, f.one, remaining[j], images[j])
         v, gv = remaining.pop(pivot), images.pop(pivot)
         d = dot(f, v, gv)
-        basis_cols.append(v)
+        cols.append(v)
         diag.append(d)
         minus_dinv = f.neg(f.inv(d))
         for idx, u in enumerate(remaining):
             c = f.mul(dot(f, u, gv), minus_dinv)
             if c != f.zero:
                 add_multiple(idx, c, v, gv)
-    return DiagForm(f, diag, MatrixF(f, zip(*basis_cols)))
-
-
-def form_equivalent(d1, d2):
-    """Nondegenerate diagonal forms over the same finite field are
-    equivalent iff same dimension and same discriminant square class."""
-    if d1.field != d2.field:
-        raise FieldMismatch("forms over different fields")
-    if len(d1.entries) != len(d2.entries):
-        raise DimensionMismatch("forms of different dimension")
-    if d1.is_degenerate() or d2.is_degenerate():
-        raise Degenerate("form equivalence needs nondegenerate forms")
-    f = d1.field
-    return f.square_class(d1.determinant()) == f.square_class(d2.determinant())
+    return diag, cols
 
 
 def _represent_one(f, a, b):
@@ -331,8 +240,9 @@ def _represent_one(f, a, b):
     raise LawViolated("binary form failed to represent 1")
 
 
-def isometry_to_standard(g):
-    """T with T^T G T = I, or NotIsometric carrying the obstruction.
+def isometry_to_standard(f, g):
+    """Rows of T with T^T G T = I, or NotIsometric carrying the
+    obstruction.
 
     Diagonalize, rescale square entries by an inverse square root, and
     absorb nonsquare entries two at a time: if a, b are nonsquares and
@@ -341,13 +251,11 @@ def isometry_to_standard(g):
     A single unpaired nonsquare is exactly the discriminant obstruction.
     The caller checks T^T G T = I (embed_standard does, on B T).
     """
-    f = g.field
-    d = diagonalize_form(g)
-    if d.is_degenerate():
+    diag, cols = diagonalize_form(f, g)
+    if f.zero in diag:
         raise Degenerate("form is degenerate")
-    cols = d.basis.transpose().entries
     nonsquare_idx = []
-    for i, e in enumerate(d.entries):
+    for i, e in enumerate(diag):
         root = f.sqrt(e)  # None for a nonsquare
         if root is None:
             nonsquare_idx.append(i)
@@ -355,9 +263,9 @@ def isometry_to_standard(g):
             scale = f.inv(root)
             cols[i] = [f.mul(scale, x) for x in cols[i]]
     if len(nonsquare_idx) % 2 == 1:
-        raise NotIsometric(f, d.entries[nonsquare_idx[-1]])
+        raise NotIsometric(f, diag[nonsquare_idx[-1]])
     for i, j in zip(nonsquare_idx[::2], nonsquare_idx[1::2]):
-        a, b = d.entries[i], d.entries[j]
+        a, b = diag[i], diag[j]
         x, y = _represent_one(f, a, b)
         ci, cj = cols[i], cols[j]
         new_i = [f.add(f.mul(x, u), f.mul(y, v)) for u, v in zip(ci, cj)]
@@ -366,4 +274,4 @@ def isometry_to_standard(g):
         ax = f.mul(s, f.mul(a, x))
         new_j = [f.add(f.mul(mby, u), f.mul(ax, v)) for u, v in zip(ci, cj)]
         cols[i], cols[j] = new_i, new_j
-    return MatrixF(f, zip(*cols))
+    return list(map(list, zip(*cols)))

@@ -117,6 +117,12 @@ class SearchProblem:
             fixed_values = tuple(v % field.q for v in fixed_values)
             if 0 in fixed_values:
                 raise ValueError("fixed distance values must be nonzero")
+            most = 1 if mode == MODE_EQUILATERAL else 2
+            if not 1 <= len(set(fixed_values)) == len(fixed_values) <= most:
+                raise ValueError(
+                    "fixed distance values: one for %s, one or two distinct "
+                    "mod q = %d for %s" % (MODE_EQUILATERAL, field.q,
+                                            MODE_TWO_DISTANCE))
         self.field = field
         self.d = d
         self.mode = mode
@@ -596,14 +602,6 @@ def max_two_distance(problem):
     if size >= 2 and values is not None:
         sp = geometry.spectrum(witness)
         both = len(sp.values) == 2
-    bound = geometry.blokhuis_bound(problem.d)
-    if not exhausted and size < bound:
-        status = "unreached"  # not proven: budget was hit
-    elif size > bound:
-        status = "exceeded"
-    elif size == bound:
-        status = "attained"
-    else:
-        status = "unreached"
+    status = geometry.bound_status(size, geometry.blokhuis_bound(problem.d))
     return SearchResult(problem, size, witness, exhausted, stats,
                         values=values, both_values=both, bound_status=status)

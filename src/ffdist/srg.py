@@ -48,9 +48,6 @@ class Graph:
     def degrees(self):
         return [r.bit_count() for r in self.rows]
 
-    def edge_count(self):
-        return sum(self.degrees()) // 2
-
 
 class SrgParams:
     """(v, k, lambda, mu) plus the claimed integer spectrum."""
@@ -63,14 +60,12 @@ class SrgParams:
         self.eigenvalues = list(eigenvalues)  # [(value, multiplicity)]
 
 
-def midpoint_graph(mids, delta):
-    """Graph on the midpoints with an edge exactly at distance delta/4
-    (the shared-vertex relation); delta/2 pairs are non-edges, anything
-    else is an error."""
+def midpoint_graph(mids, edge):
+    """Graph on the midpoints with an edge exactly at distance edge =
+    delta/4 (the shared-vertex relation); pairs at 2 edge = delta/2 are
+    non-edges, anything else is an error."""
     f = mids.field
-    d4 = f.mul(delta, f.inv(f.coerce(4)))
-    d2 = f.mul(delta, f.inv(f.coerce(2)))
-    allowed = {d4, d2}
+    allowed = {edge, f.add(edge, edge)}
     upper = []  # bit j of upper[i] is the edge {i, j} for j > i
     for i, norms in enumerate(mids.pair_norms()):
         if not allowed.issuperset(norms):
@@ -79,7 +74,7 @@ def midpoint_graph(mids, delta):
             raise BadDistanceValue(
                 "midpoint pair (%d, %d) at unexpected distance %r"
                 % (i, j, f.serialize(d)))
-        flags = bytes(map(d4.__eq__, reversed(norms))).translate(_BITS)
+        flags = bytes(map(edge.__eq__, reversed(norms))).translate(_BITS)
         upper.append(int(flags or b"0", 2) << i + 1)
     lower = _transpose(upper, len(upper))
     return Graph([a | b for a, b in zip(upper, lower)])

@@ -81,7 +81,7 @@ def test_criterion_4_srg_suite():
     for n in range(4, 11):
         sub = PointSet(f11, big.ambient_dim, big.form, big.points[:n])
         mid = midpoints(sub)
-        g = srg.midpoint_graph(mid.points, mid.delta)
+        g = srg.midpoint_graph(mid.points, mid.d4)
         params = srg.expected_params(n)
         ok &= (params.v, params.k, params.lam, params.mu) == \
             (comb(n, 2), 2 * (n - 2), n - 2, 4)

@@ -351,6 +351,8 @@ def test_search_huge_dimension_refused_fast(capsys, extra, ceiling):
     ("construct", "--p", "3", "--d", "0", "--out", "x.json"),
     ("tables", "--d", "0"),
     ("tables", "--d", "-3"),
+    ("tables", "--p", "3", "--max-d", "0"),
+    ("tables", "--p", "3", "--max-d", "-5"),
 ])
 def test_dimension_below_one_is_usage_error(tmp_path, monkeypatch, capsys,
                                             argv):
@@ -667,3 +669,17 @@ def test_bad_flags():
     # a fixed distance value of 0 (here 5 = 0 mod 5) is a usage error
     assert run_cli("search", "--p", "5", "--d", "2", "--mode",
                    "two_distance", "--fix-values", "5,2") == 2
+
+
+@pytest.mark.parametrize("mode,values", [
+    ("equilateral", "1,2"),  # an equilateral set has one value
+    ("two_distance", "1,2,3"),
+    ("two_distance", "1,6"),  # 6 = 1 mod 5: the pair (1, 1)
+])
+def test_fix_values_must_fit_the_mode(tmp_path, capsys, mode, values):
+    out = tmp_path / "s.json"
+    assert run_cli("search", "--p", "5", "--d", "2", "--mode", mode,
+                   "--fix-values", values, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "fixed" in captured.err
+    assert not captured.out and not out.exists()

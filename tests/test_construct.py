@@ -186,9 +186,9 @@ def test_embed_isometry_law_is_checked(monkeypatch, p, k):
     s = modular_equilateral(ModularParams(f, p - 2, 1))
     real = construct.isometry_to_standard
 
-    def corrupted(g):
-        t = real(g)
-        t.entries[-1][0] = f.add(t.entries[-1][0], f.one)
+    def corrupted(field, g):
+        t = real(field, g)
+        t[-1][0] = field.add(t[-1][0], field.one)
         return t
     monkeypatch.setattr(construct, "isometry_to_standard", corrupted)
     with pytest.raises(LawViolated, match="T\\^T G T is not the identity"):

@@ -98,6 +98,13 @@ def test_fixed_values():
     assert r.max_size == 3
     with pytest.raises(ValueError):
         run(3, 1, MODE_EQUILATERAL, fixed_values=[0])
+    # one value for equilateral, one or two for two-distance, distinct
+    # mod q (4 = 1 in F_3)
+    for mode, values in ((MODE_EQUILATERAL, [1, 2]), (MODE_EQUILATERAL, []),
+                         (MODE_TWO_DISTANCE, [1, 2, 1]),
+                         (MODE_TWO_DISTANCE, []), (MODE_TWO_DISTANCE, [1, 4])):
+        with pytest.raises(ValueError, match="fixed distance value"):
+            SearchProblem(field_make(3), 1, mode, fixed_values=values)
 
 
 def test_canonical_witness_is_deterministic():

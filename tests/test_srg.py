@@ -4,7 +4,7 @@ import pytest
 
 from ffdist.field import field_make
 from ffdist import construct, srg
-from ffdist.linalg import MatrixF, rank
+from ffdist.linalg import rank
 from ffdist.construct import ModularParams, modular_equilateral, midpoints
 from ffdist.geometry import PointSet, FORM_STANDARD
 from ffdist.srg import (
@@ -46,37 +46,37 @@ def test_expected_params_too_small():
 def test_midpoint_graph_p5_d3():
     f5 = field_make(5)
     mid = midpoints(modular_equilateral(ModularParams(f5, 3, 1)))
-    g = midpoint_graph(mid.points, mid.delta)
+    g = midpoint_graph(mid.points, mid.d4)
     assert g.n_vertices == 10
-    assert g.degrees() == [6] * 10
-    assert g.edge_count() == 30
+    assert g.degrees() == [6] * 10  # 30 edges
 
 
 def test_midpoint_graph_n3_is_triangle():
     f3 = field_make(3)
     s = PointSet(f3, 1, FORM_STANDARD, [(0,), (1,), (2,)])
     mid = midpoints(s)
-    g = midpoint_graph(mid.points, mid.delta)
+    g = midpoint_graph(mid.points, mid.d4)
     assert g.n_vertices == 3
-    assert g.edge_count() == 3  # L(K_3) = K_3
+    assert g.degrees() == [2] * 3  # L(K_3) = K_3, 3 edges
 
 
 def test_midpoint_graph_bad_distance():
     f5 = field_make(5)
     s = PointSet(f5, 1, FORM_STANDARD, [(0,), (1,), (2,)])
     with pytest.raises(BadDistanceValue):
-        midpoint_graph(s, f5.one)  # wrong delta: distances match neither
+        # edge value 4, non-edges at 3 (delta = 1): distance 1 matches neither
+        midpoint_graph(s, 4)
 
 
 def test_srg_check_passes_for_midpoint_graphs():
     f5 = field_make(5)
     mid = midpoints(modular_equilateral(ModularParams(f5, 3, 1)))
-    g = midpoint_graph(mid.points, mid.delta)
+    g = midpoint_graph(mid.points, mid.d4)
     assert srg_check(g, expected_params(5))["ok"]
     # ambient (p=3, d=4) construction, n = 6
     f3 = field_make(3)
     mid6 = midpoints(modular_equilateral(ModularParams(f3, 4, 1)))
-    g6 = midpoint_graph(mid6.points, mid6.delta)
+    g6 = midpoint_graph(mid6.points, mid6.d4)
     assert srg_check(g6, expected_params(6))["ok"]
 
 
@@ -91,7 +91,7 @@ def test_srg_check_range_4_to_10():
     for n in range(4, 11):
         s = equilateral_subset(n)
         mid = midpoints(s)
-        g = midpoint_graph(mid.points, mid.delta)
+        g = midpoint_graph(mid.points, mid.d4)
         report = srg_check(g, expected_params(n))
         assert report["ok"], report
         assert sum(m for _, m in report["eigenvalues"]) == comb(n, 2)
@@ -101,8 +101,8 @@ def test_srg_check_range_4_to_10():
             shifted = [[a - (theta if i == j else 0)
                         for j, a in enumerate(row)]
                        for i, row in enumerate(matrix)]
-            oracle = MatrixF(f, [[f.coerce(a) for a in row] for row in shifted])
-            assert v - rank(oracle) == mult
+            oracle = [[f.coerce(a) for a in row] for row in shifted]
+            assert v - rank(f, oracle) == mult
 
 
 def cycle(n):

@@ -149,7 +149,9 @@ def load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cert = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, bad UTF-8, or an integer literal past
+        # Python's digit limit; RecursionError: nesting past the stack
         raise SchemaError("cannot read certificate: %s" % exc)
     _schema(isinstance(cert, dict), "certificate must be a JSON object")
     _schema(cert.get("version") == 1, "unsupported certificate version")

@@ -10,7 +10,8 @@ Subcommands:
              rank-law and eigenvalue-collapse tables
 
 Exit codes: 0 success / verified / exhausted, 1 verification failure or
-construction obstruction, 2 usage or schema error, 3 search budget hit.
+construction obstruction, 2 usage or schema error or an unwritable
+output file, 3 search budget hit.
 """
 
 import argparse
@@ -25,6 +26,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# tables --max-d: the rank table costs about max_d^4 field operations
+# (2.7 s at p = 3 and the ceiling, on one core of a 2-vCPU Xeon)
+TABLES_MAX_D = 100
+
 
 def _make_field(args):
     try:
@@ -35,6 +40,13 @@ def _make_field(args):
 
 class UsageError(Exception):
     pass
+
+
+def _write(cert, path):
+    try:
+        certificate.write(cert, path)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
 def _midpoint_out_path(path):
@@ -64,7 +76,7 @@ def cmd_construct(args):
         certificate.bounds_block(d, len(s), f, target="equilateral"))
     cert = certificate.make(
         s, certificate.equilateral_claim(f, params.delta), meta)
-    certificate.write(cert, args.out)
+    _write(cert, args.out)
     print("wrote %s (%d equilateral points)" % (args.out, len(s)))
     if args.midpoints:
         mid = construct.midpoints(s)
@@ -81,7 +93,7 @@ def cmd_construct(args):
         claim = certificate.two_distance_claim(f, mid.d4, mid.d2)
         mcert = certificate.make(mid.points, claim, mmeta)
         mpath = _midpoint_out_path(args.out)
-        certificate.write(mcert, mpath)
+        _write(mcert, mpath)
         print("wrote %s (%d midpoints)" % (mpath, len(mid.points)))
     return EXIT_OK
 
@@ -151,7 +163,7 @@ def cmd_search(args):
             del meta["search"]["nodes"]
             del meta["search"]["seconds"]
         cert = certificate.make(result.witness, claim, meta)
-        certificate.write(cert, args.out)
+        _write(cert, args.out)
     print("max %s size in GF(%d^%d)^%d: %d (%s)"
           % (args.mode, args.p, args.k, args.d, result.max_size,
              "exhausted" if result.exhausted else "budget hit"))
@@ -174,6 +186,9 @@ def cmd_tables(args):
         raise UsageError("tables needs either --d or both --p and --max-d")
     if args.max_d < 1:
         raise UsageError("--max-d: dimension must be >= 1")
+    if args.max_d > TABLES_MAX_D:
+        raise UsageError("--max-d: at most %d (the rank table's cost grows "
+                         "as max-d^4)" % TABLES_MAX_D)
     f = _make_field(args)
     dims = construct.sharp_dimensions(args.p, args.max_d)
     print("sharp dimensions for p=%d up to d=%d: %s"
@@ -192,13 +207,7 @@ def cmd_tables(args):
     return EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="ffdist",
-        description="equilateral and two-distance point sets over finite fields")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct", help="modular equilateral construction")
+def _construct_arguments(c):
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--k", type=int, default=1)
     c.add_argument("--d", type=int, required=True)
@@ -211,11 +220,13 @@ def build_parser():
     c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_construct)
 
-    v = sub.add_parser("verify", help="re-verify a certificate file")
+
+def _verify_arguments(v):
     v.add_argument("path")
     v.set_defaults(func=cmd_verify)
 
-    s = sub.add_parser("search", help="exhaustive oracle search")
+
+def _search_arguments(s):
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--d", type=int, required=True)
@@ -230,19 +241,67 @@ def build_parser():
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_search)
 
-    t = sub.add_parser("tables", help="reference tables")
+
+def _tables_arguments(t):
     t.add_argument("--p", type=int, default=None)
     t.add_argument("--k", type=int, default=1)
     t.add_argument("--max-d", type=int, default=None)
     t.add_argument("--d", type=int, default=None)
     t.set_defaults(func=cmd_tables)
+
+
+# name -> (help in the command list, adds the command's arguments)
+COMMANDS = {
+    "construct": ("modular equilateral construction", _construct_arguments),
+    "verify": ("re-verify a certificate file", _verify_arguments),
+    "search": ("exhaustive oracle search", _search_arguments),
+    "tables": ("reference tables", _tables_arguments),
+}
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="ffdist",
+        description="equilateral and two-distance point sets over finite fields")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+class _Reparse(Exception):
+    """An argv that only the full parser may report on."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser; it reports nothing itself."""
+
+    def error(self, message):
+        raise _Reparse
+
+
+def parse(argv):
+    """Namespace of argv, as build_parser() parses it.
+
+    When argv[0] names a command, only that command's parser is built
+    (the full parser costs several times as much). It has no -h, so
+    help, like every error, falls through to the full parser, which
+    prints the usage and messages and raises SystemExit."""
+    if argv and argv[0] in COMMANDS:
+        parser = _CommandParser(prog="ffdist " + argv[0], add_help=False)
+        COMMANDS[argv[0]][1](parser)
+        try:
+            return parser.parse_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+        except _Reparse:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parse(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

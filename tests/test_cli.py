@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ffdist
-from ffdist import certificate, cli, search
+from ffdist import certificate, cli, geometry, search
 from ffdist.field import field_make
 from ffdist.linalg import LawViolated
 
@@ -683,3 +683,233 @@ def test_fix_values_must_fit_the_mode(tmp_path, capsys, mode, values):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "fixed" in captured.err
     assert not captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--p", "5", "--d", "3"),
+    ("search", "--p", "3", "--d", "2", "--mode", "two_distance"),
+])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write %s: No such file or directory\n" % out
+
+
+def test_unwritable_midpoints_out_is_usage_error(tmp_path, capsys):
+    (tmp_path / "c.midpoints.json").mkdir()
+    out = tmp_path / "c.json"
+    assert run_cli("construct", "--p", "5", "--d", "3", "--midpoints",
+                   "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "wrote %s (5 equilateral points)\n" % out
+    assert captured.err.startswith(
+        "error: cannot write %s: " % (tmp_path / "c.midpoints.json"))
+    assert captured.err.count("\n") == 1
+    assert run_cli("verify", str(out)) == 0
+
+
+def test_tables_max_d_above_ceiling_refused_fast(capsys):
+    # the rank table costs about max-d^4; 10^9 would also build a
+    # 10^9 x 10^9 matrix before any work
+    for max_d in (cli.TABLES_MAX_D + 1, 10**9):
+        start = time.perf_counter()
+        assert run_cli("tables", "--p", "3", "--max-d", str(max_d)) == 2
+        assert time.perf_counter() - start < 0.1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --max-d: at most %d"
+                                       % cli.TABLES_MAX_D)
+        assert not captured.out
+
+
+def test_tables_max_d_at_ceiling_is_accepted(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "TABLES_MAX_D", 6)
+    assert run_cli("tables", "--p", "3", "--max-d", "6") == 0
+    assert "up to d=6" in capsys.readouterr().out
+
+
+# argv whose handling by cli.main must not depend on which parser reads
+# it: help, errors of every kind, and valid runs of every command
+PARSE_CASES = [
+    (), ("-h",), ("--help",), ("bogus",), ("-h", "verify"), ("--version",),
+    ("construct", "-h"), ("verify", "-h"), ("search", "-h"),
+    ("tables", "-h"), ("verify", "--he"), ("verify", "-h", "x"),
+    ("construct", "--help", "--p", "x"),
+    ("construct",), ("verify",), ("search",), ("tables",),
+    ("construct", "--p", "5"),
+    ("construct", "--p", "5", "--d", "3", "--out", "a.json", "--p", "7"),
+    ("construct", "--p", "5", "--d", "3", "--out", "a.json", "--bogus"),
+    ("construct", "--p", "5", "--d", "3", "--out", "a.json", "extra"),
+    ("verify", "a.json", "b.json"), ("verify", "--path", "x"),
+    ("verify", "-x"),
+    ("construct", "--p", "x", "--d", "3", "--out", "a.json"),
+    ("construct", "--p", "5", "--d", "3", "--out", "a.json",
+     "--embed", "weird"),
+    ("construct", "--p", "5", "--d", "3", "--out"),
+    ("construct", "--p", "5", "--d", "3", "--out", "--midpoints"),
+    ("construct", "--mid", "--p", "5", "--d", "3", "--out", "b.json"),
+    ("construct", "--p=5", "--d=3", "--out=c.json", "--embed=standard"),
+    ("construct", "--p", "5", "--d", "3", "--midpoints", "--out", "d.json"),
+    ("search", "--p", "3", "--d", "2", "--mode", "clique"),
+    ("search", "--p", "3", "--d", "2", "--mode", "two_distance",
+     "--budget-secs", "abc"),
+    ("search", "--p", "3", "--d", "2", "--mode", "equilateral"),
+    ("search", "--p", "3", "--d", "-1", "--mode", "equilateral"),
+    ("search", "--p", "3", "--d", "2", "--mode", "two_distance",
+     "--fix", "1", "--canonical", "--out", "s.json"),
+    ("tables", "--max-d", "1.5"), ("tables", "--d", "6"),
+    ("tables", "--p", "3", "--max-d", "10"),
+    ("tables", "--p", "3", "--p", "5", "--max-d", "4"),
+    ("verify", "missing.json"), ("verify", "--", "-weird.json"),
+    ("verify", "-"), ("verify", "cert.midpoints.json"),
+]
+
+
+def full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+def parse_outcome(parse, argv):
+    try:
+        return parse(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES)
+def test_command_parser_matches_full_parser(tmp_path, monkeypatch, capsys,
+                                            argv):
+    monkeypatch.chdir(tmp_path)
+    construct_pair(tmp_path, 5, 3)
+    capsys.readouterr()
+    command_parse = cli.parse
+    runs = []
+    for parse in (command_parse, full_parse):
+        monkeypatch.setattr(cli, "parse", parse)
+        runs.append((cli.main(list(argv)), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    # a Namespace for a valid argv, else the same exit status
+    assert (parse_outcome(command_parse, argv)
+            == parse_outcome(full_parse, argv))
+
+
+def test_verify_builds_no_other_parser(tmp_path, monkeypatch):
+    _, _, mid = construct_pair(tmp_path, 5, 3)
+
+    def refuse(*args):
+        raise AssertionError("built another command's parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for name in cli.COMMANDS:
+        if name != "verify":
+            monkeypatch.setitem(cli.COMMANDS, name,
+                                (cli.COMMANDS[name][0], refuse))
+    assert run_cli("verify", str(mid)) == 0
+
+
+def test_main_reads_sys_argv(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ffdist", "tables", "--d", "6"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == "d=6: none (d+2 is a power of two)\n"
+    monkeypatch.setattr(sys, "argv", ["ffdist", "verify"])
+    assert cli.main() == 2
+    assert capsys.readouterr().err.endswith(
+        "ffdist verify: error: the following arguments are required: path\n")
+
+
+def _slots(node):
+    """(container, key) of every value nested in a JSON tree."""
+    for key in list(node.keys() if isinstance(node, dict)
+                    else range(len(node))):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+def _retyped(value):
+    """Values of other JSON types carrying value."""
+    out = [json.dumps(value), [value], {"v": value}, None, True, 1.5]
+    if type(value) is int:
+        out += [float(value), value != 0]
+    if isinstance(value, list):
+        out.append({str(i): v for i, v in enumerate(value)})
+    if isinstance(value, dict):
+        out.append(list(value.values()))
+    return [v for v in out if type(v) is not type(value)]
+
+
+def _census_agrees(cert):
+    """The claim of a certificate verify accepted, against dist2 on
+    every pair of its decoded points."""
+    fb = cert["field"]
+    f = field_make(fb["p"], fb["k"], fb.get("modulus"))
+    points = [tuple(f.deserialize(c) for c in p) for p in cert["points"]]
+    census = {geometry.dist2(f, x, y)
+              for i, x in enumerate(points) for y in points[i + 1:]}
+    claim = cert["claim"]
+    values = ([claim["delta"]] if claim["type"] == "equilateral"
+              else claim["values"])
+    return census == {f.deserialize(v) for v in values}
+
+
+def test_verify_survives_mutated_certificates(tmp_path, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    sources = []
+    for p, k, d in ((5, 1, 3), (3, 2, 4)):  # 5 and 10, 6 and 15 points
+        out = tmp_path / ("k%d.json" % k)
+        assert run_cli("construct", "--p", str(p), "--k", str(k),
+                       "--d", str(d), "--midpoints", "--out", str(out)) == 0
+        sources += [out.read_text(),
+                    (tmp_path / ("k%d.midpoints.json" % k)).read_text()]
+    hostile = st.one_of(
+        st.none(), st.booleans(), st.integers(-2**70, 2**70),
+        st.floats(), st.text(max_size=4),
+        st.lists(st.integers(-3, 30), max_size=4),
+        st.dictionaries(st.text(max_size=2), st.integers(-3, 30),
+                        max_size=2))
+    bad = tmp_path / "bad.json"
+
+    @hypothesis.settings(max_examples=250, deadline=None)
+    @hypothesis.given(st.sampled_from(sources), st.data())
+    def check(source, data):
+        cert = json.loads(source)
+        for _ in range(data.draw(st.integers(1, 3))):
+            slots = list(_slots(cert))
+            if not slots:
+                break
+            node, key = data.draw(st.sampled_from(slots))
+            value = node[key]
+            action = data.draw(st.sampled_from(["value", "delete", "swap"]))
+            if action == "delete":
+                del node[key]
+            elif action == "swap":
+                node[key] = data.draw(st.sampled_from(_retyped(value)))
+            elif type(value) is int and data.draw(st.booleans()):
+                node[key] = value + data.draw(st.integers(-3, 3))
+            else:
+                node[key] = data.draw(hostile)
+        bad.write_text(json.dumps(cert))
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = run_cli("verify", str(bad))
+        assert time.perf_counter() - start < 2
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2)
+        assert out.startswith("verified: ") == (code == 0)
+        if code == 0:
+            assert _census_agrees(cert)
+    check()
+
+
+@pytest.mark.parametrize("raw", [
+    b"\xff\xfe{}",  # not UTF-8
+    b'{"version": ' + b"9" * 5000 + b"}",  # past the int digit limit
+    b"[" * 100000 + b"]" * 100000,  # past the recursion limit
+])
+def test_verify_unreadable_json_is_schema_error(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    assert run_cli("verify", str(bad)) == 2
+    assert capsys.readouterr().err.startswith(
+        "schema error: cannot read certificate: ")

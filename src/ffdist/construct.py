@@ -62,17 +62,14 @@ def modular_equilateral(params):
 
 
 class MidpointSet:
-    """Midpoints of all edges of an equilateral set.
-
-    edges[t] is the source pair (i, j) of midpoint t.  Midpoints of
-    edges that share a vertex sit at d4 = delta/4 and are the edges of
-    graph; those of disjoint edges sit at d2 = delta/2.
+    """Midpoints of all edges of an equilateral set, in lexicographic
+    order of the source pairs (i, j).  Midpoints of edges that share a
+    vertex sit at d4 = delta/4 and are the edges of graph; those of
+    disjoint edges sit at d2 = delta/2.
     """
 
-    def __init__(self, points, edges, delta, d4, d2, graph):
+    def __init__(self, points, d4, d2, graph):
         self.points = points
-        self.edges = edges
-        self.delta = delta
         self.d4 = d4
         self.d2 = d2
         self.graph = graph
@@ -113,7 +110,7 @@ def midpoints(s):
             u = (wrong & -wrong).bit_length() - 1
             raise LawViolated("midpoint distance law violated at %r/%r"
                               % (edges[t], edges[u]))
-    return MidpointSet(mset, edges, delta, d4, d2, graph)
+    return MidpointSet(mset, d4, d2, graph)
 
 
 def embed_standard(s):

@@ -56,15 +56,15 @@ is one subtraction of point keys and one lookup (see _CayleyTable).
 The search pass builds adjacency only among the vertices of each
 subproblem, in ascending point order: the clique engine sees the
 induced subgraph under an order-preserving relabelling.  The canonical
-pass builds the neighborhood graph of each orbit it walks.  Ceilings:
-q^d <= 2^16 keeps ray ids in 16 bits (and q <= 256 for d >= 2), the
-table has (2p-1)^(dk) <= 9^6 entries, and --canonical keeps q^d <= 10^4.
+pass builds the neighborhood graph of each orbit it walks.  Ceilings,
+for both passes: q^d <= 2^16 keeps ray ids in 16 bits (and q <= 256 for
+d >= 2), and the table has (2p-1)^(dk) <= 9^6 entries.
 
-The time and node budget covers the whole run: value-set enumeration,
-graph building, the clique search and the canonical pass, which runs
-only after an exhausted search.  A hit in the canonical pass reports
-exhausted=False with the proven maximum size and the search pass's
-witness.
+The time budget is the only limit of a run.  It covers value-set
+enumeration, graph building, the clique search and the canonical pass,
+which runs only after an exhausted search.  A hit in the canonical pass
+reports exhausted=False with the proven maximum size and the search
+pass's witness.
 
 The clique engine is exact branch and bound with a greedy sequential
 coloring bound (MCQ, Tomita-Seki 2003), adjacency held in Python-int
@@ -89,7 +89,6 @@ class TooLarge(ValueError):
 
 POINT_CEILING = 2**16
 TABLE_CEILING = 9**6
-CANONICAL_CEILING = 10**4
 
 MODE_EQUILATERAL = "equilateral"
 MODE_TWO_DISTANCE = "two_distance"
@@ -97,17 +96,15 @@ MODE_TWO_DISTANCE = "two_distance"
 
 class SearchProblem:
     def __init__(self, field, d, mode, fixed_values=None,
-                 budget_secs=60.0, node_limit=10**8, canonical=False):
+                 budget_secs=60.0, node_limit=None, canonical=False):
         if d < 1:
             raise ValueError("dimension must be >= 1")
         if not budget_secs >= 0:  # NaN fails this too
             raise ValueError("budget must be a number of seconds >= 0")
-        ceiling = CANONICAL_CEILING if canonical else POINT_CEILING
         # q >= 3 > 2, so a d this long is past the ceiling before the
         # power, which would take seconds to compute for a huge d
-        if d >= ceiling.bit_length() or field.q**d > ceiling:
-            raise TooLarge("q^d exceeds the %s ceiling %d" % (
-                "--canonical" if canonical else "point", ceiling))
+        if d >= POINT_CEILING.bit_length() or field.q**d > POINT_CEILING:
+            raise TooLarge("q^d exceeds the point ceiling %d" % POINT_CEILING)
         if (2 * field.p - 1)**(d * field.k) > TABLE_CEILING:
             raise TooLarge("(2p-1)^(dk) exceeds the norm-table ceiling %d"
                            % TABLE_CEILING)
@@ -153,17 +150,18 @@ class SearchResult:
 
 
 class _Budget:
-    """Node and wall-clock limits shared by every phase of one search."""
+    """Wall-clock limit shared by every phase of one search, and a node
+    limit (None: no cap) that only tests set."""
 
-    def __init__(self, budget_secs, node_limit):
+    def __init__(self, budget_secs, node_limit=None):
         self.deadline = time.monotonic() + budget_secs
         self.node_limit = node_limit
         self.nodes = 0
 
     def tick(self):  # reads the clock at nodes 1, 257, 513, ...
         self.nodes += 1
-        if self.nodes > self.node_limit or (
-                self.nodes & 255 == 1 and time.monotonic() > self.deadline):
+        if self.nodes & 255 == 1 and time.monotonic() > self.deadline or (
+                self.node_limit is not None and self.nodes > self.node_limit):
             raise _BudgetHit
 
     def check(self):

@@ -322,7 +322,7 @@ def test_search_rejects_nan_and_negative_budget(capsys, budget):
 @pytest.mark.parametrize("argv,ceiling", [
     (("--p", "3", "--d", "9"), "norm-table ceiling 531441"),
     (("--p", "17", "--d", "4"), "point ceiling 65536"),
-    (("--p", "7", "--d", "5", "--canonical"), "--canonical ceiling 10000"),
+    (("--p", "17", "--d", "4", "--canonical"), "point ceiling 65536"),
 ])
 def test_search_above_ceiling_is_usage_error(capsys, argv, ceiling):
     assert run_cli("search", *argv, "--mode", "equilateral") == 2
@@ -333,7 +333,7 @@ def test_search_above_ceiling_is_usage_error(capsys, argv, ceiling):
 
 @pytest.mark.parametrize("extra,ceiling", [
     ((), "point ceiling 65536"),
-    (("--canonical",), "--canonical ceiling 10000"),
+    (("--canonical",), "point ceiling 65536"),
 ])
 def test_search_huge_dimension_refused_fast(capsys, extra, ceiling):
     # 3^(10^7) alone takes seconds to compute
@@ -491,6 +491,16 @@ CANONICAL_SEARCH_SHA256 = {
         "7b0838ca0d130b68a387c8e0e80de7fd19ffd875a2e3c237fb3990414c4ddf7e",
     ("3", "2", "4", "two_distance"):
         "21937be3bf91d5bc17003659f748e4f085e17cdecc349022864215057a04e53c",
+    # above 10^4 points; the equilateral witnesses also match a walk of
+    # every orbit (tests/test_search.py)
+    ("7", "1", "5", "equilateral"):
+        "e0e05a8abe1b9a4594122fba2151a660dba0e0924673166921e4de89bd973199",
+    ("7", "1", "5", "two_distance"):
+        "fbb5fde714a2a7ee654446b2d822c0d976ebbcb1a27e51c349ed1b19aeae5258",
+    ("5", "2", "3", "equilateral"):
+        "71ed1716a0452bf93e86e8e9dceb1e991e28946414f7703ce548e8d9e7683a00",
+    ("5", "2", "3", "two_distance"):
+        "3ca2122ef29541d639c26c7033ade6f7165f8d91879c907047be7239acb29d70",
 }
 
 

@@ -14,6 +14,7 @@ from ffdist.geometry import (
     TwoDistance, gram_rank,
 )
 from ffdist.linalg import LawViolated, NotIsometric
+from ffdist.srg import BadDistanceValue
 
 from test_geometry import assert_pair_norms_match_dist2
 
@@ -105,6 +106,34 @@ def test_midpoints_requires_equilateral():
     pts = list(itertools.product(range(3), repeat=2))
     with pytest.raises(NotEquilateral):
         midpoints(PointSet(f3, 2, FORM_STANDARD, pts))
+
+
+@pytest.mark.parametrize("pair,value,error,match", [
+    # M_01 and M_23 (midpoints 0 and 7) are disjoint edges, at d2 = 1
+    ((0, 7), 3, LawViolated, r"\(0, 1\)/\(2, 3\)"),
+    # M_01 and M_02 share vertex 0, at d4 = 3
+    ((0, 1), 1, LawViolated, r"\(0, 1\)/\(0, 2\)"),
+    ((0, 7), 2, BadDistanceValue, r"pair \(0, 7\)"),
+    ((4, 9), 4, BadDistanceValue, r"pair \(4, 9\)"),
+])
+def test_midpoints_rejects_corrupted_pair_norm(monkeypatch, pair, value,
+                                               error, match):
+    f5 = field_make(5)
+    s = modular_equilateral(ModularParams(f5, 3, 1))  # delta = 2
+    pair_norms = PointSet.pair_norms
+
+    def corrupted(self):
+        rows = pair_norms(self)
+        if self is s:
+            return rows
+        i, j = pair
+        rows = [list(r) for r in rows]
+        rows[i][j - i - 1] = value
+        return rows
+
+    monkeypatch.setattr(PointSet, "pair_norms", corrupted)
+    with pytest.raises(error, match=match):
+        midpoints(s)
 
 
 def test_midpoint_lemma_exhaustive_grid():

@@ -126,10 +126,11 @@ def test_budget_exhaustion_reports_partial():
 
 def test_ceiling_enforced():
     # 11^4 points fit the point and norm-table ceilings (21^4 entries),
-    # but not the canonical one
+    # with --canonical too: both passes share one point ceiling
     SearchProblem(field_make(11), 4, MODE_EQUILATERAL)
-    with pytest.raises(TooLarge, match="--canonical ceiling 10000"):
-        SearchProblem(field_make(11), 4, MODE_EQUILATERAL, canonical=True)
+    SearchProblem(field_make(11), 4, MODE_EQUILATERAL, canonical=True)
+    with pytest.raises(TooLarge, match="point ceiling 65536"):
+        SearchProblem(field_make(17), 4, MODE_EQUILATERAL, canonical=True)
     with pytest.raises(TooLarge, match="norm-table ceiling 531441"):
         SearchProblem(field_make(3), 9, MODE_EQUILATERAL)  # 5^9 entries
     with pytest.raises(TooLarge, match="point ceiling 65536"):
@@ -647,34 +648,65 @@ WALK_CASES = ([(3, 1, d) for d in range(1, 6)]
               + [(3, 3, 1), (3, 3, 2)])
 
 
+def assert_canonical_witness_matches_walk(p, k, d, mode):
+    f = field_make(p, k)
+    r = run(p, d, mode, k=k, canonical=True)
+    key, values = walk_every_orbit(f, d, mode, r.max_size)
+    assert r.witness.points == [search._point(f, d, i) for i in key]
+    assert r.values == values
+
+
 @pytest.mark.parametrize("p,k,d", WALK_CASES)
 def test_canonical_witness_matches_walk_of_every_orbit(p, k, d):
-    f = field_make(p, k)
     for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
-        r = run(p, d, mode, k=k, canonical=True)
-        key, values = walk_every_orbit(f, d, mode, r.max_size)
-        assert r.witness.points == [search._point(f, d, i) for i in key]
-        assert r.values == values
+        assert_canonical_witness_matches_walk(p, k, d, mode)
+
+
+# above 10^4 points; the two-distance walks take 9 s at GF(25)^3 and do
+# not end within 60 s at F_11^4, and F_7^5's equilateral walk takes 10 s
+@pytest.mark.parametrize("p,k,d", [(5, 2, 3), (11, 1, 4)])
+def test_canonical_equilateral_witness_matches_walk_of_every_orbit(p, k, d):
+    assert_canonical_witness_matches_walk(p, k, d, MODE_EQUILATERAL)
 
 
 def test_canonical_pass_budget_hit_keeps_proven_size():
     # the node limit sits just above the search pass's own node count, so
     # only the canonical pass can hit it: the proven size and the search
-    # pass's witness stand, and the run is not exhausted
-    full = run(7, 3, MODE_TWO_DISTANCE, canonical=True)
-    assert full.exhausted and full.stats["canonical"]["nodes"] > 2
-    r = run(7, 3, MODE_TWO_DISTANCE, canonical=True,
-            node_limit=full.stats["nodes"] + 1)
-    assert not r.exhausted
-    assert r.stats["nodes"] == full.stats["nodes"]
-    assert r.stats["canonical"]["nodes"] == 2  # the second one hits
-    assert r.stats["subproblems"] == [
-        dict(s, seconds=t["seconds"]) for s, t in
-        zip(full.stats["subproblems"], r.stats["subproblems"])]
-    assert (r.max_size, r.bound_status) == (full.max_size, full.bound_status)
-    assert len(r.witness.points) == r.max_size
-    sp = geometry.spectrum(r.witness)
-    assert set(sp.values) <= set(r.values)
+    # pass's witness stand, and the run is not exhausted; F_7^3 and
+    # GF(25)^3, 15,625 points
+    for p, k in ((7, 1), (5, 2)):
+        full = run(p, 3, MODE_TWO_DISTANCE, k=k, canonical=True)
+        assert full.exhausted and full.stats["canonical"]["nodes"] > 2
+        r = run(p, 3, MODE_TWO_DISTANCE, k=k, canonical=True,
+                node_limit=full.stats["nodes"] + 1)
+        assert not r.exhausted
+        assert r.stats["nodes"] == full.stats["nodes"]
+        assert r.stats["canonical"]["nodes"] == 2  # the second one hits
+        assert r.stats["subproblems"] == [
+            dict(s, seconds=t["seconds"]) for s, t in
+            zip(full.stats["subproblems"], r.stats["subproblems"])]
+        assert (r.max_size, r.bound_status) == (full.max_size,
+                                                full.bound_status)
+        assert len(r.witness.points) == r.max_size
+        sp = geometry.spectrum(r.witness)
+        assert set(sp.values) <= set(r.values)
+
+
+def test_default_budget_has_no_node_cap():
+    # the clock is the only limit of a run: far past 10^8 nodes a tick
+    # still passes while the deadline is ahead, and still reads the clock
+    # at nodes 1 mod 256
+    assert SearchProblem(field_make(3), 1, MODE_EQUILATERAL).node_limit \
+        is None
+    budget = search._Budget(600)
+    budget.nodes = 10**9  # 10^9 + 1 = 1 mod 256: the next tick reads it
+    for _ in range(512):
+        budget.tick()
+    assert budget.nodes == 10**9 + 512
+    late = search._Budget(-1)
+    late.nodes = 10**9
+    with pytest.raises(search._BudgetHit):
+        late.tick()
 
 
 def test_canonical_pass_checks_the_deadline(monkeypatch):

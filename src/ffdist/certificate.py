@@ -283,15 +283,14 @@ def _verify_srg(s, claim, n):
         raise VerificationFailure("srg_report on a non two-distance claim")
     if len(s) != math.comb(n, 2):
         raise VerificationFailure("point count does not match C(n,2)")
-    params = srg_mod.expected_params(n)
     failures = []
     for value in claim["values"]:
         try:
-            g = srg_mod.midpoint_graph(s, f.deserialize(value))
+            rows = srg_mod.midpoint_graph(s, f.deserialize(value))
         except srg_mod.BadDistanceValue as exc:
             failures.append(str(exc))
             continue
-        result = srg_mod.srg_check(g, params)
+        result = srg_mod.srg_check(rows, n)
         if result["ok"]:
             return
         failures.append(result["failure"])

@@ -87,10 +87,15 @@ def cmd_construct(args):
         mmeta["source_equilateral"] = {"p": args.p, "k": args.k, "d": d,
                                        "b": mmeta["b"]}
         if n >= 4:
-            report = srg.srg_check(mid.graph, srg.expected_params(n))
-            report["n"] = n
+            # construct.midpoints checked the rows: a failure is a bug
+            report = srg.srg_check(mid.graph, n)
+            if not report["ok"]:
+                raise LawViolated("midpoint graph is not T(%d): %s"
+                                  % (n, report["failure"]))
             mmeta["srg_report"] = report
-        claim = certificate.two_distance_claim(f, mid.d4, mid.d2)
+            claim = certificate.two_distance_claim(f, mid.d4, mid.d2)
+        else:  # the 3 midpoints of a triangle are pairwise at delta/4
+            claim = certificate.equilateral_claim(f, mid.d4)
         mcert = certificate.make(mid.points, claim, mmeta)
         mpath = _midpoint_out_path(args.out)
         _write(mcert, mpath)
@@ -167,6 +172,8 @@ def cmd_search(args):
     print("max %s size in GF(%d^%d)^%d: %d (%s)"
           % (args.mode, args.p, args.k, args.d, result.max_size,
              "exhausted" if result.exhausted else "budget hit"))
+    if args.out and result.max_size < 2:
+        print("note: no certificate written (max size < 2)", file=sys.stderr)
     return EXIT_OK if result.exhausted else EXIT_BUDGET
 
 
@@ -193,7 +200,7 @@ def cmd_tables(args):
     dims = construct.sharp_dimensions(args.p, args.max_d)
     print("sharp dimensions for p=%d up to d=%d: %s"
           % (args.p, args.max_d, ", ".join(map(str, dims)) or "none"))
-    print("rank of I+J (size n-1) over GF(%d):" % args.p)
+    print("rank of I+J (size n-1) over %r:" % f)
     for n in range(2, args.max_d + 3):
         print("  n=%2d  rank=%2d  (%s)" % (
             n, gram_rank_law(n, f),

@@ -64,8 +64,8 @@ def modular_equilateral(params):
 class MidpointSet:
     """Midpoints of all edges of an equilateral set, in lexicographic
     order of the source pairs (i, j).  Midpoints of edges that share a
-    vertex sit at d4 = delta/4 and are the edges of graph; those of
-    disjoint edges sit at d2 = delta/2.
+    vertex sit at d4 = delta/4 and are adjacent in graph (bitset rows);
+    those of disjoint edges sit at d2 = delta/2.
     """
 
     def __init__(self, points, d4, d2, graph):
@@ -105,7 +105,7 @@ def midpoints(s):
     incident = [sum(1 << t for t, e in enumerate(edges) if i in e)
                 for i in range(n)]
     for t, (i, j) in enumerate(edges):
-        wrong = graph.rows[t] ^ incident[i] ^ incident[j]
+        wrong = graph[t] ^ incident[i] ^ incident[j]
         if wrong:  # both sides are symmetric: the lowest bit is above t
             u = (wrong & -wrong).bit_length() - 1
             raise LawViolated("midpoint distance law violated at %r/%r"

@@ -96,7 +96,7 @@ MODE_TWO_DISTANCE = "two_distance"
 
 class SearchProblem:
     def __init__(self, field, d, mode, fixed_values=None,
-                 budget_secs=60.0, node_limit=None, canonical=False):
+                 budget_secs=60.0, canonical=False):
         if d < 1:
             raise ValueError("dimension must be >= 1")
         if not budget_secs >= 0:  # NaN fails this too
@@ -125,7 +125,6 @@ class SearchProblem:
         self.mode = mode
         self.fixed_values = fixed_values
         self.budget_secs = budget_secs
-        self.node_limit = node_limit
         self.canonical = canonical
 
 
@@ -150,18 +149,15 @@ class SearchResult:
 
 
 class _Budget:
-    """Wall-clock limit shared by every phase of one search, and a node
-    limit (None: no cap) that only tests set."""
+    """Wall-clock limit shared by every phase of one search."""
 
-    def __init__(self, budget_secs, node_limit=None):
+    def __init__(self, budget_secs):
         self.deadline = time.monotonic() + budget_secs
-        self.node_limit = node_limit
         self.nodes = 0
 
     def tick(self):  # reads the clock at nodes 1, 257, 513, ...
         self.nodes += 1
-        if self.nodes & 255 == 1 and time.monotonic() > self.deadline or (
-                self.node_limit is not None and self.nodes > self.node_limit):
+        if self.nodes & 255 == 1 and time.monotonic() > self.deadline:
             raise _BudgetHit
 
     def check(self):
@@ -493,7 +489,7 @@ def _triangle_subproblems(table, cand, values):
 def _search(problem):
     f, d = problem.field, problem.d
     start = time.monotonic()
-    budget = _Budget(problem.budget_secs, problem.node_limit)
+    budget = _Budget(problem.budget_secs)
     best_size, best_indices, best_values = 1, [0], None  # the origin
     exhausted = False
     subproblems, classes, value_sets = [], [], []

@@ -81,13 +81,13 @@ def test_criterion_4_srg_suite():
     for n in range(4, 11):
         sub = PointSet(f11, big.ambient_dim, big.form, big.points[:n])
         mid = midpoints(sub)
-        g = srg.midpoint_graph(mid.points, mid.d4)
+        rows = srg.midpoint_graph(mid.points, mid.d4)
         params = srg.expected_params(n)
-        ok &= (params.v, params.k, params.lam, params.mu) == \
-            (comb(n, 2), 2 * (n - 2), n - 2, 4)
-        ok &= params.eigenvalues == [(2 * (n - 2), 1), (n - 4, n - 1),
-                                     (-2, n * (n - 3) // 2)]
-        ok &= srg.srg_check(g, params)["ok"]
+        ok &= [params[key] for key in ("v", "k", "lambda", "mu")] == \
+            [comb(n, 2), 2 * (n - 2), n - 2, 4]
+        ok &= params["eigenvalues"] == [(2 * (n - 2), 1), (n - 4, n - 1),
+                                        (-2, n * (n - 3) // 2)]
+        ok &= srg.srg_check(rows, n) == dict(ok=True, n=n, **params)
         for p in (3, 5, 7, 11):
             ok &= srg.eigen_collapse(n, p)["collapse"] == (n % p == 0)
     elapsed = time.monotonic() - start

@@ -1,5 +1,4 @@
 import ast
-import functools
 import hashlib
 import json
 import os
@@ -11,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import ffdist
-from ffdist import certificate, cli, geometry, search
+from ffdist import certificate, cli, geometry, search, srg
 from ffdist.field import field_make
 from ffdist.linalg import LawViolated
+
+from test_search import node_capped
 
 SRC = Path(ffdist.__file__).parent
 
@@ -43,6 +44,33 @@ def test_construct_and_verify_roundtrip(tmp_path):
     assert mcert["meta"]["bounds"]["blokhuis"] == 10
     assert mcert["meta"]["bounds"]["attained_flag"] == "attained"
     assert mcert["meta"]["srg_report"]["ok"]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_construct_midpoints_of_triangle_claim_equilateral(tmp_path, k):
+    # p = 3, d = 1: the 3 midpoints of a triangle are pairwise at
+    # delta/4, T(3) has no SRG report, and verify accepts the file
+    code, out, mid = construct_pair(tmp_path, 3, 1, extra=("--k", str(k)))
+    assert code == 0
+    mcert = json.loads(mid.read_text())
+    assert mcert["claim"]["type"] == "equilateral"
+    assert "srg_report" not in mcert["meta"]
+    assert run_cli("verify", str(mid)) == 0
+
+
+def test_construct_failing_srg_report_is_never_written(tmp_path,
+                                                       monkeypatch):
+    # construct.midpoints already checked the rows, so a failing report
+    # is a bug: it raises instead of being written with exit 0
+    right = srg.expected_params
+
+    def wrong(n):
+        return dict(right(n), mu=3)
+
+    monkeypatch.setattr(srg, "expected_params", wrong)
+    with pytest.raises(LawViolated, match="not T\\(5\\): A\\^2 entry"):
+        construct_pair(tmp_path, 5, 3)
+    assert not (tmp_path / "cert.midpoints.json").exists()
 
 
 def test_construct_embed_obstruction(tmp_path):
@@ -399,10 +427,9 @@ def test_search_canonical_budget_hit_keeps_search_pass_witness(
     f = field_make(7)
     limit = search.max_two_distance(search.SearchProblem(
         f, 3, "two_distance", canonical=True)).stats["nodes"] + 1
-    problem = functools.partial(search.SearchProblem, node_limit=limit)
-    hit = search.max_two_distance(problem(f, 3, "two_distance",
-                                          canonical=True))
-    monkeypatch.setattr(search, "SearchProblem", problem)
+    monkeypatch.setattr(search, "_Budget", node_capped(limit))
+    hit = search.max_two_distance(search.SearchProblem(
+        f, 3, "two_distance", canonical=True))
     out = tmp_path / "s.json"
     assert run_cli("search", "--p", "7", "--d", "3", "--mode",
                    "two_distance", "--canonical", "--out", str(out)) == 3
@@ -670,8 +697,27 @@ def test_tables(capsys):
     assert "3, 5" in capsys.readouterr().out
 
 
+def test_tables_names_the_extension_field(capsys):
+    assert run_cli("tables", "--p", "3", "--k", "2", "--max-d", "2") == 0
+    assert "rank of I+J (size n-1) over GF(3^2):\n" in capsys.readouterr().out
+    assert run_cli("tables", "--p", "3", "--max-d", "2") == 0
+    assert "rank of I+J (size n-1) over GF(3):\n" in capsys.readouterr().out
+
+
 def test_tables_usage():
     assert run_cli("tables") == 2
+
+
+def test_search_out_below_two_points_notes_no_certificate(tmp_path, capsys):
+    # 3 is not a square mod 7, so no pair of F_7 lies at distance 3
+    out = tmp_path / "s.json"
+    assert run_cli("search", "--p", "7", "--d", "1", "--mode", "equilateral",
+                   "--fix-values", "3", "--out", str(out)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "max equilateral size in GF(7^1)^1: 1 (exhausted)\n")
+    assert captured.err == "note: no certificate written (max size < 2)\n"
+    assert not out.exists()
 
 
 def test_bad_flags():

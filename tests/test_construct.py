@@ -97,7 +97,7 @@ def test_midpoints_n3_is_equilateral():
     assert sorted(mid.points.points) == [(0,), (1,), (2,)]
     assert classify(mid.points) == Equilateral(1)
     # all three midpoint pairs are shared-vertex pairs: L(K_3) = K_3
-    assert mid.graph.rows == [0b110, 0b101, 0b011]
+    assert mid.graph == [0b110, 0b101, 0b011]
 
 
 def test_midpoints_requires_equilateral():
@@ -144,7 +144,7 @@ def test_midpoint_lemma_exhaustive_grid():
         assert len(mid.points) == comb(n, 2) == geometry.blokhuis_bound(d)
         # graph rows hold the shared-vertex pairs, at delta/4; the
         # disjoint-edge pairs are the census count at delta/2
-        shared = sum(r.bit_count() for r in mid.graph.rows) // 2
+        shared = sum(r.bit_count() for r in mid.graph) // 2
         disjoint = geometry.spectrum(mid.points).values.get(mid.d2, 0)
         # each midpoint meets 2(n-2) others in a vertex: handshake count
         assert shared == comb(n, 2) * (n - 2)

@@ -20,6 +20,19 @@ GOLDEN_DIR = Path(os.environ.get("FFDIST_GOLDEN_DIR",
                                  Path(__file__).parent / "golden"))
 
 
+def node_capped(limit):
+    """A search._Budget that also runs out past `limit` clique nodes: a
+    budget hit that does not depend on the machine's speed."""
+
+    class Capped(search._Budget):
+        def tick(self):
+            super().tick()
+            if self.nodes > limit:
+                raise search._BudgetHit
+
+    return Capped
+
+
 def run(p, d, mode, k=1, **kw):
     f = field_make(p, k)
     prob = SearchProblem(f, d, mode, **kw)
@@ -115,10 +128,10 @@ def test_canonical_witness_is_deterministic():
     assert a.witness.points == [(0, 0), (0, 1), (0, 2)]
 
 
-def test_budget_exhaustion_reports_partial():
+def test_budget_exhaustion_reports_partial(monkeypatch):
+    monkeypatch.setattr(search, "_Budget", node_capped(5))
     f = field_make(7)
-    prob = SearchProblem(f, 3, MODE_TWO_DISTANCE, budget_secs=60.0,
-                         node_limit=5)
+    prob = SearchProblem(f, 3, MODE_TWO_DISTANCE, budget_secs=60.0)
     r = max_two_distance(prob)
     assert not r.exhausted
     assert r.max_size >= 1  # partial result, never dropped
@@ -246,7 +259,7 @@ def test_cayley_graph_matches_dist2_oracle(p, k, d):
         pass
     f = field_make(p, k)
     table = search._CayleyTable(f, d)
-    budget = search._Budget(600, 10**9)
+    budget = search._Budget(600)
     for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
         value_sets = search._candidate_value_sets(f, mode, None, budget)
         assert value_sets == reference_value_sets(f, mode)
@@ -343,7 +356,7 @@ def test_witt_pin_matches_networkx_clique(p, k, d):
     f = field_make(p, k)
     origin = (0,) * d
     table = search._CayleyTable(f, d)
-    budget = search._Budget(600, 10**9)
+    budget = search._Budget(600)
     for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
         for values in search._candidate_value_sets(f, mode, None, budget):
             cand = table.neighbors(values)
@@ -387,7 +400,7 @@ def test_similitude_classes_keep_clique_numbers(p, k, d):
     # under all of F_q^*, and only those first sets are searched
     f = field_make(p, k)
     table = search._CayleyTable(f, d)
-    budget = search._Budget(600, 10**9)
+    budget = search._Budget(600)
 
     def omega(values):
         clique, done = search._max_clique(
@@ -456,7 +469,7 @@ def test_max_clique_with_a_lower_seed_property():
             assert omega == len(nx.max_weight_clique(
                 nx_graph(nx, adj, range(len(adj))), None)[0])
         lower = data.draw(st.integers(0, omega + 1))
-        clique, done = search._max_clique(adj, search._Budget(600, 10**9),
+        clique, done = search._max_clique(adj, search._Budget(600),
                                           lower=lower)
         assert done
         if lower < omega:
@@ -541,7 +554,7 @@ def test_subproblem_stats():
     table = search._CayleyTable(f, 2)
     want = []
     for values in search._similitude_classes(f, 2, search._candidate_value_sets(
-            f, MODE_TWO_DISTANCE, None, search._Budget(60, 10**9))):
+            f, MODE_TWO_DISTANCE, None, search._Budget(60))):
         want += [(list(values), t, len(verts)) for t, _, _, verts in
                  search._triangle_subproblems(
                      table, table.neighbors(values), values)]
@@ -555,8 +568,9 @@ def test_subproblem_stats():
     assert sum(s["nodes"] for s in subs) == r.stats["nodes"]
 
 
-def test_subproblem_stats_record_budget_hit():
-    r = run(7, 3, MODE_TWO_DISTANCE, node_limit=5)
+def test_subproblem_stats_record_budget_hit(monkeypatch):
+    monkeypatch.setattr(search, "_Budget", node_capped(5))
+    r = run(7, 3, MODE_TWO_DISTANCE)
     assert not r.exhausted
     assert r.stats["subproblems"][-1]["done"] is False
     assert all(s["done"] for s in r.stats["subproblems"][:-1])
@@ -595,7 +609,7 @@ def test_canonical_pass_visits_exactly_the_orbits_that_reach_the_maximum(
         pass
     f = field_make(p, k)
     table = search._CayleyTable(f, d)
-    budget = search._Budget(600, 10**9)
+    budget = search._Budget(600)
     for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
         r = run(p, d, mode, k=k, canonical=True)
         canon = r.stats["canonical"]
@@ -624,7 +638,7 @@ def walk_every_orbit(f, d, mode, size):
     graph of every square orbit: (least clique through the origin of the
     given size as point indices, its value set)."""
     table = search._CayleyTable(f, d)
-    budget = search._Budget(600, 10**9)
+    budget = search._Budget(600)
     best = None
     for values in search._candidate_value_sets(f, mode, None, budget):
         cand = table.neighbors(values)
@@ -669,7 +683,7 @@ def test_canonical_equilateral_witness_matches_walk_of_every_orbit(p, k, d):
     assert_canonical_witness_matches_walk(p, k, d, MODE_EQUILATERAL)
 
 
-def test_canonical_pass_budget_hit_keeps_proven_size():
+def test_canonical_pass_budget_hit_keeps_proven_size(monkeypatch):
     # the node limit sits just above the search pass's own node count, so
     # only the canonical pass can hit it: the proven size and the search
     # pass's witness stand, and the run is not exhausted; F_7^3 and
@@ -677,8 +691,9 @@ def test_canonical_pass_budget_hit_keeps_proven_size():
     for p, k in ((7, 1), (5, 2)):
         full = run(p, 3, MODE_TWO_DISTANCE, k=k, canonical=True)
         assert full.exhausted and full.stats["canonical"]["nodes"] > 2
-        r = run(p, 3, MODE_TWO_DISTANCE, k=k, canonical=True,
-                node_limit=full.stats["nodes"] + 1)
+        with monkeypatch.context() as m:
+            m.setattr(search, "_Budget", node_capped(full.stats["nodes"] + 1))
+            r = run(p, 3, MODE_TWO_DISTANCE, k=k, canonical=True)
         assert not r.exhausted
         assert r.stats["nodes"] == full.stats["nodes"]
         assert r.stats["canonical"]["nodes"] == 2  # the second one hits
@@ -696,8 +711,6 @@ def test_default_budget_has_no_node_cap():
     # the clock is the only limit of a run: far past 10^8 nodes a tick
     # still passes while the deadline is ahead, and still reads the clock
     # at nodes 1 mod 256
-    assert SearchProblem(field_make(3), 1, MODE_EQUILATERAL).node_limit \
-        is None
     budget = search._Budget(600)
     budget.nodes = 10**9  # 10^9 + 1 = 1 mod 256: the next tick reads it
     for _ in range(512):
@@ -726,7 +739,7 @@ def test_canonical_pass_checks_the_deadline(monkeypatch):
     f = field_make(7)
     table = search._CayleyTable(f, 3)
     cand = table.neighbors((1, 5))
-    late = search._Budget(-1, 10**9)
+    late = search._Budget(-1)
     with pytest.raises(search._BudgetHit):
         table.graph(cand, (1, 5), late)
     with pytest.raises(search._BudgetHit):

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -8,14 +9,24 @@ from ffdist.linalg import rank
 from ffdist.construct import ModularParams, modular_equilateral, midpoints
 from ffdist.geometry import PointSet, FORM_STANDARD
 from ffdist.srg import (
-    Graph, SrgParams, midpoint_graph, expected_params, srg_check,
-    eigen_collapse, TooSmall, BadDistanceValue,
+    midpoint_graph, expected_params, srg_check, eigen_collapse, TooSmall,
+    BadDistanceValue,
 )
+
+from test_construct import grid
 
 
 def graph(matrix):
-    """Graph from a 0/1 adjacency matrix, bit j of row i = matrix[i][j]."""
-    return Graph([sum(x << j for j, x in enumerate(row)) for row in matrix])
+    """Rows of a 0/1 adjacency matrix, bit j of row i = matrix[i][j]."""
+    return [sum(x << j for j, x in enumerate(row)) for row in matrix]
+
+
+def assert_symmetric_zero_diagonal(rows):
+    v = len(rows)
+    assert all(0 <= r < 1 << v for r in rows)
+    matrix = [format(r, "0%db" % v)[::-1] for r in rows]
+    assert all(row[i] == "0" for i, row in enumerate(matrix))
+    assert ["".join(col) for col in zip(*matrix)] == matrix
 
 
 def equilateral_subset(n):
@@ -27,15 +38,12 @@ def equilateral_subset(n):
 
 
 def test_expected_params_examples():
-    p5 = expected_params(5)
-    assert (p5.v, p5.k, p5.lam, p5.mu) == (10, 6, 3, 4)
-    assert p5.eigenvalues == [(6, 1), (1, 4), (-2, 5)]
-    p6 = expected_params(6)
-    assert (p6.v, p6.k, p6.lam, p6.mu) == (15, 8, 4, 4)
-    assert p6.eigenvalues == [(8, 1), (2, 5), (-2, 9)]
-    p4 = expected_params(4)
-    assert (p4.v, p4.k, p4.lam, p4.mu) == (6, 4, 2, 4)
-    assert p4.eigenvalues == [(4, 1), (0, 3), (-2, 2)]
+    assert expected_params(5) == {"v": 10, "k": 6, "lambda": 3, "mu": 4,
+                                  "eigenvalues": [(6, 1), (1, 4), (-2, 5)]}
+    assert expected_params(6) == {"v": 15, "k": 8, "lambda": 4, "mu": 4,
+                                  "eigenvalues": [(8, 1), (2, 5), (-2, 9)]}
+    assert expected_params(4) == {"v": 6, "k": 4, "lambda": 2, "mu": 4,
+                                  "eigenvalues": [(4, 1), (0, 3), (-2, 2)]}
 
 
 def test_expected_params_too_small():
@@ -46,18 +54,16 @@ def test_expected_params_too_small():
 def test_midpoint_graph_p5_d3():
     f5 = field_make(5)
     mid = midpoints(modular_equilateral(ModularParams(f5, 3, 1)))
-    g = midpoint_graph(mid.points, mid.d4)
-    assert g.n_vertices == 10
-    assert g.degrees() == [6] * 10  # 30 edges
+    rows = midpoint_graph(mid.points, mid.d4)
+    assert [r.bit_count() for r in rows] == [6] * 10  # 30 edges
 
 
 def test_midpoint_graph_n3_is_triangle():
     f3 = field_make(3)
     s = PointSet(f3, 1, FORM_STANDARD, [(0,), (1,), (2,)])
     mid = midpoints(s)
-    g = midpoint_graph(mid.points, mid.d4)
-    assert g.n_vertices == 3
-    assert g.degrees() == [2] * 3  # L(K_3) = K_3, 3 edges
+    rows = midpoint_graph(mid.points, mid.d4)
+    assert [r.bit_count() for r in rows] == [2] * 3  # L(K_3) = K_3, 3 edges
 
 
 def test_midpoint_graph_bad_distance():
@@ -71,13 +77,31 @@ def test_midpoint_graph_bad_distance():
 def test_srg_check_passes_for_midpoint_graphs():
     f5 = field_make(5)
     mid = midpoints(modular_equilateral(ModularParams(f5, 3, 1)))
-    g = midpoint_graph(mid.points, mid.d4)
-    assert srg_check(g, expected_params(5))["ok"]
+    report = srg_check(midpoint_graph(mid.points, mid.d4), 5)
+    assert report == dict(ok=True, n=5, **expected_params(5))
     # ambient (p=3, d=4) construction, n = 6
     f3 = field_make(3)
     mid6 = midpoints(modular_equilateral(ModularParams(f3, 4, 1)))
-    g6 = midpoint_graph(mid6.points, mid6.d4)
-    assert srg_check(g6, expected_params(6))["ok"]
+    assert srg_check(midpoint_graph(mid6.points, mid6.d4), 6)["ok"]
+
+
+def test_midpoint_graph_rows_symmetric_with_zero_diagonal():
+    for f, d, b in grid():
+        mid = midpoints(modular_equilateral(ModularParams(f, d, b)))
+        assert_symmetric_zero_diagonal(mid.graph)
+    # the same midpoints in shuffled order: the graph is permuted, and
+    # still T(n)
+    f = field_make(7)
+    mid = midpoints(modular_equilateral(ModularParams(f, 5, 1)))
+    order = list(range(len(mid.points)))
+    random.Random(7).shuffle(order)
+    shuffled = PointSet(f, mid.points.ambient_dim, mid.points.form,
+                        [mid.points.points[i] for i in order])
+    rows = midpoint_graph(shuffled, mid.d4)
+    assert_symmetric_zero_diagonal(rows)
+    assert [[r >> j & 1 for j in range(len(rows))] for r in rows] == [
+        [mid.graph[i] >> j & 1 for j in order] for i in order]
+    assert srg_check(rows, 7)["ok"]
 
 
 def test_srg_check_range_4_to_10():
@@ -91,12 +115,12 @@ def test_srg_check_range_4_to_10():
     for n in range(4, 11):
         s = equilateral_subset(n)
         mid = midpoints(s)
-        g = midpoint_graph(mid.points, mid.d4)
-        report = srg_check(g, expected_params(n))
+        rows = midpoint_graph(mid.points, mid.d4)
+        report = srg_check(rows, n)
         assert report["ok"], report
         assert sum(m for _, m in report["eigenvalues"]) == comb(n, 2)
-        v = g.n_vertices
-        matrix = [[r >> j & 1 for j in range(v)] for r in g.rows]
+        v = len(rows)
+        matrix = [[r >> j & 1 for j in range(v)] for r in rows]
         for theta, mult in report["eigenvalues"]:
             shifted = [[a - (theta if i == j else 0)
                         for j, a in enumerate(row)]
@@ -113,66 +137,29 @@ def cycle(n):
     return graph(adj)
 
 
-def test_srg_check_petersen():
-    # complement of the line graph of K_5
-    edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    adj = [[int(not set(x) & set(y)) for y in edges] for x in edges]
-    params = SrgParams(10, 3, 0, 1, [(3, 1), (1, 5), (-2, 4)])
-    assert srg_check(graph(adj), params)["ok"]
-
-
-def test_srg_check_c5_irrational_spectrum():
-    # C_5 is srg(5, 2, 0, 1) with eigenvalues (-1 +- sqrt 5)/2: no
-    # integer claim may pass, and none may raise
-    for r in range(-3, 3):
-        for s in range(-3, r):
-            for f in range(5):
-                claim = [(2, 1), (r, f), (s, 4 - f)]
-                report = srg_check(cycle(5), SrgParams(5, 2, 0, 1, claim))
-                assert not report["ok"]
-                assert "multiplicity" in report["failure"]
-
-
-def test_srg_check_mu_zero_fails():
-    # two disjoint triangles satisfy the identity of srg(6, 2, 1, 0),
-    # but mu = 0 leaves the multiplicity of k open
-    adj = [[int(i != j and i // 3 == j // 3) for j in range(6)]
-           for i in range(6)]
-    report = srg_check(graph(adj), SrgParams(6, 2, 1, 0, [(2, 2), (-1, 4)]))
-    assert not report["ok"]
-    assert "mu = 0" in report["failure"]
-
-
-def test_srg_check_complete_graph_double_root():
-    # K_4 has no non-adjacent pair, so any mu passes the identity; with
-    # mu = 4 both roots of x^2 - (lambda - mu) x - (k - mu) are -1
-    adj = [[int(i != j) for j in range(4)] for i in range(4)]
-    report = srg_check(graph(adj), SrgParams(4, 3, 2, 4, [(3, 1), (-1, 3)]))
-    assert report["ok"], report
-
-
 def test_srg_check_rejects_k4():
     # K_4 is not L(K_4) (that one is the octahedron): regularity fails
     adj = [[0 if i == j else 1 for j in range(4)] for i in range(4)]
-    report = srg_check(graph(adj), expected_params(4))
+    report = srg_check(graph(adj), 4)
     assert not report["ok"]
-    assert "vertex count" in report["failure"]
+    assert report["failure"] == "vertex count 4 != v = 6"
 
 
 def test_srg_check_rejects_wrong_identity():
-    # 6-cycle: right size for no params here, use its own counts; the
-    # A^2 identity must fail for the triangular parameters of n=4
-    # degree 2 != 4 fails first; force a graph with right degree:
-    # K_{3,3} is 3-regular, still wrong
-    report = srg_check(cycle(6), expected_params(4))
+    # the 6-cycle has T(4)'s vertex count, but degree 2 where T(4) has 4
+    report = srg_check(cycle(6), 4)
     assert not report["ok"]
+    assert report["failure"] == "vertex 0 has degree 2, expected 4"
 
 
-def test_graph_validation():
-    with pytest.raises(ValueError):
-        graph([[1, 0], [0, 0]])  # nonzero diagonal
-    with pytest.raises(ValueError):
-        graph([[0, 1], [0, 0]])  # asymmetric
+def test_srg_check_rejects_regular_graph_failing_identity():
+    # the circulant C_10(1, 2, 3) is 6-regular on 10 vertices like T(5),
+    # but vertices 0 and 1 share 4 neighbours (2, 3, 8, 9), not lambda = 3
+    adj = [[int(min((i - j) % 10, (j - i) % 10) in (1, 2, 3))
+            for j in range(10)] for i in range(10)]
+    report = srg_check(graph(adj), 5)
+    assert not report["ok"]
+    assert report["failure"] == "A^2 entry (0, 1) is 4, expected 3"
 
 
 def test_eigen_collapse_examples():

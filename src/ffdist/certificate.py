@@ -2,8 +2,9 @@
 
 A certificate stores the field, the raw points, and a claim
 (equilateral with its common value, or two-distance with its value
-pair) plus bound bookkeeping.  Verification ignores everything stored
-except the points and re-derives the claim from scratch.
+pair) plus bound bookkeeping.  Verification re-derives the claim from
+the points alone (by the midpoint lemma or the pair census, see
+_classify) and checks the stored bookkeeping against it.
 
 Files are deterministic JSON (sorted keys, fixed indentation, trailing
 newline) so identical inputs produce byte-identical certificates.
@@ -15,8 +16,8 @@ import json
 import math
 from itertools import chain, islice
 
+from . import construct, geometry
 from . import field as field_mod
-from . import geometry
 from . import srg as srg_mod
 from .geometry import PointSet, FORM_STANDARD, FORM_SUM_ZERO, OffHyperplane
 
@@ -216,16 +217,14 @@ def load(path):
 
 def verify(path):
     """Recompute the claim from the raw points and diff it against the
-    stored one.  Returns a report dict, whose "srg" is "ok" after the
-    SRG recheck and "skipped" for a two-distance claim without
-    meta.srg_report, and whose "checks" says of each check
-    ("classification", "blokhuis", "srg") whether it "passed" or was
-    "skipped"; raises SchemaError (exit 2) or VerificationFailure
-    (exit 1)."""
+    stored one.  The report's "srg" is "ok", or "skipped" for a
+    two-distance claim without meta.srg_report; its "checks" say which
+    checks "passed" or were "skipped"; its "method" is _classify's.
+    Raises SchemaError (exit 2) or VerificationFailure (exit 1)."""
     cert, s = load(path)
     f = s.field
     claim = cert["claim"]
-    cls = geometry.classify(s)
+    cls, method = _classify(s, claim)
     if claim["type"] == "equilateral":
         if not isinstance(cls, geometry.Equilateral):
             raise VerificationFailure(
@@ -248,7 +247,7 @@ def verify(path):
     checks = {"classification": "passed", "blokhuis": "skipped",
               "srg": "skipped"}
     report = {"classification": repr(cls), "n_points": len(s),
-              "checks": checks}
+              "method": method, "checks": checks}
     bounds = meta.get("bounds")
     if isinstance(bounds, dict) and "blokhuis" in bounds:
         d = meta.get("dimension", s.dimension())
@@ -264,7 +263,7 @@ def verify(path):
         n = srg_report.get("n")
         _schema(_is_int(n) and n >= 4,
                 "meta.srg_report.n must be an integer >= 4")
-        _verify_srg(s, claim, n)
+        _verify_srg(s, claim, srg_report, recheck=method == "census")
         report["srg"] = "ok"
         checks["srg"] = "passed"
     elif claim["type"] == "two_distance":
@@ -272,27 +271,50 @@ def verify(path):
     return report
 
 
-def _verify_srg(s, claim, n):
-    """The midpoint graph of a valid certificate is the triangular graph
-    T(n) for one of the two claimed values as the edge value delta/4.
-    Both are tried: the value order is not part of the claim, and in
-    characteristic 3 each value is twice the other, so the graph for
-    the wrong one (the complement of T(n)) is also well formed."""
-    f = s.field
+def _classify(s, claim):
+    """geometry.classify(s) and its "method": "midpoint_lemma" for a
+    two-distance claim on the midpoints (construct.midpoint_sources) of
+    sources at Equilateral(delta), which are at TwoDistance(delta/4,
+    delta/2) with the graph T(n); else "census", from all pairs."""
+    xs = claim["type"] == "two_distance" and construct.midpoint_sources(s)
+    if xs:  # distinct, on the same hyperplane as s
+        f = s.field
+        cls = geometry.classify(PointSet(f, s.ambient_dim, s.form, xs))
+        if isinstance(cls, geometry.Equilateral):
+            half = f.inv(f.add(f.one, f.one))
+            d2 = f.mul(cls.delta, half)
+            return geometry.TwoDistance(f.mul(d2, half), d2), "midpoint_lemma"
+    return geometry.classify(s), "census"
+
+
+def _verify_srg(s, claim, stored, recheck):
+    """The midpoint graph is T(n), n = stored["n"], and stored is
+    srg.passing_report(n).  With recheck (no lemma proof) the graph is
+    built for both values as delta/4: the claim has no value order, and
+    in characteristic 3 the wrong one gives the well-formed complement."""
+    n = stored["n"]
     if claim["type"] != "two_distance":
         raise VerificationFailure("srg_report on a non two-distance claim")
     if len(s) != math.comb(n, 2):
         raise VerificationFailure("point count does not match C(n,2)")
-    failures = []
-    for value in claim["values"]:
-        try:
-            rows = srg_mod.midpoint_graph(s, f.deserialize(value))
-        except srg_mod.BadDistanceValue as exc:
-            failures.append(str(exc))
-            continue
-        result = srg_mod.srg_check(rows, n)
-        if result["ok"]:
-            return
-        failures.append(result["failure"])
-    raise VerificationFailure("SRG recheck failed for either edge value: %s"
-                              % "; ".join(failures))
+    if recheck:
+        failures = []
+        for value in claim["values"]:
+            try:
+                rows = srg_mod.midpoint_graph(s, s.field.deserialize(value))
+            except srg_mod.BadDistanceValue as exc:
+                failures.append(str(exc))
+                continue
+            result = srg_mod.srg_check(rows, n)
+            if result["ok"]:
+                break
+            failures.append(result["failure"])
+        else:
+            raise VerificationFailure("SRG recheck failed for either edge "
+                                      "value: %s" % "; ".join(failures))
+    # equal as JSON ("ok": 1 fails), and shallow before it is dumped
+    want = json.dumps(srg_mod.passing_report(n), sort_keys=True)
+    if (stored != json.loads(want)
+            or json.dumps(stored, sort_keys=True) != want):
+        raise VerificationFailure(
+            "meta.srg_report is not the report of T(%d)" % n)

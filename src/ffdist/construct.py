@@ -4,10 +4,15 @@ midpoint two-distance set, and the embedding into standard coordinates.
 The modular construction places d+2 equilateral points inside the
 sum-zero hyperplane of F_q^(d+1); it exists exactly when the
 characteristic divides d+2.  Midpoints of its edges form a two-distance
-set of size C(d+2, 2), which meets the quadratic reference bound.
+set of size C(d+2, 2), which meets the quadratic reference bound; the
+midpoint lemma (midpoint_sources) proves it without a pair census.
 """
 
-from . import geometry, srg
+from collections import namedtuple
+from itertools import chain
+from math import comb, isqrt
+
+from . import geometry
 from .geometry import PointSet, FORM_SUM_ZERO, FORM_STANDARD
 from .linalg import LawViolated, isometry_to_standard, row_product
 
@@ -61,56 +66,63 @@ def modular_equilateral(params):
     return PointSet(f, m, FORM_SUM_ZERO, points)
 
 
-class MidpointSet:
-    """Midpoints of all edges of an equilateral set, in lexicographic
-    order of the source pairs (i, j).  Midpoints of edges that share a
-    vertex sit at d4 = delta/4 and are adjacent in graph (bitset rows);
-    those of disjoint edges sit at d2 = delta/2.
-    """
+# Midpoints of all edges of an equilateral set, in lexicographic order of
+# the source pairs (i, j).  Midpoints of edges that share a vertex sit at
+# d4 = delta/4, those of disjoint edges at d2 = delta/2.
+MidpointSet = namedtuple("MidpointSet", "points d4 d2")
 
-    def __init__(self, points, d4, d2, graph):
-        self.points = points
-        self.d4 = d4
-        self.d2 = d2
-        self.graph = graph
+
+def midpoint_sources(s):
+    """The points x_0..x_(n-1) whose midpoints m_ij = (x_i + x_j)/2 are
+    the points of s in lexicographic pair order, or None: when len(s) is
+    not C(n, 2) with n >= 4, or some 2 m_ij != x_i + x_j for x_0 = m_01
+    + m_02 - m_12 and x_j = 2 m_0j - x_0.  Additions only, O(v d).
+
+    The midpoint lemma: if the x_i are pairwise at delta != 0 (p odd),
+    <x_i - x_k, x_j - x_l> = 0 for distinct indices (polarization), so
+    midpoints of pairs sharing one index are at delta/4, of disjoint
+    pairs at delta/2, and the delta/4 graph is T(n) (t -> (i, j))."""
+    v = len(s)
+    n = (isqrt(8 * v + 1) + 1) // 2
+    if n < 4 or comb(n, 2) != v:
+        return None
+    add, sub = s.field.add, s.field.sub
+    m = s.points
+    x0 = tuple(map(sub, map(add, m[0], m[1]), m[n - 1]))
+    xs = [x0] + [tuple(map(sub, map(add, mj, mj), x0)) for mj in m[:n - 1]]
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+    for mij, (i, j) in zip(m, pairs):
+        if tuple(map(add, mij, mij)) != tuple(map(add, xs[i], xs[j])):
+            return None
+    return xs
 
 
 def midpoints(s):
-    """Midpoint set of an equilateral input and its midpoint graph.
-
-    Shared-vertex pairs sit at delta/4, disjoint-edge pairs at delta/2;
-    both facts are re-verified here against the actual distances:
-    srg.midpoint_graph raises BadDistanceValue for a pair at neither
-    value, and LawViolated marks a pair at the other type's value, found
-    by comparing the graph rows with those of the line graph of K_n.
+    """Midpoint set of an equilateral input, checked exactly: for n >= 4
+    points midpoint_sources must give back the input, which by the
+    midpoint lemma fixes every distance and the graph T(n); the
+    midpoints of n < 4 points must all be at delta/4.  LawViolated marks
+    a failure of either.
     """
     cls = geometry.classify(s)
     if not isinstance(cls, geometry.Equilateral):
         raise NotEquilateral("midpoints need an equilateral input, got %r" % cls)
     f = s.field
-    delta = cls.delta
     half = f.inv(f.add(f.one, f.one))
-    quarter = f.mul(half, half)
-    d4 = f.mul(delta, quarter)
-    d2 = f.mul(delta, half)
+    d2 = f.mul(cls.delta, half)
+    d4 = f.mul(d2, half)
     n = len(s)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    mids = []
-    for i, j in edges:
-        mids.append(tuple(f.mul(half, f.add(a, b))
-                          for a, b in zip(s.points[i], s.points[j])))
+    mids = [tuple(f.mul(half, f.add(a, b)) for a, b in zip(x, y))
+            for i, x in enumerate(s.points) for y in s.points[i + 1:]]
     mset = PointSet(f, s.ambient_dim, s.form, mids)
-    graph = srg.midpoint_graph(mset, d4)
-    # bit t of incident[i] is set iff vertex i lies on edge t
-    incident = [sum(1 << t for t, e in enumerate(edges) if i in e)
-                for i in range(n)]
-    for t, (i, j) in enumerate(edges):
-        wrong = graph[t] ^ incident[i] ^ incident[j]
-        if wrong:  # both sides are symmetric: the lowest bit is above t
-            u = (wrong & -wrong).bit_length() - 1
-            raise LawViolated("midpoint distance law violated at %r/%r"
-                              % (edges[t], edges[u]))
-    return MidpointSet(mset, d4, d2, graph)
+    if n >= 4:
+        ok = midpoint_sources(mset) == s.points
+    else:
+        ok = {d4}.issuperset(chain.from_iterable(mset.pair_norms()))
+    if not ok:
+        raise LawViolated("midpoint lemma violated on the midpoints of "
+                          "%d points" % n)
+    return MidpointSet(mset, d4, d2)
 
 
 def embed_standard(s):

@@ -362,9 +362,3 @@ def field_make(p, k=1, modulus=None):
         if not _is_irreducible(modulus, p):
             raise ReducibleModulus("modulus is reducible over GF(%d)" % p)
     return Field(p, k, modulus)
-
-
-def nonsquare_representative(f):
-    """Smallest (by encoding) nonsquare element of f."""
-    return next(a for a in f.elements()
-                if f.square_class(a) is SquareClass.NONSQUARE)

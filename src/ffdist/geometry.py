@@ -8,15 +8,15 @@ either way distances are evaluated in ambient coordinates.
 PointSet.pair_norms is the one census: every Q(x - y) from one pass,
 kept on the set.  Q(x - y) = Q(x) + Q(y) - 2 x.y is x'.y' for x' = (x,
 Q(x), 1) and y' = (-2y, 1, Q(y)), so the census is the upper triangle
-of one matrix product, linalg.row_product.  dist2 is the pair-by-pair
-reference.
+of one matrix product, linalg.row_product.  tests/brute_force.py
+holds dist2, the pair-by-pair reference.
 """
 
 import math
 from collections import Counter
 from itertools import chain
 
-from .linalg import rank, dot, row_product, DimensionMismatch
+from .linalg import dot, row_product, DimensionMismatch
 
 
 class TooFewPoints(ValueError):
@@ -82,17 +82,6 @@ class PointSet:
             self._pair_norms = [row((*x, q, 1), i + 1)
                                 for i, (x, q) in enumerate(zip(points, norms))]
         return self._pair_norms
-
-
-def dist2(f, x, y):
-    """Squared distance sum((x_i - y_i)^2), exact in the field."""
-    if len(x) != len(y):
-        raise DimensionMismatch("points of different length")
-    acc = f.zero
-    for a, b in zip(x, y):
-        d = f.sub(a, b)
-        acc = f.add(acc, f.mul(d, d))
-    return acc
 
 
 class Spectrum:
@@ -168,26 +157,6 @@ def classify_values(values):
     if len(vals) == 2:
         return TwoDistance(vals[0], vals[1])
     return Other(len(vals), False)
-
-
-def gram(s):
-    """Rows of the Gram matrix of v_i = P_i - P_0 under the standard
-    bilinear form.
-
-    For an equilateral set with common value delta this is the
-    (n-1)x(n-1) matrix with diagonal delta and off-diagonal delta/2,
-    i.e. (delta/2)(I+J) -- the source of the rank bound.
-    """
-    if len(s) < 2:
-        raise TooFewPoints("gram needs at least 2 points")
-    f = s.field
-    p0 = s.points[0]
-    vs = [tuple(f.sub(a, b) for a, b in zip(p, p0)) for p in s.points[1:]]
-    return [[dot(f, u, v) for v in vs] for u in vs]
-
-
-def gram_rank(s):
-    return rank(s.field, gram(s))
 
 
 def equilateral_upper(f, d):

@@ -7,6 +7,9 @@ from the point set's pair norms.  srg_check verifies T(n)'s identity
 A^2 = kI + lambda A + mu (J-I-A) row by row in exact integers; with
 mu = 4 > 0 it fixes the spectrum.  Mod-p statements (the eigenvalue
 collapse) are derived afterwards.
+
+This O(v^2) census is verify's path for files that the midpoint lemma
+(construct.midpoint_sources) does not settle, and the lemma's oracle.
 """
 
 from itertools import compress
@@ -63,16 +66,21 @@ def expected_params(n):
                             (-2, n * (n - 3) // 2)]}
 
 
+def passing_report(n):
+    """srg_check's report on T(n), which certificates store."""
+    return {"ok": True, **expected_params(n), "n": n}
+
+
 def srg_check(rows, n):
     """Verify that the graph with these adjacency rows (symmetric, zero
-    diagonal) is T(n), exactly.  Returns expected_params(n) plus ok and
-    n; with ok=False also the first violated fact.  The identity fixes
+    diagonal) is T(n), exactly.  Returns passing_report(n); with ok=False
+    and the first violated fact when it fails.  The identity fixes
     the eigenvalues (Brouwer-Haemers, Spectra of Graphs, 9.1): with mu >
     0 the graph is connected, k is simple, the others are the roots n-4
     and -2 of x^2 - (lambda - mu) x - (k - mu), and their multiplicities
     solve f + g = v - 1 and k + f (n-4) - 2 g = tr A = 0.
     """
-    report = {"ok": True, **expected_params(n), "n": n}
+    report = passing_report(n)
     v, k, lam, mu = (report[key] for key in ("v", "k", "lambda", "mu"))
 
     def fail(reason):

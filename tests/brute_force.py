@@ -1,11 +1,16 @@
-"""The exhaustive subset census: a test-only oracle for the clique engine
-on tiny instances, independent of the search's tables and pins."""
+"""Test-only oracles, independent of the fast paths they check: the
+exhaustive subset census for the clique engine on tiny instances, the
+pair-by-pair squared distance, the Gram matrix and its rank, the least
+nonsquare, and the midpoint pair census that the midpoint lemma
+replaced in construct.midpoints."""
 
 import itertools
 from math import comb
 
-from ffdist import geometry
-from ffdist.geometry import PointSet, FORM_STANDARD
+from ffdist import geometry, srg
+from ffdist.field import SquareClass
+from ffdist.geometry import PointSet, FORM_STANDARD, TooFewPoints
+from ffdist.linalg import DimensionMismatch, LawViolated, dot, rank
 from ffdist.search import TooLarge
 
 BRUTE_FORCE_CEILING = 10**7
@@ -32,3 +37,60 @@ def brute_force_classify_all(f, d, n):
         else:
             census["other"] += 1
     return census
+
+
+def dist2(f, x, y):
+    """Squared distance sum((x_i - y_i)^2), exact in the field."""
+    if len(x) != len(y):
+        raise DimensionMismatch("points of different length")
+    acc = f.zero
+    for a, b in zip(x, y):
+        d = f.sub(a, b)
+        acc = f.add(acc, f.mul(d, d))
+    return acc
+
+
+def gram(s):
+    """Rows of the Gram matrix of v_i = P_i - P_0 under the standard
+    bilinear form.
+
+    For an equilateral set with common value delta this is the
+    (n-1)x(n-1) matrix with diagonal delta and off-diagonal delta/2,
+    i.e. (delta/2)(I+J) -- the source of the rank bound.
+    """
+    if len(s) < 2:
+        raise TooFewPoints("gram needs at least 2 points")
+    f = s.field
+    p0 = s.points[0]
+    vs = [tuple(f.sub(a, b) for a, b in zip(p, p0)) for p in s.points[1:]]
+    return [[dot(f, u, v) for v in vs] for u in vs]
+
+
+def gram_rank(s):
+    return rank(s.field, gram(s))
+
+
+def nonsquare_representative(f):
+    """Smallest (by encoding) nonsquare element of f."""
+    return next(a for a in f.elements()
+                if f.square_class(a) is SquareClass.NONSQUARE)
+
+
+def midpoint_census(mid, n):
+    """The rows of the midpoint graph of mid (a construct.MidpointSet of
+    n source points), checked pair by pair against the line graph of
+    K_n: srg.midpoint_graph raises BadDistanceValue for a pair at
+    neither delta/4 nor delta/2, and LawViolated marks a pair at the
+    other type's value."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    graph = srg.midpoint_graph(mid.points, mid.d4)
+    # bit t of incident[i] is set iff vertex i lies on edge t
+    incident = [sum(1 << t for t, e in enumerate(edges) if i in e)
+                for i in range(n)]
+    for t, (i, j) in enumerate(edges):
+        wrong = graph[t] ^ incident[i] ^ incident[j]
+        if wrong:  # both sides are symmetric: the lowest bit is above t
+            u = (wrong & -wrong).bit_length() - 1
+            raise LawViolated("midpoint distance law violated at %r/%r"
+                              % (edges[t], edges[u]))
+    return graph

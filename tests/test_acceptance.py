@@ -13,10 +13,10 @@ from ffdist.construct import (
     sharp_dimensions,
 )
 from ffdist.geometry import PointSet, FORM_STANDARD, classify, Equilateral, \
-    TwoDistance, gram_rank
+    TwoDistance
 from ffdist.linalg import gram_rank_law, NotIsometric
 
-from brute_force import brute_force_classify_all
+from brute_force import brute_force_classify_all, gram_rank
 
 
 def report(number, ok, text):
@@ -55,7 +55,7 @@ def test_criterion_2_midpoint_lemma():
     ok = True
     for f, d, b in construction_grid():
         s = modular_equilateral(ModularParams(f, d, b))
-        mid = midpoints(s)  # verifies every pair against its type exactly
+        mid = midpoints(s)  # checks the midpoint lemma exactly
         n = d + 2
         ok &= len(mid.points) == comb(n, 2) == geometry.blokhuis_bound(d)
     report(2, ok, "midpoint lemma exhaustive on the grid, "

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from ffdist import certificate
+from ffdist import certificate, cli, construct
 from ffdist.construct import ModularParams, embed_standard, modular_equilateral
 from ffdist.field import field_make
 from ffdist.geometry import FORM_STANDARD
+
+from test_construct import grid
 
 
 def reference_dumps(cert):
@@ -113,3 +115,151 @@ def test_bulk_decode_matches_element_property(tmp_path):
         assert s.points == expected
     check()
 
+
+
+# The midpoint lemma path of verify against the census path.
+
+def construct_midpoints(tmp_path, *args):
+    """Path of the midpoint certificate construct --midpoints writes."""
+    out = tmp_path / "c.json"
+    assert cli.main(["construct", *args, "--midpoints",
+                     "--out", str(out)]) == 0
+    return tmp_path / "c.midpoints.json"
+
+
+def census_only(monkeypatch):
+    """Send every file down verify's census path."""
+    monkeypatch.setattr(construct, "midpoint_sources", lambda s: None)
+
+
+def edited(tmp_path, path, edit, name="edited.json"):
+    """A copy of the certificate at path, changed by edit(cert)."""
+    cert = json.loads(path.read_text())
+    edit(cert)
+    out = tmp_path / name
+    out.write_text(json.dumps(cert))
+    return out
+
+
+def verify_both(path, monkeypatch):
+    """verify's reports on the lemma path and on the census path."""
+    lemma = certificate.verify(str(path))
+    with monkeypatch.context() as patch:
+        census_only(patch)
+        census = certificate.verify(str(path))
+    return lemma, census
+
+
+EQUIVALENCE_CASES = [("--p", str(f.p), "--d", str(d), "--b", str(b))
+                     for f, d, b in grid()] + [
+    ("--p", "7", "--d", "47"),  # v = 1,176
+    ("--p", "3", "--k", "2", "--d", "4", "--b", "4"),
+    ("--p", "3", "--k", "2", "--d", "7"),
+    ("--p", "5", "--k", "2", "--d", "3", "--b", "7"),
+    ("--p", "5", "--k", "2", "--d", "28", "--embed", "standard"),
+    ("--p", "5", "--d", "3", "--embed", "standard"),
+    ("--p", "13", "--d", "24", "--embed", "standard"),
+]
+
+
+def test_lemma_and_census_reports_agree(tmp_path, monkeypatch):
+    for args in EQUIVALENCE_CASES:
+        mid = construct_midpoints(tmp_path, *args)
+        lemma, census = verify_both(mid, monkeypatch)
+        n = int(args[args.index("--d") + 1]) + 2
+        assert lemma.pop("method") == (
+            "midpoint_lemma" if n >= 4 else "census"), args
+        assert census.pop("method") == "census"
+        assert lemma == census, args
+
+
+def test_shuffled_midpoints_verify_through_the_census(tmp_path,
+                                                      monkeypatch):
+    mid = construct_midpoints(tmp_path, "--p", "7", "--d", "5")
+    lemma = certificate.verify(str(mid))
+    shuffled = edited(tmp_path, mid, lambda c: c["points"].reverse())
+    report = certificate.verify(str(shuffled))
+    assert report.pop("method") == "census"
+    assert lemma.pop("method") == "midpoint_lemma"
+    assert report == lemma
+    # the equilateral source certificate has no two-distance claim
+    report = certificate.verify(str(tmp_path / "c.json"))
+    assert report["method"] == "census"
+
+
+def _move(point, p):
+    """point moved along e_0 - e_1, on the same hyperplane."""
+    return [(point[0] + 1) % p, (point[1] - 1) % p] + point[2:]
+
+
+def _move_source(tmp_path):
+    """The p = 5, d = 3 midpoint file rebuilt from sources with x_3
+    moved: every point is a midpoint, but of a set that is not
+    equilateral."""
+    xs = json.loads((tmp_path / "c.json").read_text())["points"]
+    xs[3] = _move(xs[3], 5)
+
+    def rebuild(cert):  # 3 = 1/2 in GF(5)
+        cert["points"] = [[3 * (a + b) % 5 for a, b in zip(x, y)]
+                          for i, x in enumerate(xs) for y in xs[i + 1:]]
+    return rebuild, xs
+
+
+@pytest.mark.parametrize("what,message", [
+    ("midpoint", "points classify as Other(3 values, has_zero=False), "
+                 "claim says two_distance"),
+    ("source", "points classify as Other(5 values, has_zero=True), "
+               "claim says two_distance"),
+    ("n", "point count does not match C(n,2)"),
+])
+def test_each_lemma_step_is_live(tmp_path, monkeypatch, what, message):
+    mid = construct_midpoints(tmp_path, "--p", "5", "--d", "3")
+    if what == "midpoint":
+        def edit(cert):
+            cert["points"][4] = _move(cert["points"][4], 5)
+    elif what == "source":
+        edit, xs = _move_source(tmp_path)
+    else:
+        def edit(cert):
+            cert["meta"]["srg_report"]["n"] = 6
+    bad = edited(tmp_path, mid, edit)
+    _, s = certificate.load(str(bad))
+    sources = construct.midpoint_sources(s)
+    if what == "midpoint":
+        assert sources is None
+    elif what == "source":  # read back, and classified: not equilateral
+        assert sources == [tuple(x) for x in xs]
+    with pytest.raises(certificate.VerificationFailure) as lemma:
+        certificate.verify(str(bad))
+    census_only(monkeypatch)
+    with pytest.raises(certificate.VerificationFailure) as census:
+        certificate.verify(str(bad))
+    assert str(lemma.value) == str(census.value) == message
+
+
+@pytest.mark.parametrize("change", [
+    {"ok": False, "k": 0, "eigenvalues": [[99, 1]]},
+    {"ok": False}, {"ok": 1}, {"k": 0}, {"k": 6.0}, {"mu": 3},
+    {"eigenvalues": [[6, 1], [1, 4]]}, {"failure": "none"},
+])
+@pytest.mark.parametrize("reverse", [False, True])  # lemma, census path
+def test_verify_rejects_edited_srg_report(tmp_path, capsys, change,
+                                          reverse):
+    mid = construct_midpoints(tmp_path, "--p", "5", "--d", "3")
+
+    def edit(cert):
+        cert["meta"]["srg_report"].update(change)
+        if reverse:
+            cert["points"].reverse()
+    bad = edited(tmp_path, mid, edit)
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "verification failed: meta.srg_report is not the report of T(5)\n")
+
+
+def test_verify_rejects_srg_report_missing_a_key(tmp_path, capsys):
+    mid = construct_midpoints(tmp_path, "--p", "5", "--d", "3")
+    bad = edited(tmp_path, mid,
+                 lambda cert: cert["meta"]["srg_report"].pop("lambda"))
+    assert cli.main(["verify", str(bad)]) == 1

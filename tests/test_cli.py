@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import ffdist
-from ffdist import certificate, cli, geometry, search, srg
+from ffdist import certificate, cli, construct, search, srg
 from ffdist.field import field_make
 from ffdist.linalg import LawViolated
 
+from brute_force import dist2
+from test_construct import corrupt_midpoint
 from test_search import node_capped
 
 SRC = Path(ffdist.__file__).parent
@@ -60,17 +62,26 @@ def test_construct_midpoints_of_triangle_claim_equilateral(tmp_path, k):
 
 def test_construct_failing_srg_report_is_never_written(tmp_path,
                                                        monkeypatch):
-    # construct.midpoints already checked the rows, so a failing report
-    # is a bug: it raises instead of being written with exit 0
+    # construct.midpoints proves T(n) through the midpoint lemma, so a
+    # midpoint set that fails it raises instead of being written with
+    # exit 0 and the closed-form report
+    corrupt_midpoint(monkeypatch, 3)
+    with pytest.raises(LawViolated, match="midpoints of 5 points"):
+        construct_pair(tmp_path, 5, 3)
+    assert not (tmp_path / "cert.midpoints.json").exists()
+    # the census oracle: T(5)'s identity with mu = 3 fails on the graph
+    monkeypatch.undo()
     right = srg.expected_params
 
     def wrong(n):
         return dict(right(n), mu=3)
 
+    mid = construct.midpoints(construct.modular_equilateral(
+        construct.ModularParams(field_make(5), 3)))
     monkeypatch.setattr(srg, "expected_params", wrong)
-    with pytest.raises(LawViolated, match="not T\\(5\\): A\\^2 entry"):
-        construct_pair(tmp_path, 5, 3)
-    assert not (tmp_path / "cert.midpoints.json").exists()
+    report = srg.srg_check(srg.midpoint_graph(mid.points, mid.d4), 5)
+    assert not report["ok"]
+    assert report["failure"].startswith("A^2 entry")
 
 
 def test_construct_embed_obstruction(tmp_path):
@@ -900,7 +911,7 @@ def _census_agrees(cert):
     fb = cert["field"]
     f = field_make(fb["p"], fb["k"], fb.get("modulus"))
     points = [tuple(f.deserialize(c) for c in p) for p in cert["points"]]
-    census = {geometry.dist2(f, x, y)
+    census = {dist2(f, x, y)
               for i, x in enumerate(points) for y in points[i + 1:]}
     claim = cert["claim"]
     values = ([claim["delta"]] if claim["type"] == "equilateral"

@@ -5,17 +5,18 @@ import pytest
 from ffdist.field import field_make, SquareClass
 from ffdist import construct, geometry
 from ffdist.construct import (
-    ModularParams, modular_equilateral, midpoints, embed_standard,
-    sharp_dimensions, admissible_chars, NotModular, ZeroScale,
-    NotEquilateral,
+    ModularParams, modular_equilateral, midpoints, midpoint_sources,
+    embed_standard, sharp_dimensions, admissible_chars, NotModular,
+    ZeroScale, NotEquilateral,
 )
 from ffdist.geometry import (
-    PointSet, FORM_STANDARD, FORM_SUM_ZERO, dist2, classify, Equilateral,
-    TwoDistance, gram_rank,
+    PointSet, FORM_STANDARD, FORM_SUM_ZERO, classify, Equilateral,
+    TwoDistance,
 )
 from ffdist.linalg import LawViolated, NotIsometric
 from ffdist.srg import BadDistanceValue
 
+from brute_force import dist2, gram_rank, midpoint_census
 from test_geometry import assert_pair_norms_match_dist2
 
 
@@ -97,7 +98,23 @@ def test_midpoints_n3_is_equilateral():
     assert sorted(mid.points.points) == [(0,), (1,), (2,)]
     assert classify(mid.points) == Equilateral(1)
     # all three midpoint pairs are shared-vertex pairs: L(K_3) = K_3
-    assert mid.graph == [0b110, 0b101, 0b011]
+    assert midpoint_census(mid, 3) == [0b110, 0b101, 0b011]
+    # the lemma needs n >= 4, where the set is two-distance
+    assert midpoint_sources(mid.points) is None
+
+
+def test_midpoints_n3_rejects_a_pair_off_delta_quarter(monkeypatch):
+    f3 = field_make(3)
+    s = PointSet(f3, 1, FORM_STANDARD, [(0,), (1,), (2,)])
+    pair_norms = PointSet.pair_norms
+
+    def corrupted(self):
+        rows = pair_norms(self)
+        return rows if self is s else [[2, 1], [1], []]
+
+    monkeypatch.setattr(PointSet, "pair_norms", corrupted)
+    with pytest.raises(LawViolated, match="midpoints of 3 points"):
+        midpoints(s)
 
 
 def test_midpoints_requires_equilateral():
@@ -118,13 +135,15 @@ def test_midpoints_requires_equilateral():
 ])
 def test_midpoints_rejects_corrupted_pair_norm(monkeypatch, pair, value,
                                                error, match):
+    # the census oracle, on the midpoint set with one pair norm changed
     f5 = field_make(5)
     s = modular_equilateral(ModularParams(f5, 3, 1))  # delta = 2
+    mid = midpoints(s)
     pair_norms = PointSet.pair_norms
 
     def corrupted(self):
         rows = pair_norms(self)
-        if self is s:
+        if self is not mid.points:
             return rows
         i, j = pair
         rows = [list(r) for r in rows]
@@ -133,18 +152,46 @@ def test_midpoints_rejects_corrupted_pair_norm(monkeypatch, pair, value,
 
     monkeypatch.setattr(PointSet, "pair_norms", corrupted)
     with pytest.raises(error, match=match):
+        midpoint_census(mid, len(s))
+
+
+def corrupt_midpoint(monkeypatch, t, v=10):
+    """Make construct build its sets of v points with point t moved
+    along e_0 - e_1, which keeps it on the sum-zero hyperplane."""
+    real = construct.PointSet
+
+    def corrupted(f, dim, form, points):
+        if len(points) == v:
+            x = list(points[t])
+            x[0], x[1] = f.add(x[0], f.one), f.sub(x[1], f.one)
+            points = points[:t] + [tuple(x)] + points[t + 1:]
+        return real(f, dim, form, points)
+
+    monkeypatch.setattr(construct, "PointSet", corrupted)
+
+
+@pytest.mark.parametrize("t", [0, 1, 4, 7, 9])
+def test_midpoints_rejects_corrupted_midpoint(monkeypatch, t):
+    # the lemma check: a moved midpoint m_ij is not (x_i + x_j)/2 of the
+    # input points, whether or not it changes the recovered x_0
+    f5 = field_make(5)
+    s = modular_equilateral(ModularParams(f5, 3, 1))
+    corrupt_midpoint(monkeypatch, t)
+    with pytest.raises(LawViolated, match="midpoints of 5 points"):
         midpoints(s)
 
 
 def test_midpoint_lemma_exhaustive_grid():
     for f, d, b in grid():
         s = modular_equilateral(ModularParams(f, d, b))
-        mid = midpoints(s)  # internally re-verifies every pair distance
+        mid = midpoints(s)  # checks the midpoint lemma exactly
         n = d + 2
+        assert midpoint_sources(mid.points) == (s.points if n >= 4 else None)
         assert len(mid.points) == comb(n, 2) == geometry.blokhuis_bound(d)
         # graph rows hold the shared-vertex pairs, at delta/4; the
         # disjoint-edge pairs are the census count at delta/2
-        shared = sum(r.bit_count() for r in mid.graph) // 2
+        graph = midpoint_census(mid, n)  # re-verifies every pair distance
+        shared = sum(r.bit_count() for r in graph) // 2
         disjoint = geometry.spectrum(mid.points).values.get(mid.d2, 0)
         # each midpoint meets 2(n-2) others in a vertex: handshake count
         assert shared == comb(n, 2) * (n - 2)

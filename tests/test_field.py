@@ -3,10 +3,12 @@ import random
 import pytest
 
 from ffdist.field import (
-    field_make, nonsquare_representative, SquareClass,
+    field_make, SquareClass,
     NotPrime, EvenCharacteristic, ReducibleModulus, DivisionByZero,
     _poly_mod, _poly_mul, _poly_powmod, _poly_trim,
 )
+
+from brute_force import nonsquare_representative
 
 
 def small_fields():

@@ -7,11 +7,13 @@ import pytest
 from ffdist.field import field_make
 from ffdist import geometry
 from ffdist.geometry import (
-    PointSet, FORM_STANDARD, FORM_SUM_ZERO, dist2, spectrum, classify,
-    gram, gram_rank, equilateral_upper, blokhuis_bound,
+    PointSet, FORM_STANDARD, FORM_SUM_ZERO, spectrum, classify,
+    equilateral_upper, blokhuis_bound,
     Equilateral, TwoDistance, Other, TooFewPoints,
 )
 from ffdist.linalg import DimensionMismatch
+
+from brute_force import dist2, gram, gram_rank
 
 
 def naive_dist2(p, x, y):

@@ -13,7 +13,7 @@ from ffdist.search import (
     MODE_EQUILATERAL, MODE_TWO_DISTANCE,
 )
 
-from brute_force import brute_force_classify_all
+from brute_force import brute_force_classify_all, dist2
 from test_geometry import assert_pair_norms_match_dist2
 
 GOLDEN_DIR = Path(os.environ.get("FFDIST_GOLDEN_DIR",
@@ -208,15 +208,15 @@ def test_golden_files():
 
 
 def reference_graph(f, d, values):
-    """The search graph built pair by pair with geometry.dist2."""
+    """The search graph built pair by pair with brute_force.dist2."""
     points = list(itertools.product(list(f.elements()), repeat=d))
     vset = set(values)
     cand = [x for x in points[1:]
-            if geometry.dist2(f, points[0], x) in vset]
+            if dist2(f, points[0], x) in vset]
     adj = [0] * len(cand)
     for i, x in enumerate(cand):
         for j, y in enumerate(cand):
-            if geometry.dist2(f, x, y) in vset:
+            if dist2(f, x, y) in vset:
                 adj[i] |= 1 << j
     return cand, adj
 
@@ -311,9 +311,9 @@ def test_cayley_table_matches_dist2_and_lines(p, k, d):
     else:
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3000)]
     for x, y in pairs:
-        assert table.norm[entry(x, y)] == geometry.dist2(
+        assert table.norm[entry(x, y)] == dist2(
             f, points[x], points[y])
-    norms = [geometry.dist2(f, origin, x) for x in points]
+    norms = [dist2(f, origin, x) for x in points]
     assert list(table.point_norm) == norms
     for size in (1, 2, 3):
         values = rng.sample(range(1, f.q), min(size, f.q - 1))
@@ -374,9 +374,9 @@ def test_witt_pin_matches_networkx_clique(p, k, d):
                 assert ttype == {
                     "collinear": any(tuple(f.mul(lam, c) for c in x) == y
                                      for lam in f.elements()),
-                    "sides": sorted([geometry.dist2(f, origin, x),
-                                     geometry.dist2(f, origin, y),
-                                     geometry.dist2(f, x, y)])}
+                    "sides": sorted([dist2(f, origin, x),
+                                     dist2(f, origin, y),
+                                     dist2(f, x, y)])}
                 assert adj[pos[e]] >> pos[z] & 1
                 assert verts == sorted(set(verts))
                 assert all(adj[pos[e]] >> pos[v] & adj[pos[z]] >> pos[v] & 1

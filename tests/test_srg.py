@@ -88,11 +88,12 @@ def test_srg_check_passes_for_midpoint_graphs():
 def test_midpoint_graph_rows_symmetric_with_zero_diagonal():
     for f, d, b in grid():
         mid = midpoints(modular_equilateral(ModularParams(f, d, b)))
-        assert_symmetric_zero_diagonal(mid.graph)
+        assert_symmetric_zero_diagonal(midpoint_graph(mid.points, mid.d4))
     # the same midpoints in shuffled order: the graph is permuted, and
     # still T(n)
     f = field_make(7)
     mid = midpoints(modular_equilateral(ModularParams(f, 5, 1)))
+    graph = midpoint_graph(mid.points, mid.d4)
     order = list(range(len(mid.points)))
     random.Random(7).shuffle(order)
     shuffled = PointSet(f, mid.points.ambient_dim, mid.points.form,
@@ -100,7 +101,7 @@ def test_midpoint_graph_rows_symmetric_with_zero_diagonal():
     rows = midpoint_graph(shuffled, mid.d4)
     assert_symmetric_zero_diagonal(rows)
     assert [[r >> j & 1 for j in range(len(rows))] for r in rows] == [
-        [mid.graph[i] >> j & 1 for j in order] for i in order]
+        [graph[i] >> j & 1 for j in order] for i in order]
     assert srg_check(rows, 7)["ok"]
 
 

@@ -132,29 +132,25 @@ def embed_standard(s):
 
     Raises NotIsometric when the hyperplane form is not congruent to the
     standard one (discriminant obstruction, e.g. characteristic 3 with
-    ambient dimension 5), LawViolated if T^T G T != I or a distance moved.
+    ambient dimension 5), LawViolated if the basis w_i found for the
+    hyperplane is not orthonormal or a distance moved.
     """
     if s.form != FORM_SUM_ZERO:
         raise ValueError("embed_standard expects a sum-zero hyperplane set")
     f = s.field
     m = s.ambient_dim
-    # Gram matrix G = B^T B of the hyperplane basis B with columns
-    # e_i - e_(i+1): tridiagonal, 2 on the diagonal and -1 beside it
-    g = [[f.coerce((2, -1, 0)[min(abs(i - j), 2)]) for j in range(m - 1)]
-         for i in range(m - 1)]
-    t = isometry_to_standard(f, g)  # may raise NotIsometric
-    # A point p = B c of the hyperplane (PointSet checked the sum) has
-    # coordinates y = T^-1 c.  T^T G T = I gives T^-1 = T^T B^T B, so
-    # y = (B T)^T p: one linear map for every point.  B is bidiagonal,
-    # so row i of B T is T_i - T_(i-1), taking zero rows outside T.
-    padded = [[f.zero] * (m - 1)] + t + [[f.zero] * (m - 1)]
-    bt = [list(map(f.sub, y, x)) for x, y in zip(padded, padded[1:])]
-    times_bt = row_product(f, bt)  # (B T)^T (B T) = T^T G T is the law
+    minus_one = f.neg(f.one)
+    basis = [[f.one if j == i else minus_one if j == i + 1 else f.zero
+              for j in range(m)] for i in range(m - 1)]  # e_i - e_(i+1)
+    w = isometry_to_standard(f, basis)  # may raise NotIsometric
+    # A point p of the hyperplane (PointSet checked the sum) is the sum
+    # of y_i w_i with y_i = w_i . p: one linear map for every point.
+    times_wt = row_product(f, list(zip(*w)))
     eye = [[f.one if i == j else f.zero for j in range(m - 1)]
            for i in range(m - 1)]
-    if list(map(times_bt, zip(*bt))) != eye:
-        raise LawViolated("T^T G T is not the identity")
-    out = PointSet(f, m - 1, FORM_STANDARD, list(map(times_bt, s.points)))
+    if list(map(times_wt, w)) != eye:
+        raise LawViolated("the hyperplane basis is not orthonormal")
+    out = PointSet(f, m - 1, FORM_STANDARD, list(map(times_wt, s.points)))
     for i, (new, old) in enumerate(zip(out.pair_norms(), s.pair_norms())):
         if new != old:
             j = next(j for j, (a, b) in enumerate(zip(new, old), i + 1)

@@ -84,19 +84,12 @@ class PointSet:
         return self._pair_norms
 
 
-class Spectrum:
-    """Census of squared distances over all unordered pairs."""
-
-    def __init__(self, values, has_zero):
-        self.values = values  # dict: distance -> pair count
-        self.has_zero = has_zero
-
-
 def spectrum(s):
+    """Census of squared distances over all unordered pairs: a dict
+    distance -> pair count."""
     if len(s) < 2:
         raise TooFewPoints("spectrum needs at least 2 points")
-    values = dict(Counter(chain.from_iterable(s.pair_norms())))
-    return Spectrum(values, s.field.zero in values)
+    return dict(Counter(chain.from_iterable(s.pair_norms())))
 
 
 class Equilateral:
@@ -141,7 +134,7 @@ def classify(s):
     distinct points (isotropic difference) always lands in Other.
     One-value sets are Equilateral, never a degenerate TwoDistance.
     """
-    return classify_values(spectrum(s).values)
+    return classify_values(spectrum(s))
 
 
 def classify_values(values):

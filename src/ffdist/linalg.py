@@ -17,19 +17,15 @@ one to_bytes and reduced mod p.  dot is the pairwise form for single
 vectors.
 
 Rank is plain Gaussian elimination with any nonzero pivot, the only
-elimination in the package.  Symmetric forms are diagonalized by
-congruence in O(n^3), each working vector carrying its image under the
-form so a form value is one dot product, and mapped onto the standard
-form when the discriminant permits.
+elimination in the package.  The standard form restricted to the span
+of some vectors is diagonalized by orthogonalizing them in O(n^2 m)
+for n vectors of length m, and mapped onto the standard form (an
+orthonormal basis of the span) when the discriminant permits.
 """
 
 import sys
 from array import array
 from operator import lshift, mul
-
-
-class NotSymmetric(ValueError):
-    pass
 
 
 class Degenerate(ValueError):
@@ -174,56 +170,51 @@ def gram_rank_law(n, f):
     return r
 
 
-def diagonalize_form(f, g):
-    """Congruence diagonalization of a symmetric matrix g (rows) in
-    O(n^3): (diag, cols) with c_i^T G c_j = diag[i] if i = j, else 0.
+def diagonalize_form(f, vectors):
+    """Orthogonalize vectors of one length under dot in O(n^2 m): (diag,
+    ws), ws spanning what vectors span, with dot(w_i, w_j) = diag[i] if
+    i = j, else 0.
 
     Standard orthogonalization: pick a vector of nonzero norm, project
     it out of the rest, recurse.  If every remaining vector has zero
     norm but some pair has nonzero inner product, u := u+v creates a
     nonzero norm (needs odd characteristic, which the field guarantees).
-    Each remaining vector u carries its image G u, updated along with u,
-    so a form value B(u, v) is one dot product dot(u, G v).
     """
-    images = [list(row) for row in g]  # G e_i is column i = row i
-    if list(map(list, zip(*images))) != images:  # ragged or non-square too
-        raise NotSymmetric("form matrix must be square and symmetric")
-    n = len(images)
-    remaining = [[f.one if i == j else f.zero for j in range(n)]
-                 for i in range(n)]
+    remaining = [list(v) for v in vectors]
+    if len(set(map(len, remaining))) > 1:
+        raise DimensionMismatch("vectors must have one length")
 
-    def add_multiple(i, c, v, gv):  # u_i += c v, so G u_i += c G v
+    def add_multiple(i, c, v):  # u_i += c v
         remaining[i] = [f.add(x, f.mul(c, y)) if y else x
                         for x, y in zip(remaining[i], v)]
-        images[i] = [f.add(x, f.mul(c, y)) if y else x
-                     for x, y in zip(images[i], gv)]
 
-    cols = []
+    ws = []
     diag = []
     while remaining:
-        pivot = next((i for i, (u, gu) in enumerate(zip(remaining, images))
-                      if dot(f, u, gu) != f.zero), None)
+        pivot = next((i for i, u in enumerate(remaining)
+                      if dot(f, u, u) != f.zero), None)
         if pivot is None:
             pair = next(((i, j) for i in range(len(remaining))
                          for j in range(i + 1, len(remaining))
-                         if dot(f, remaining[i], images[j]) != f.zero), None)
+                         if dot(f, remaining[i], remaining[j]) != f.zero),
+                        None)
             if pair is None:
-                # remaining space is totally isotropic: zero diagonal block
-                cols.extend(remaining)
+                # remaining span is totally isotropic: zero diagonal block
+                ws.extend(remaining)
                 diag.extend([f.zero] * len(remaining))
                 break
             pivot, j = pair
-            add_multiple(pivot, f.one, remaining[j], images[j])
-        v, gv = remaining.pop(pivot), images.pop(pivot)
-        d = dot(f, v, gv)
-        cols.append(v)
+            add_multiple(pivot, f.one, remaining[j])
+        v = remaining.pop(pivot)
+        d = dot(f, v, v)
+        ws.append(v)
         diag.append(d)
         minus_dinv = f.neg(f.inv(d))
         for idx, u in enumerate(remaining):
-            c = f.mul(dot(f, u, gv), minus_dinv)
+            c = f.mul(dot(f, u, v), minus_dinv)
             if c != f.zero:
-                add_multiple(idx, c, v, gv)
-    return diag, cols
+                add_multiple(idx, c, v)
+    return diag, ws
 
 
 def _represent_one(f, a, b):
@@ -240,18 +231,19 @@ def _represent_one(f, a, b):
     raise LawViolated("binary form failed to represent 1")
 
 
-def isometry_to_standard(f, g):
-    """Rows of T with T^T G T = I, or NotIsometric carrying the
-    obstruction.
+def isometry_to_standard(f, vectors):
+    """An orthonormal basis under dot of the span of linearly independent
+    vectors of one length: Degenerate if dot is degenerate on the span,
+    NotIsometric carrying the obstruction if no such basis exists.
 
     Diagonalize, rescale square entries by an inverse square root, and
     absorb nonsquare entries two at a time: if a, b are nonsquares and
-    a x^2 + b y^2 = 1, the columns (x, y) and s(-b y, a x) with
+    a x^2 + b y^2 = 1, the combinations (x, y) and s(-b y, a x) with
     s = 1/sqrt(ab) are orthonormal for diag(a, b) (ab is a square).
     A single unpaired nonsquare is exactly the discriminant obstruction.
-    The caller checks T^T G T = I (embed_standard does, on B T).
+    The caller checks orthonormality (embed_standard does).
     """
-    diag, cols = diagonalize_form(f, g)
+    diag, ws = diagonalize_form(f, vectors)
     if f.zero in diag:
         raise Degenerate("form is degenerate")
     nonsquare_idx = []
@@ -261,17 +253,17 @@ def isometry_to_standard(f, g):
             nonsquare_idx.append(i)
         else:
             scale = f.inv(root)
-            cols[i] = [f.mul(scale, x) for x in cols[i]]
+            ws[i] = [f.mul(scale, x) for x in ws[i]]
     if len(nonsquare_idx) % 2 == 1:
         raise NotIsometric(f, diag[nonsquare_idx[-1]])
     for i, j in zip(nonsquare_idx[::2], nonsquare_idx[1::2]):
         a, b = diag[i], diag[j]
         x, y = _represent_one(f, a, b)
-        ci, cj = cols[i], cols[j]
-        new_i = [f.add(f.mul(x, u), f.mul(y, v)) for u, v in zip(ci, cj)]
+        wi, wj = ws[i], ws[j]
+        new_i = [f.add(f.mul(x, u), f.mul(y, v)) for u, v in zip(wi, wj)]
         s = f.inv(f.sqrt(f.mul(a, b)))
         mby = f.mul(s, f.neg(f.mul(b, y)))
         ax = f.mul(s, f.mul(a, x))
-        new_j = [f.add(f.mul(mby, u), f.mul(ax, v)) for u, v in zip(ci, cj)]
-        cols[i], cols[j] = new_i, new_j
-    return list(map(list, zip(*cols)))
+        new_j = [f.add(f.mul(mby, u), f.mul(ax, v)) for u, v in zip(wi, wj)]
+        ws[i], ws[j] = new_i, new_j
+    return ws

@@ -344,18 +344,18 @@ class _CayleyTable:
         mask = map(want.__getitem__, norms) if wide else norms.translate(want)
         return list(compress(range(len(norms)), mask))
 
-    def graph(self, verts, values, budget=None):
+    def graph(self, verts, values, budget):
         """Bitset adjacency among the point indices verts, in ascending
         order: bit j of row i is set iff Q(verts[i] - verts[j]) lies in
-        values, so ordering and cliques follow the points."""
+        values, so ordering and cliques follow the points.  The budget
+        is checked once per row."""
         vset = set(values)
         norm, off = self.norm, self.off
         keys = [self.key[i] for i in verts]
         n = len(keys)
         adj = [0] * n
         for i in range(n):
-            if budget is not None:
-                budget.check()
+            budget.check()
             row = keys[i] + off
             bit = 1 << i
             for j in range(i + 1, n):
@@ -594,8 +594,7 @@ def max_two_distance(problem):
     size, witness, values, exhausted, stats = _search(problem)
     both = None
     if size >= 2 and values is not None:
-        sp = geometry.spectrum(witness)
-        both = len(sp.values) == 2
+        both = len(geometry.spectrum(witness)) == 2
     status = geometry.bound_status(size, geometry.blokhuis_bound(problem.d))
     return SearchResult(problem, size, witness, exhausted, stats,
                         values=values, both_values=both, bound_status=status)

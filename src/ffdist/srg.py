@@ -119,8 +119,9 @@ def srg_check(rows, n):
 
 def eigen_collapse(n, p):
     """Whether the top two integer eigenvalues 2(n-2) and n-4 coincide
-    mod p (exactly when p | n) while -2 stays distinct from n-4
-    (exactly when p does not divide n-2)."""
+    mod p (exactly when p | n, as they differ by n) while -2 stays
+    distinct from n-4 (exactly when p does not divide n-2, their
+    difference)."""
     (top, _), (mid, _), (low, _) = expected_params(n)["eigenvalues"]
     return {
         "n": n,
@@ -129,7 +130,5 @@ def eigen_collapse(n, p):
         "mid_mod_p": mid % p,
         "low_mod_p": low % p,
         "collapse": top % p == mid % p,
-        "collapse_iff_p_divides_n": (top % p == mid % p) == (n % p == 0),
         "third_distinct": mid % p != low % p,
-        "third_distinct_iff": (mid % p != low % p) == ((n - 2) % p != 0),
     }

@@ -192,7 +192,7 @@ def test_midpoint_lemma_exhaustive_grid():
         # disjoint-edge pairs are the census count at delta/2
         graph = midpoint_census(mid, n)  # re-verifies every pair distance
         shared = sum(r.bit_count() for r in graph) // 2
-        disjoint = geometry.spectrum(mid.points).values.get(mid.d2, 0)
+        disjoint = geometry.spectrum(mid.points).get(mid.d2, 0)
         # each midpoint meets 2(n-2) others in a vertex: handshake count
         assert shared == comb(n, 2) * (n - 2)
         assert shared + disjoint == comb(len(mid.points), 2)
@@ -257,17 +257,17 @@ def test_embed_standard_obstruction_p3_d1():
 
 @pytest.mark.parametrize("p,k", [(5, 1), (5, 2), (13, 1)])
 def test_embed_isometry_law_is_checked(monkeypatch, p, k):
-    # a T with one entry changed fails (B T)^T (B T) = T^T G T = I
+    # a basis with one entry changed fails w_i . w_j = 1 if i = j, else 0
     f = field_make(p, k)
     s = modular_equilateral(ModularParams(f, p - 2, 1))
     real = construct.isometry_to_standard
 
-    def corrupted(field, g):
-        t = real(field, g)
-        t[-1][0] = field.add(t[-1][0], field.one)
-        return t
+    def corrupted(field, vectors):
+        w = real(field, vectors)
+        w[-1][0] = field.add(w[-1][0], field.one)
+        return w
     monkeypatch.setattr(construct, "isometry_to_standard", corrupted)
-    with pytest.raises(LawViolated, match="T\\^T G T is not the identity"):
+    with pytest.raises(LawViolated, match="basis is not orthonormal"):
         embed_standard(s)
 
 

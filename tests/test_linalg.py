@@ -4,8 +4,9 @@ import pytest
 
 from ffdist.field import field_make, SquareClass
 from ffdist.linalg import (
-    row_product, rank, gram_rank_law, diagonalize_form, isometry_to_standard,
-    _represent_one, NotSymmetric, Degenerate, NotIsometric, LawViolated,
+    dot, row_product, rank, gram_rank_law, diagonalize_form,
+    isometry_to_standard, _represent_one, Degenerate, DimensionMismatch,
+    NotIsometric, LawViolated,
 )
 
 from test_geometry import _field
@@ -48,9 +49,23 @@ def kernel_product(f, a, b):
     return [row(x) for x in a]
 
 
-def congruence(f, b, g):
-    """B^T G B by the naive product."""
-    return naive_mul(f, naive_mul(f, transpose(b), g), b)
+def gram(f, vs):
+    """The matrix of inner products dot(v_i, v_j), by the naive
+    product."""
+    return naive_mul(f, vs, transpose(vs))
+
+
+def same_span(f, vs, ws):
+    """Whether the rows of vs and ws span one space."""
+    r = rank(f, vs)
+    return rank(f, ws) == r == rank(f, vs + ws)
+
+
+def hyperplane_basis(f, m):
+    """The m - 1 vectors e_i - e_(i+1) of F_q^m, a basis of the sum-zero
+    hyperplane."""
+    return [[f.one if j == i else f.neg(f.one) if j == i + 1 else f.zero
+             for j in range(m)] for i in range(m - 1)]
 
 
 def diagonal(f, entries):
@@ -78,12 +93,15 @@ def random_matrix(f, n, rng, cols=None, zero_frac=0.0):
             for _ in range(n)]
 
 
-def random_symmetric(f, n, rng, zero_frac=0.0, zero_diagonal=False):
-    e = [[f.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + zero_diagonal, n):
-            e[i][j] = e[j][i] = random_entry(f, rng, zero_frac)
-    return e
+def random_vectors(f, n, m, rng, zero_frac=0.0, isotropic=False):
+    """n random vectors of length m, drawn until each has norm zero if
+    isotropic."""
+    vs = []
+    while len(vs) < n:
+        v = [random_entry(f, rng, zero_frac) for _ in range(m)]
+        if not isotropic or dot(f, v, v) == f.zero:
+            vs.append(v)
+    return vs
 
 
 def random_invertible(f, n, rng):
@@ -202,30 +220,35 @@ def test_product_matches_naive_property():
 
 
 def test_diagonalize_already_diagonal():
+    # (1, 1, 0) and (1, 4, 1) are orthogonal in F_5^3, of norms 2 and 3
     f5 = field_make(5)
-    g = [[2, 0], [0, 3]]
-    diag, cols = diagonalize_form(f5, g)
+    vs = [[1, 1, 0], [1, 4, 1]]
+    diag, ws = diagonalize_form(f5, vs)
     assert diag == [2, 3]
-    assert cols == identity(f5, 2)
+    assert ws == vs
 
 
 def test_diagonalize_hyperbolic_plane():
+    # (1, 2) and (3, 4) are isotropic in F_5^2 with inner product 1
     f5 = field_make(5)
-    g = [[0, 1], [1, 0]]
-    diag, cols = diagonalize_form(f5, g)
-    assert congruence(f5, transpose(cols), g) == diagonal(f5, diag)
+    vs = [[1, 2], [3, 4]]
+    assert gram(f5, vs) == [[0, 1], [1, 0]]
+    diag, ws = diagonalize_form(f5, vs)
+    assert gram(f5, ws) == diagonal(f5, diag)
+    assert same_span(f5, vs, ws)
     # discriminant of the hyperbolic plane is the class of -1
     assert (f5.square_class(determinant(f5, diag))
             == f5.square_class(f5.neg(f5.one)))
 
 
 def test_diagonalize_hyperplane_gram():
-    # Gram of the basis {e1-e2, e2-e3, e3-e4} of the sum-zero
-    # hyperplane in F_5^4; integer determinant 4, a square mod 5
+    # the basis {e1-e2, e2-e3, e3-e4} of the sum-zero hyperplane in
+    # F_5^4; its Gram determinant is 4, a square mod 5
     f5 = field_make(5)
-    g = [[2, 4, 0], [4, 2, 4], [0, 4, 2]]
-    diag, cols = diagonalize_form(f5, g)
-    assert congruence(f5, transpose(cols), g) == diagonal(f5, diag)
+    vs = hyperplane_basis(f5, 4)
+    diag, ws = diagonalize_form(f5, vs)
+    assert gram(f5, ws) == diagonal(f5, diag)
+    assert same_span(f5, vs, ws)
     assert f5.square_class(determinant(f5, diag)) is SquareClass.SQUARE
 
 
@@ -234,76 +257,85 @@ def test_diagonalize_random_congruence():
     for f in (field_make(3), field_make(5), field_make(7), field_make(3, 2)):
         for _ in range(25):
             n = rng.randint(1, 4)
-            g = random_symmetric(f, n, rng)
-            diag, cols = diagonalize_form(f, g)
-            assert rank(f, cols) == n  # invertible basis
-            assert congruence(f, transpose(cols), g) == diagonal(f, diag)
+            vs = random_vectors(f, n, rng.randint(1, 5), rng)
+            diag, ws = diagonalize_form(f, vs)
+            assert len(ws) == n and same_span(f, vs, ws)
+            assert gram(f, ws) == diagonal(f, diag)
 
 
 def test_diagonalize_every_branch_up_to_n8():
-    # A nonzero form with zero diagonal has no vector of nonzero norm
-    # among the e_i, so its first step is the isotropic pair fix-up; a
-    # rank-deficient form ends in the totally isotropic tail, which is
-    # where the zero entries come from.
+    # A set of isotropic vectors that is not totally isotropic has no
+    # vector of nonzero norm, so its first step is the pair fix-up; a
+    # set whose Gram matrix is singular (dependent vectors, or a radical
+    # in their span) ends in the totally isotropic tail, which is where
+    # the zero entries come from.
     rng = random.Random(2718)
     fixups = tails = 0
     for p, k in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2)):
         f = field_make(p, k)
         for n in range(1, 9):
-            forms = [[[f.zero] * n for _ in range(n)]]
+            m = rng.randint(max(1, n - 2), n + 2)
+            sets = [[[f.zero] * m for _ in range(n)]]
             for zero_frac in (0.0, 0.6, 0.9):
-                forms.append(random_symmetric(f, n, rng, zero_frac))
-                forms.append(random_symmetric(f, n, rng, zero_frac,
-                                              zero_diagonal=True))
-            for g in forms:
-                diag, cols = diagonalize_form(f, g)
-                assert rank(f, cols) == n
-                assert congruence(f, transpose(cols), g) == diagonal(f, diag)
-                r = rank(f, g)
+                sets.append(random_vectors(f, n, m, rng, zero_frac))
+                sets.append(random_vectors(f, n, m, rng, zero_frac,
+                                           isotropic=True))
+            for vs in sets:
+                diag, ws = diagonalize_form(f, vs)
+                assert len(ws) == n and same_span(f, vs, ws)
+                assert gram(f, ws) == diagonal(f, diag)
+                r = rank(f, gram(f, vs))
                 assert diag.count(f.zero) == n - r
                 assert all(diag[:r])  # zeros only in the tail
-                fixups += r > 0 and not any(g[i][i] for i in range(n))
+                fixups += r > 0 and not any(dot(f, v, v) for v in vs)
                 tails += r < n
     assert fixups >= 40 and tails >= 40
 
 
-def test_diagonalize_rejects_asymmetric():
+def test_diagonalize_any_number_of_vectors():
+    # fewer vectors than coordinates, and more (a dependent set, which
+    # ends in a zero vector of zero norm)
     f3 = field_make(3)
-    with pytest.raises(NotSymmetric):
-        diagonalize_form(f3, [[0, 1], [2, 0]])
+    assert diagonalize_form(f3, [[1, 0, 0], [0, 1, 0]]) == (
+        [1, 1], [[1, 0, 0], [0, 1, 0]])
+    assert diagonalize_form(f3, [[1, 0], [0, 1], [0, 0]]) == (
+        [1, 1, 0], [[1, 0], [0, 1], [0, 0]])
 
 
-@pytest.mark.parametrize("g", [
-    [[1, 0, 0], [0, 1, 0]],  # non-square
-    [[1, 0], [0, 1], [0, 0]],  # non-square, the other way
-    [[1, 0], [0]],  # ragged
-    [[1, 0, 2], [0, 1]],  # ragged, first row too long
+@pytest.mark.parametrize("g", [  # the generating vectors
+    [[1, 0], [0, 1, 0]],  # a longer vector after a shorter one
+    [[1, 0], [0, 1], []],  # an empty vector last
+    [[1, 0], [0]],  # a shorter vector last
+    [[1, 0, 2], [0, 1]],  # first vector too long
 ])
 def test_diagonalize_rejects_non_square_and_ragged(g):
-    with pytest.raises(NotSymmetric):
+    # vectors of unequal length, however many there are
+    with pytest.raises(DimensionMismatch):
         diagonalize_form(field_make(3), g)
+    with pytest.raises(DimensionMismatch):
+        isometry_to_standard(field_make(3), g)
 
 
 def test_isometry_identity():
     f5 = field_make(5)
-    g = identity(f5, 3)
-    assert isometry_to_standard(f5, g) == g
+    vs = identity(f5, 3)
+    assert isometry_to_standard(f5, vs) == vs
 
 
 def test_isometry_hyperplane_form_f5():
     f5 = field_make(5)
-    g = [[2, 4, 0], [4, 2, 4], [0, 4, 2]]
-    t = isometry_to_standard(f5, g)
-    assert congruence(f5, t, g) == identity(f5, 3)
+    vs = hyperplane_basis(f5, 4)
+    ws = isometry_to_standard(f5, vs)
+    assert gram(f5, ws) == identity(f5, 3)
+    assert same_span(f5, vs, ws)
 
 
 def test_isometry_obstruction_f3():
-    # tridiagonal Gram of the sum-zero hyperplane basis in F_3^5:
-    # integer determinant 5 = 2 mod 3, a nonsquare
+    # the sum-zero hyperplane basis in F_3^5: its Gram determinant is
+    # 5 = 2 mod 3, a nonsquare
     f3 = field_make(3)
-    g = [[2, 2, 0, 0], [2, 2, 2, 0], [0, 2, 2, 2], [0, 0, 2, 2]]
     with pytest.raises(NotIsometric) as exc:
-        isometry_to_standard(f3, g)
+        isometry_to_standard(f3, hyperplane_basis(f3, 5))
     assert exc.value.witness == 2
     assert exc.value.witness_class is SquareClass.NONSQUARE
 
@@ -313,31 +345,34 @@ def test_isometry_random_success_or_obstruction():
     for f in (field_make(3), field_make(5), field_make(7)):
         for _ in range(30):
             n = rng.randint(1, 4)
-            g = random_symmetric(f, n, rng)
-            diag, _ = diagonalize_form(f, g)
+            vs = random_vectors(f, n, rng.randint(n, n + 2), rng, 0.3,
+                                isotropic=rng.random() < 0.3)
+            diag, _ = diagonalize_form(f, vs)
             if f.zero in diag:
                 with pytest.raises(Degenerate):
-                    isometry_to_standard(f, g)
+                    isometry_to_standard(f, vs)
                 continue
             disc = f.square_class(determinant(f, diag))
             try:
-                t = isometry_to_standard(f, g)
+                ws = isometry_to_standard(f, vs)
             except NotIsometric:
                 assert disc is SquareClass.NONSQUARE
             else:
-                assert congruence(f, t, g) == identity(f, n)
+                assert gram(f, ws) == identity(f, n)
+                assert same_span(f, vs, ws)
                 assert disc is SquareClass.SQUARE
 
 
 def test_isometry_tridiagonal_gram_sizes():
-    # the Gram matrices construct.embed_standard hands over, at sizes
-    # where the O(n^3) diagonalization and sparse product matter
+    # the hyperplane bases construct.embed_standard hands over (Gram
+    # matrix tridiagonal), at sizes where the O(n^2 m) orthogonalization
+    # and sparse updates matter
     for p, k, n in ((5, 1, 28), (13, 1, 22), (5, 2, 27), (7, 2, 12)):
         f = field_make(p, k)
-        g = [[f.coerce({0: 2, 1: -1}.get(abs(i - j), 0)) for j in range(n)]
-             for i in range(n)]
-        t = isometry_to_standard(f, g)
-        assert congruence(f, t, g) == identity(f, n)
+        vs = hyperplane_basis(f, n + 1)
+        ws = isometry_to_standard(f, vs)
+        assert gram(f, ws) == identity(f, n)
+        assert same_span(f, vs, ws)
 
 
 def test_represent_one_failure_is_law_violation(monkeypatch):

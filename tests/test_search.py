@@ -1,6 +1,5 @@
 import itertools
 import json
-import os
 import random
 from pathlib import Path
 
@@ -16,8 +15,7 @@ from ffdist.search import (
 from brute_force import brute_force_classify_all, dist2
 from test_geometry import assert_pair_norms_match_dist2
 
-GOLDEN_DIR = Path(os.environ.get("FFDIST_GOLDEN_DIR",
-                                 Path(__file__).parent / "golden"))
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def node_capped(limit):
@@ -265,7 +263,7 @@ def test_cayley_graph_matches_dist2_oracle(p, k, d):
         assert value_sets == reference_value_sets(f, mode)
         for values in value_sets:
             cand = table.neighbors(values)
-            adj = table.graph(cand, values)
+            adj = table.graph(cand, values, budget)
             want_cand, want_adj = reference_graph(f, d, values)
             assert [search._point(f, d, i) for i in cand] == want_cand
             assert adj == want_adj
@@ -274,7 +272,8 @@ def test_cayley_graph_matches_dist2_oracle(p, k, d):
             rng = random.Random(repr((p, k, d, values)))
             for _ in range(4):
                 sub = [i for i in range(len(cand)) if rng.random() < 0.5]
-                assert table.graph([cand[i] for i in sub], values) == [
+                sub_adj = table.graph([cand[i] for i in sub], values, budget)
+                assert sub_adj == [
                     sum(1 << t for t, j in enumerate(sub)
                         if want_adj[i] >> j & 1) for i in sub]
             if nx is None:
@@ -360,7 +359,7 @@ def test_witt_pin_matches_networkx_clique(p, k, d):
     for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
         for values in search._candidate_value_sets(f, mode, None, budget):
             cand = table.neighbors(values)
-            adj = table.graph(cand, values)
+            adj = table.graph(cand, values, budget)
             pos = {x: i for i, x in enumerate(cand)}
             omega = 1 + len(nx.max_weight_clique(
                 nx_graph(nx, adj, range(len(cand))), None)[0])
@@ -383,8 +382,8 @@ def test_witt_pin_matches_networkx_clique(p, k, d):
                            for v in verts)
                 want = len(nx.max_weight_clique(
                     nx_graph(nx, adj, [pos[v] for v in verts]), None)[0])
-                clique, done = search._max_clique(table.graph(verts, values),
-                                                  budget)
+                clique, done = search._max_clique(
+                    table.graph(verts, values, budget), budget)
                 assert done and len(clique) == want
                 pinned.append(3 + want)
             if omega >= 3:
@@ -404,7 +403,7 @@ def test_similitude_classes_keep_clique_numbers(p, k, d):
 
     def omega(values):
         clique, done = search._max_clique(
-            table.graph(table.neighbors(values), values), budget)
+            table.graph(table.neighbors(values), values, budget), budget)
         assert done
         return len(clique)
 
@@ -619,7 +618,7 @@ def test_canonical_pass_visits_exactly_the_orbits_that_reach_the_maximum(
         assert r.exhausted and canon["orbits"] == len(value_sets)
         reach = 0
         for values in value_sets:
-            adj = table.graph(table.neighbors(values), values)
+            adj = table.graph(table.neighbors(values), values, budget)
             clique, done = search._max_clique(adj, budget)
             assert done
             if nx is not None:
@@ -642,8 +641,8 @@ def walk_every_orbit(f, d, mode, size):
     best = None
     for values in search._candidate_value_sets(f, mode, None, budget):
         cand = table.neighbors(values)
-        clique = search._lex_least_clique(table.graph(cand, values),
-                                          size - 1, budget)
+        clique = search._lex_least_clique(
+            table.graph(cand, values, budget), size - 1, budget)
         if clique is None:
             continue
         key = [0] + [cand[i] for i in clique]
@@ -703,8 +702,7 @@ def test_canonical_pass_budget_hit_keeps_proven_size(monkeypatch):
         assert (r.max_size, r.bound_status) == (full.max_size,
                                                 full.bound_status)
         assert len(r.witness.points) == r.max_size
-        sp = geometry.spectrum(r.witness)
-        assert set(sp.values) <= set(r.values)
+        assert set(geometry.spectrum(r.witness)) <= set(r.values)
 
 
 def test_default_budget_has_no_node_cap():
@@ -728,7 +726,7 @@ def test_canonical_pass_checks_the_deadline(monkeypatch):
     budgets = []
     graph = search._CayleyTable.graph
 
-    def spy(self, verts, values, budget=None):
+    def spy(self, verts, values, budget):
         budgets.append(budget)
         return graph(self, verts, values, budget)
 
@@ -743,4 +741,5 @@ def test_canonical_pass_checks_the_deadline(monkeypatch):
     with pytest.raises(search._BudgetHit):
         table.graph(cand, (1, 5), late)
     with pytest.raises(search._BudgetHit):
-        search._lex_least_clique(table.graph(cand, (1, 5)), 6, late)
+        search._lex_least_clique(
+            table.graph(cand, (1, 5), search._Budget(600)), 6, late)

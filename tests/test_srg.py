@@ -174,11 +174,11 @@ def test_eigen_collapse_examples():
 
 
 def test_eigen_collapse_pattern():
-    # difference of the top two eigenvalues is n, so collapse iff p | n
+    # the top two eigenvalues differ by n, so collapse iff p | n; the
+    # lower two differ by n - 2, so they stay distinct iff p does not
+    # divide n - 2
     for p in (3, 5, 7):
         for n in range(4, 16):
             r = eigen_collapse(n, p)
             assert r["collapse"] == (n % p == 0)
-            assert r["collapse_iff_p_divides_n"]
             assert r["third_distinct"] == ((n - 2) % p != 0)
-            assert r["third_distinct_iff"]

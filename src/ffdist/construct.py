@@ -128,12 +128,13 @@ def midpoints(s):
 def embed_standard(s):
     """Rewrite a sum-zero hyperplane set in orthonormal coordinates of
     the hyperplane, dropping one dimension while preserving every
-    squared distance.
+    squared distance; W W^T = I for the basis w_i (rows of W) and the
+    round trip W^T y_i = p_i of every point prove it without a census.
 
     Raises NotIsometric when the hyperplane form is not congruent to the
     standard one (discriminant obstruction, e.g. characteristic 3 with
     ambient dimension 5), LawViolated if the basis w_i found for the
-    hyperplane is not orthonormal or a distance moved.
+    hyperplane is not orthonormal or the map does not give back a point.
     """
     if s.form != FORM_SUM_ZERO:
         raise ValueError("embed_standard expects a sum-zero hyperplane set")
@@ -150,14 +151,15 @@ def embed_standard(s):
            for i in range(m - 1)]
     if list(map(times_wt, w)) != eye:
         raise LawViolated("the hyperplane basis is not orthonormal")
-    out = PointSet(f, m - 1, FORM_STANDARD, list(map(times_wt, s.points)))
-    for i, (new, old) in enumerate(zip(out.pair_norms(), s.pair_norms())):
-        if new != old:
-            j = next(j for j, (a, b) in enumerate(zip(new, old), i + 1)
-                     if a != b)
-            raise LawViolated("embedding changed the distance of "
-                              "points %d and %d" % (i, j))
-    return out
+    ys = list(map(times_wt, s.points))
+    # The round trip y_i W = p_i, i.e. W^T y_i = p_i, fixes every
+    # distance: p_i - p_j = W^T (y_i - y_j), so Q(p_i - p_j) =
+    # (y_i - y_j)^T W W^T (y_i - y_j) = Q(y_i - y_j) as W W^T = I.
+    times_w = row_product(f, w)
+    for i, (y, p) in enumerate(zip(ys, s.points)):
+        if tuple(times_w(y)) != p:
+            raise LawViolated("embedding moved point %d" % i)
+    return PointSet(f, m - 1, FORM_STANDARD, ys)
 
 
 def sharp_dimensions(p, d_max):

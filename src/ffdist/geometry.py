@@ -14,6 +14,7 @@ holds dist2, the pair-by-pair reference.
 
 import math
 from collections import Counter
+from functools import reduce
 from itertools import chain
 
 from .linalg import dot, row_product, DimensionMismatch
@@ -53,11 +54,10 @@ class PointSet:
                 raise ValueError("points must be pairwise distinct")
             seen.add(p)
         if form == FORM_SUM_ZERO:
-            for p in self.points:
-                s = field.zero
-                for c in p:
-                    s = field.add(s, c)
-                if s != field.zero:
+            for p in self.points:  # one C-level sum per point for k = 1
+                total = (sum(p) % field.p if field.k == 1
+                         else reduce(field.add, p, field.zero))
+                if total != field.zero:
                     raise OffHyperplane("point off the sum-zero hyperplane")
         elif form != FORM_STANDARD:
             raise ValueError("unknown form %r" % form)

@@ -179,24 +179,31 @@ def diagonalize_form(f, vectors):
     it out of the rest, recurse.  If every remaining vector has zero
     norm but some pair has nonzero inner product, u := u+v creates a
     nonzero norm (needs odd characteristic, which the field guarantees).
+    Each vector carries an int mask over its nonzero coordinates (a
+    superset once entries cancel); dot runs only where two masks meet,
+    since elsewhere it is exactly zero, so sparse inputs such as the
+    e_i - e_(i+1) stay cheap.
     """
     remaining = [list(v) for v in vectors]
     if len(set(map(len, remaining))) > 1:
         raise DimensionMismatch("vectors must have one length")
+    masks = [sum(1 << j for j, x in enumerate(v) if x) for v in remaining]
 
-    def add_multiple(i, c, v):  # u_i += c v
+    def add_multiple(i, c, v, mask):  # u_i += c v, v nonzero on mask
         remaining[i] = [f.add(x, f.mul(c, y)) if y else x
                         for x, y in zip(remaining[i], v)]
+        masks[i] |= mask
 
     ws = []
     diag = []
     while remaining:
         pivot = next((i for i, u in enumerate(remaining)
-                      if dot(f, u, u) != f.zero), None)
+                      if masks[i] and dot(f, u, u) != f.zero), None)
         if pivot is None:
             pair = next(((i, j) for i in range(len(remaining))
                          for j in range(i + 1, len(remaining))
-                         if dot(f, remaining[i], remaining[j]) != f.zero),
+                         if masks[i] & masks[j]
+                         and dot(f, remaining[i], remaining[j]) != f.zero),
                         None)
             if pair is None:
                 # remaining span is totally isotropic: zero diagonal block
@@ -204,16 +211,18 @@ def diagonalize_form(f, vectors):
                 diag.extend([f.zero] * len(remaining))
                 break
             pivot, j = pair
-            add_multiple(pivot, f.one, remaining[j])
+            add_multiple(pivot, f.one, remaining[j], masks[j])
         v = remaining.pop(pivot)
+        mask = masks.pop(pivot)
         d = dot(f, v, v)
         ws.append(v)
         diag.append(d)
         minus_dinv = f.neg(f.inv(d))
         for idx, u in enumerate(remaining):
-            c = f.mul(dot(f, u, v), minus_dinv)
-            if c != f.zero:
-                add_multiple(idx, c, v)
+            if masks[idx] & mask:
+                c = f.mul(dot(f, u, v), minus_dinv)
+                if c != f.zero:
+                    add_multiple(idx, c, v, mask)
     return diag, ws
 
 
@@ -241,7 +250,8 @@ def isometry_to_standard(f, vectors):
     a x^2 + b y^2 = 1, the combinations (x, y) and s(-b y, a x) with
     s = 1/sqrt(ab) are orthonormal for diag(a, b) (ab is a square).
     A single unpaired nonsquare is exactly the discriminant obstruction.
-    The caller checks orthonormality (embed_standard does).
+    The caller checks orthonormality and the round trip of the points
+    it maps (embed_standard does both).
     """
     diag, ws = diagonalize_form(f, vectors)
     if f.zero in diag:

@@ -1,8 +1,9 @@
 """Test-only oracles, independent of the fast paths they check: the
 exhaustive subset census for the clique engine on tiny instances, the
 pair-by-pair squared distance, the Gram matrix and its rank, the least
-nonsquare, and the midpoint pair census that the midpoint lemma
-replaced in construct.midpoints."""
+nonsquare, the midpoint pair census that the midpoint lemma replaced
+in construct.midpoints, and the orthogonalization without support
+masks."""
 
 import itertools
 from math import comb
@@ -94,3 +95,53 @@ def midpoint_census(mid, n):
             raise LawViolated("midpoint distance law violated at %r/%r"
                               % (edges[t], edges[u]))
     return graph
+
+
+def diagonalize_form(f, vectors):
+    """Orthogonalize vectors of one length under dot in O(n^2 m): (diag,
+    ws), ws spanning what vectors span, with dot(w_i, w_j) = diag[i] if
+    i = j, else 0.
+
+    Standard orthogonalization: pick a vector of nonzero norm, project
+    it out of the rest, recurse.  If every remaining vector has zero
+    norm but some pair has nonzero inner product, u := u+v creates a
+    nonzero norm (needs odd characteristic, which the field guarantees).
+
+    linalg.diagonalize_form without its support masks: every dot is
+    taken, so this is the reference its (diag, ws) must equal.
+    """
+    remaining = [list(v) for v in vectors]
+    if len(set(map(len, remaining))) > 1:
+        raise DimensionMismatch("vectors must have one length")
+
+    def add_multiple(i, c, v):  # u_i += c v
+        remaining[i] = [f.add(x, f.mul(c, y)) if y else x
+                        for x, y in zip(remaining[i], v)]
+
+    ws = []
+    diag = []
+    while remaining:
+        pivot = next((i for i, u in enumerate(remaining)
+                      if dot(f, u, u) != f.zero), None)
+        if pivot is None:
+            pair = next(((i, j) for i in range(len(remaining))
+                         for j in range(i + 1, len(remaining))
+                         if dot(f, remaining[i], remaining[j]) != f.zero),
+                        None)
+            if pair is None:
+                # remaining span is totally isotropic: zero diagonal block
+                ws.extend(remaining)
+                diag.extend([f.zero] * len(remaining))
+                break
+            pivot, j = pair
+            add_multiple(pivot, f.one, remaining[j])
+        v = remaining.pop(pivot)
+        d = dot(f, v, v)
+        ws.append(v)
+        diag.append(d)
+        minus_dinv = f.neg(f.inv(d))
+        for idx, u in enumerate(remaining):
+            c = f.mul(dot(f, u, v), minus_dinv)
+            if c != f.zero:
+                add_multiple(idx, c, v)
+    return diag, ws

@@ -1,9 +1,10 @@
+from itertools import count
 from math import comb
 
 import pytest
 
 from ffdist.field import field_make, SquareClass
-from ffdist import construct, geometry
+from ffdist import cli, construct, geometry
 from ffdist.construct import (
     ModularParams, modular_equilateral, midpoints, midpoint_sources,
     embed_standard, sharp_dimensions, admissible_chars, NotModular,
@@ -288,8 +289,55 @@ def test_embed_pair_norm_law_is_checked(monkeypatch, p, k):
             return out
         return wrong
     monkeypatch.setattr(construct, "row_product", corrupted)
-    with pytest.raises(LawViolated, match="distance of points 0 and 2"):
+    with pytest.raises(LawViolated, match="embedding moved point 2"):
         embed_standard(s)
+
+
+@pytest.mark.parametrize("p,k,d", [(5, 1, 8), (5, 2, 3), (13, 1, 24),
+                                   (3, 2, 1)])
+def test_embed_runs_no_census(monkeypatch, p, k, d):
+    # W W^T = I and the round trip prove the distances, so no pair
+    # census runs; the distances still match once the census is back
+    f = field_make(p, k)
+    s = modular_equilateral(ModularParams(f, d, 1))
+
+    def refuse(self):
+        raise AssertionError("embed_standard ran a pair census")
+    monkeypatch.setattr(geometry.PointSet, "pair_norms", refuse)
+    emb = embed_standard(s)
+    monkeypatch.undo()
+    assert emb.pair_norms() == s.pair_norms()
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (5, 2), (13, 1)])
+def test_embed_round_trip_is_checked(monkeypatch, tmp_path, p, k):
+    # the map back, row_product of the basis rows w (one fewer row than
+    # columns), gets one coordinate of point 3 wrong: W^T y_3 != p_3,
+    # and construct writes no file
+    f = field_make(p, k)
+    s = modular_equilateral(ModularParams(f, p - 2, 1))
+    real = construct.row_product
+
+    def corrupted(field, rows):
+        row = real(field, rows)
+        if len(rows[0]) != len(rows) + 1:
+            return row
+        calls = count()
+
+        def wrong(a, start=0):
+            out = row(a, start)
+            if next(calls) == 3:
+                out[-1] = field.add(out[-1], field.one)
+            return out
+        return wrong
+    monkeypatch.setattr(construct, "row_product", corrupted)
+    with pytest.raises(LawViolated, match="embedding moved point 3"):
+        embed_standard(s)
+    out = tmp_path / "e.json"
+    with pytest.raises(LawViolated, match="embedding moved point 3"):
+        cli.main(["construct", "--p", str(p), "--k", str(k), "--d",
+                  str(p - 2), "--embed", "standard", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_embed_preserves_distances_on_grid():

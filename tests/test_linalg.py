@@ -9,6 +9,7 @@ from ffdist.linalg import (
     NotIsometric, LawViolated,
 )
 
+from brute_force import diagonalize_form as plain_diagonalize_form
 from test_geometry import _field
 
 # GF(3, 7, 9, 25, 27, 49); 2^31 - 1 needs digits wider than 64 bits
@@ -282,6 +283,7 @@ def test_diagonalize_every_branch_up_to_n8():
                                            isotropic=True))
             for vs in sets:
                 diag, ws = diagonalize_form(f, vs)
+                assert (diag, ws) == plain_diagonalize_form(f, vs)
                 assert len(ws) == n and same_span(f, vs, ws)
                 assert gram(f, ws) == diagonal(f, diag)
                 r = rank(f, gram(f, vs))
@@ -290,6 +292,17 @@ def test_diagonalize_every_branch_up_to_n8():
                 fixups += r > 0 and not any(dot(f, v, v) for v in vs)
                 tails += r < n
     assert fixups >= 40 and tails >= 40
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2),
+                                 (5, 2)])
+def test_diagonalize_masks_match_plain_on_hyperplane_bases(p, k):
+    # the support masks skip only dots that are exactly zero, so the
+    # pivots, fix-ups and outputs are those of the plain elimination
+    f = field_make(p, k)
+    for m in (2, 3, 4, 7, 12, 30):
+        basis = hyperplane_basis(f, m)
+        assert diagonalize_form(f, basis) == plain_diagonalize_form(f, basis)
 
 
 def test_diagonalize_any_number_of_vectors():

@@ -313,6 +313,17 @@ class Field:
     def elements(self):
         return range(self.q)
 
+    def lanes(self, w):
+        """row_product's lane table for k > 1, built once per digit width
+        w: by encoding, its coefficients c_s packed as sum c_s 2^(w s)."""
+        tables = vars(self).setdefault("_lanes", {})
+        if w not in tables:
+            tables[w] = [0]
+            for s in range(self.k):  # coefficient s varies slowest
+                tables[w] = [(c << w * s) + low for c in range(self.p)
+                             for low in tables[w]]
+        return tables[w]
+
     def serialize(self, a):
         """Certificate form: the encoding for k = 1, else [c_0, ...]."""
         if self.k == 1:

@@ -14,10 +14,11 @@ holds dist2, the pair-by-pair reference.
 
 import math
 from collections import Counter
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain
+from operator import add, mul
 
-from .linalg import dot, row_product, DimensionMismatch
+from .linalg import row_product, DimensionMismatch
 
 
 class TooFewPoints(ValueError):
@@ -74,10 +75,11 @@ class PointSet:
         doc), computed on first use."""
         if self._pair_norms is None:
             f, points = self.field, self.points
-            minus2 = f.coerce(-2)
-            norms = [dot(f, x, x) for x in points]
-            row = row_product(f, [[f.mul(minus2, a) for a in coords]
-                                  for coords in zip(*points)]
+            # plain integers for k = 1, which row_product reduces mod p
+            plus, times = (f.add, f.mul) if f.k > 1 else (add, mul)
+            norms = [reduce(plus, map(times, x, x), f.zero) for x in points]
+            minus2 = partial(times, f.coerce(-2))
+            row = row_product(f, [list(map(minus2, c)) for c in zip(*points)]
                               + [[f.one] * len(points), norms])
             self._pair_norms = [row((*x, q, 1), i + 1)
                                 for i, (x, q) in enumerate(zip(points, norms))]

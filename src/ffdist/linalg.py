@@ -3,18 +3,27 @@
 A matrix is a list of rows of field encodings, with the field passed
 beside it.  Every bulk product (the embedding map, the pair-norm
 census) is one kernel, row_product: row i of A B is sum_t a_it (row t
-of B), read off one big-int sum (Kronecker substitution).  Each row t
-of B is packed into one int: the k coefficients of an element, reduced
-mod p, open a block of 2k - 1 digits.  Coefficient s of a_it multiplies
-the packed row shifted by s digits, so a block of the sum holds the
-product polynomial in Z[t], each digit at most n k (p-1)^2 for inner
-dimension n.  For k > 1 the digits of t^k .. t^(2k-2) are folded into
-the low k by one big-int linear map, a table of t^s mod the modulus,
-which multiplies that bound by at most 1 + (k-1)(p-1).  Digits are 1,
-2, 4 or 8 bytes wide (wider only near p = 2^31), enough that none
-carries into the next; rows are packed by one from_bytes, sums read by
-one to_bytes and reduced mod p.  dot is the pairwise form for single
-vectors.
+of B), read off one big-int sum (Kronecker substitution).  An
+element's k coefficients, its lanes, are the digits of one int
+(Field.lanes; for k = 1 the element mod p), and row t of B packs entry
+j's lanes into block j of 2k - 1 digits.  a_it's lanes times that int
+put the product polynomial in Z[t] into each block of the sum, each
+digit at most n k (p-1)^2 for inner dimension n.  For k > 1 the
+digits of t^k .. t^(2k-2) are folded into the low k by one big-int
+linear map, a table of t^s mod the modulus, which multiplies that bound
+by at most 1 + (k-1)(p-1).  Digits are w = 8, 16, 32 or a multiple of
+64 bits wide, a bit over b, the bit length of that bound and of q - 1.
+
+The sum is reduced mod p in a few whole-row operations (SIMD within a
+register): masks split its even and odd digits into 2w-bit lanes, and
+x - ((x M >> s) & mask) p = x mod p on each digit x < 2^b for s = b +
+bitlen(p) and M = ceil(2^s / p) (Granlund and Montgomery, PLDI 1994).
+It is exact as e = M p - 2^s < p < 2^(s - b): x M / 2^s exceeds x/p by
+x e / (p 2^s) < 1/p, too little to reach the next integer, and x M <
+2^(2b + 1) + 2^b <= 2^(2w) stays in its lane.  The coefficients
+weighted by p^s are the encodings, read off by one to_bytes and one
+strided memoryview; calls with a growing start drop the columns below
+it, 64 at a time.  dot is the pairwise form for single vectors.
 
 Rank is plain Gaussian elimination with any nonzero pivot, the only
 elimination in the package.  The standard form restricted to the span
@@ -24,8 +33,9 @@ orthonormal basis of the span) when the discriminant permits.
 """
 
 import sys
-from array import array
-from operator import lshift, mul
+from itertools import repeat
+from operator import mul
+from struct import calcsize
 
 
 class Degenerate(ValueError):
@@ -67,10 +77,6 @@ def dot(f, u, v):
     return acc
 
 
-# array and memoryview formats of the unsigned digit widths, in bytes
-_DIGIT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
 def row_product(f, b_rows):
     """The function (a, start=0) -> entries start, start + 1, ... of
     the row vector a times the matrix with rows b_rows, over f (see the
@@ -79,50 +85,56 @@ def row_product(f, b_rows):
     p, k = f.p, f.k
     n, cols = len(b_rows), len(b_rows[0]) if b_rows else 0
     span = 2 * k - 1  # digits per entry: the product has degree 2k - 2
-    # bits of the largest digit, after the fold (see the module doc)
-    bits = (n * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1))).bit_length()
-    width = next((b for b in _DIGIT_FORMATS if 8 * b >= bits),
-                 (bits + 7) // 8)  # bytes per digit
-    w = 8 * width
-    powers = [p**s for s in range(k)]
-    order = sys.byteorder
-    fmt = _DIGIT_FORMATS.get(width)
-    shifts = [w * (j * span + s) for s in range(k) for j in range(cols)]
+    # bit length of the largest digit after the fold, and of an encoding
+    bits = max(n * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)),
+               f.q - 1).bit_length()
+    # bytes per digit, a bit to spare: 1, 2, 4 or a run of 8-byte words
+    width = next((b for b in (1, 2, 4) if 8 * b > bits), bits // 64 * 8 + 8)
+    w, order = 8 * width, sys.byteorder
+    fmt = {1: "B", 2: "H", 4: "I"}.get(width, "Q")
+    words = width // calcsize(fmt)  # each digit is read at its low word
+    # an entry's coefficients as digits 0..k-1 of one int
+    lanes = f.lanes(w).__getitem__ if k > 1 else p.__rmod__
 
-    def pack(row):  # coefficient s of entry j is digit j span + s
-        digits = [a // c % p for c in powers for a in row]
-        if fmt is None:  # digits wider than 8 bytes
-            return sum(map(lshift, digits, shifts))
-        buf = array(fmt, bytes(cols * span * width))
-        for s in range(k):
-            buf[s::span] = array(fmt, digits[s * cols:(s + 1) * cols])
-        return int.from_bytes(buf, order)
-    terms = [packed << w * s for packed in map(pack, b_rows)
-             for s in range(k)]
-    if k > 1:
-        blocks = ((1 << w * span * cols) - 1) // ((1 << w * span) - 1)
-        low = blocks * ((1 << w) - 1)  # digit 0 of every block
-        keep = blocks * ((1 << w * k) - 1)  # digits 0..k-1
-        # t^s mod the modulus, s = k..2k-2, as k digits from digit 0
-        folds = [sum(f.pow(p, s) // c % p << w * r
-                     for r, c in enumerate(powers)) for s in range(k, span)]
+    def pack(row):  # entry j as block j, digits j span .. j span + k - 1
+        return int.from_bytes(b"".join(map(int.to_bytes, map(lanes, row),
+                                           repeat(span * width),
+                                           repeat(order))), order)
+    terms = list(map(pack, b_rows))
+    blocks = ((1 << w * span * cols) - 1) // ((1 << w * span) - 1)
+    low = blocks * ((1 << w) - 1)  # digit 0 of every block
+    keep = blocks * ((1 << w * k) - 1)  # digits 0..k-1
+    # t^s mod the modulus, s = k..2k-2, as k digits from digit 0
+    folds = [lanes(f.pow(p, s)) for s in range(k, span)]
+    powers = [p**s for s in range(k)]
+    # x mod p in every 2w-bit lane at once (Granlund-Montgomery)
+    shift = bits + p.bit_length()
+    magic = -(-(1 << shift) // p)  # ceil(2^shift / p)
+    pairs = (((1 << 2 * w * ((cols * span + 1) // 2)) - 1)
+             // ((1 << 2 * w) - 1))  # 1 in every 2w-bit lane
+    even = pairs * ((1 << w) - 1)
+    quotient = pairs * ((1 << 2 * w - shift) - 1)
+
+    def mod_p(x):
+        return x - (x * magic >> shift & quotient) * p
+    cut, cut_terms = 0, terms  # the terms without their cut low columns
 
     def row(a, start=0):
-        acc = sum(map(mul, [x // c % p for x in a for c in powers], terms))
-        if k > 1:
-            acc = (acc & keep) + sum(map(mul, [acc >> w * s & low for s in
-                                               range(k, span)], folds))
-        raw = acc.to_bytes(cols * span * width, order)
-        first = start * span
-        if fmt:
-            digits = memoryview(raw).cast(fmt)[first:]
-        else:
-            digits = [int.from_bytes(raw[i:i + width], order)
-                      for i in range(first * width, len(raw), width)]
-        out = [d % p for d in digits[k - 1::span]]
-        for r in range(k - 2, -1, -1):  # Horner on the coefficients
-            out = [e * p + d % p for e, d in zip(out, digits[r::span])]
-        return out
+        nonlocal cut, cut_terms
+        if start < cut:
+            cut, cut_terms = 0, terms
+        elif start - cut >= 64:
+            drop, cut = w * span * (min(start, cols) - cut), min(start, cols)
+            cut_terms = [t >> drop for t in cut_terms]
+        acc = sum(map(mul, map(lanes, a), cut_terms))
+        acc = (acc & keep) + sum(map(mul, [acc >> w * s & low for s in
+                                           range(k, span)], folds))
+        acc = mod_p(acc & even) | mod_p(acc >> w & even) << w
+        # the encodings sum c_s p^s, in every block at once
+        acc = sum(map(mul, [acc >> w * s & low for s in range(k)], powers))
+        raw = acc.to_bytes((cols - cut) * span * width, order)
+        first = (start - cut) * span * words
+        return memoryview(raw).cast(fmt)[first::span * words].tolist()
     return row
 
 
@@ -197,24 +209,23 @@ def diagonalize_form(f, vectors):
     ws = []
     diag = []
     while remaining:
-        pivot = next((i for i, u in enumerate(remaining)
-                      if masks[i] and dot(f, u, u) != f.zero), None)
+        pivot, d = next(((i, d) for i, u in enumerate(remaining)  # norm d
+                         if masks[i] and (d := dot(f, u, u))), (None, None))
         if pivot is None:
-            pair = next(((i, j) for i in range(len(remaining))
-                         for j in range(i + 1, len(remaining))
-                         if masks[i] & masks[j]
-                         and dot(f, remaining[i], remaining[j]) != f.zero),
-                        None)
-            if pair is None:
+            pivot, j, b = next(((i, j, b) for i in range(len(remaining))
+                                for j in range(i + 1, len(remaining))
+                                if masks[i] & masks[j]
+                                and (b := dot(f, remaining[i], remaining[j]))),
+                               (None, None, None))
+            if pivot is None:
                 # remaining span is totally isotropic: zero diagonal block
                 ws.extend(remaining)
                 diag.extend([f.zero] * len(remaining))
                 break
-            pivot, j = pair
             add_multiple(pivot, f.one, remaining[j], masks[j])
+            d = f.add(b, b)  # Q(u + v) = 2 u.v, as Q(u) = Q(v) = 0 here
         v = remaining.pop(pivot)
         mask = masks.pop(pivot)
-        d = dot(f, v, v)
         ws.append(v)
         diag.append(d)
         minus_dinv = f.neg(f.inv(d))
@@ -263,17 +274,18 @@ def isometry_to_standard(f, vectors):
             nonsquare_idx.append(i)
         else:
             scale = f.inv(root)
-            ws[i] = [f.mul(scale, x) for x in ws[i]]
+            ws[i] = [f.mul(scale, x) if x else x for x in ws[i]]
     if len(nonsquare_idx) % 2 == 1:
         raise NotIsometric(f, diag[nonsquare_idx[-1]])
     for i, j in zip(nonsquare_idx[::2], nonsquare_idx[1::2]):
         a, b = diag[i], diag[j]
         x, y = _represent_one(f, a, b)
-        wi, wj = ws[i], ws[j]
-        new_i = [f.add(f.mul(x, u), f.mul(y, v)) for u, v in zip(wi, wj)]
         s = f.inv(f.sqrt(f.mul(a, b)))
         mby = f.mul(s, f.neg(f.mul(b, y)))
         ax = f.mul(s, f.mul(a, x))
-        new_j = [f.add(f.mul(mby, u), f.mul(ax, v)) for u, v in zip(wi, wj)]
-        ws[i], ws[j] = new_i, new_j
+        wi, wj = ws[i], ws[j]  # both stay zero off the two supports
+        ws[i] = [f.add(f.mul(x, u), f.mul(y, v)) if u or v else u
+                 for u, v in zip(wi, wj)]
+        ws[j] = [f.add(f.mul(mby, u), f.mul(ax, v)) if u or v else u
+                 for u, v in zip(wi, wj)]
     return ws

@@ -177,6 +177,32 @@ def test_mul_matches_naive_product():
 # the kernel's fields: every PRODUCT_FIELDS entry and GF(7^6), k = 6
 KERNEL_FIELDS = PRODUCT_FIELDS + ((7, 6),)
 
+# (p, k, inner dimension) whose digit bound n k (p-1)^2 (1 + (k-1)(p-1))
+# has a bit length on either side of a digit width: 7, 8, 15, 16, 31, 32,
+# 63 and 64 bits, and 65 past 8 bytes; there the multiply-shift
+# reduction's constants are tightest
+LANE_EDGES = [(5, 1, 7), (7, 1, 7), (181, 1, 1), (181, 1, 2),
+              (18919, 1, 6), (46337, 1, 2), (2**31 - 1, 1, 2),
+              (2**31 - 1, 1, 4), (2**31 - 1, 1, 8), (3, 2, 5), (3, 2, 10),
+              (7, 2, 65), (7, 2, 130)]
+
+
+def lane_edge_factors(p, k, n):
+    """(p, k, a, b) for a LANE_EDGES entry.  The first row of a and
+    column of b have every coefficient at p - 1, so one digit reaches
+    the bound; for k = 1 two digits just below it are -1 and -2 mod p,
+    where a wrong reduction constant errs first.  Also multiples of p
+    and, for k = 1, integers outside [0, p)."""
+    top = p**k - 1
+    a = [[top] * n, [top] * (n - 1) + [(n + 1) % p], [p] * n,
+         [j % (top + 1) for j in range(n)]]
+    b = [[top, p, 1, top] for _ in range(n)]
+    b[-1][-1] = n % p
+    if k == 1:
+        a += [[-1] * n, [2 * p - 1] * n, [-p] * n]
+        b = [row + [-1, 3 * p - 1] for row in b]
+    return p, k, a, b
+
 
 def test_product_matches_naive_property():
     hypothesis = pytest.importorskip("hypothesis")
@@ -188,6 +214,9 @@ def test_product_matches_naive_property():
         rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
         entry = st.one_of(st.just(f.zero), st.integers(0, f.q - 1),
                           st.integers(f.q - 3, f.q - 1))
+        if f.k == 1:  # any integer is accepted and reduced mod p
+            entry = st.one_of(entry, st.integers(-2**70, -1),
+                              st.integers(f.p, 2**70))
 
         def matrix(r, c):  # some rows all zero
             line = st.one_of(st.just([f.zero] * c),
@@ -217,7 +246,25 @@ def test_product_matches_naive_property():
             for start in range(len(b[0]) + 1):
                 assert row(r, start) == want[i][start:]
 
+    for edge in LANE_EDGES:
+        check = hypothesis.example(triple(*lane_edge_factors(*edge)))(check)
     check()
+
+
+def test_row_starts_in_any_order_past_the_cut():
+    # row drops the packed columns below a growing start, 64 at a time;
+    # a later start, smaller or larger or past the end, still reads the
+    # exact entries
+    rng = random.Random(5)
+    for p, k in ((7, 1), (5, 2)):
+        f = field_make(p, k)
+        a = random_matrix(f, 3, rng, 4)
+        b = random_matrix(f, 4, rng, 200)
+        want = naive_mul(f, a, b)
+        row = row_product(f, b)
+        for start in (0, 63, 64, 65, 130, 199, 200, 201, 70, 0, 140, 5):
+            for i, r in enumerate(a):
+                assert row(r, start) == want[i][start:]
 
 
 def test_diagonalize_already_diagonal():

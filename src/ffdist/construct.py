@@ -14,7 +14,8 @@ from math import comb, isqrt
 
 from . import geometry
 from .geometry import PointSet, FORM_SUM_ZERO, FORM_STANDARD
-from .linalg import LawViolated, isometry_to_standard, row_product
+from .linalg import (LawViolated, isometry_to_standard, row_product,
+                     vector_lanes)
 
 
 class NotModular(ValueError):
@@ -75,8 +76,9 @@ MidpointSet = namedtuple("MidpointSet", "points d4 d2")
 def midpoint_sources(s):
     """The points x_0..x_(n-1) whose midpoints m_ij = (x_i + x_j)/2 are
     the points of s in lexicographic pair order, or None: when len(s) is
-    not C(n, 2) with n >= 4, or some 2 m_ij != x_i + x_j for x_0 = m_01
-    + m_02 - m_12 and x_j = 2 m_0j - x_0.  Additions only, O(v d).
+    not C(n, 2) with n >= 4, or some m_ij != x_i/2 + x_j/2 for x_0 = m_01
+    + m_02 - m_12 and x_j = 2 m_0j - x_0.  A few whole-vector operations
+    per point and pair (linalg.vector_lanes, on encodings), O(v d).
 
     The midpoint lemma: if the x_i are pairwise at delta != 0 (p odd),
     <x_i - x_k, x_j - x_l> = 0 for distinct indices (polarization), so
@@ -86,15 +88,16 @@ def midpoint_sources(s):
     n = (isqrt(8 * v + 1) + 1) // 2
     if n < 4 or comb(n, 2) != v:
         return None
-    add, sub = s.field.add, s.field.sub
-    m = s.points
-    x0 = tuple(map(sub, map(add, m[0], m[1]), m[n - 1]))
-    xs = [x0] + [tuple(map(sub, map(add, mj, mj), x0)) for mj in m[:n - 1]]
+    pack, add, halve, unpack, minus = vector_lanes(s.field, s.ambient_dim)
+    m = list(map(pack, s.points[:n]))  # m_01 .. m_0(n-1), m_12
+    x0 = add(add(m[0], m[1]), minus - m[n - 1])
+    xs = [x0] + [add(add(mj, mj), minus - x0) for mj in m[:n - 1]]
+    hs = list(map(halve, xs))
     pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
-    for mij, (i, j) in zip(m, pairs):
-        if tuple(map(add, mij, mij)) != tuple(map(add, xs[i], xs[j])):
-            return None
-    return xs
+    if any(add(hs[i], hs[j]) != mij  # each m_ij packed as it is read
+           for mij, (i, j) in zip(map(pack, s.points), pairs)):
+        return None
+    return list(map(unpack, xs))
 
 
 def midpoints(s):
@@ -112,8 +115,9 @@ def midpoints(s):
     d2 = f.mul(cls.delta, half)
     d4 = f.mul(d2, half)
     n = len(s)
-    mids = [tuple(f.mul(half, f.add(a, b)) for a, b in zip(x, y))
-            for i, x in enumerate(s.points) for y in s.points[i + 1:]]
+    pack, add, halve, unpack, _ = vector_lanes(f, s.ambient_dim)
+    hs = [halve(pack(x)) for x in s.points]  # (x + y)/2 = x/2 + y/2
+    mids = [unpack(add(a, b)) for i, a in enumerate(hs) for b in hs[i + 1:]]
     mset = PointSet(f, s.ambient_dim, s.form, mids)
     if n >= 4:
         ok = midpoint_sources(mset) == s.points

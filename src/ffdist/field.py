@@ -18,6 +18,7 @@ about half a second.  All arithmetic is exact; no floating point anywhere.
 
 import enum
 import itertools
+import sys
 from operator import mul as _mul
 
 
@@ -313,16 +314,19 @@ class Field:
     def elements(self):
         return range(self.q)
 
-    def lanes(self, w):
-        """row_product's lane table for k > 1, built once per digit width
-        w: by encoding, its coefficients c_s packed as sum c_s 2^(w s)."""
+    def lanes(self, w, size=0):
+        """A lane table for k > 1, built once per lane width w and size:
+        by encoding, the int sum c_s 2^(w s) of its coefficients c_s, or
+        for size > 0 that int as size native-order bytes."""
         tables = vars(self).setdefault("_lanes", {})
-        if w not in tables:
-            tables[w] = [0]
+        if (w, size) not in tables:
+            table = [0]
             for s in range(self.k):  # coefficient s varies slowest
-                tables[w] = [(c << w * s) + low for c in range(self.p)
-                             for low in tables[w]]
-        return tables[w]
+                table = [(c << w * s) + low for c in range(self.p)
+                         for low in table]
+            tables[w, size] = [c.to_bytes(size, sys.byteorder)
+                               for c in table] if size else table
+        return tables[w, size]
 
     def serialize(self, a):
         """Certificate form: the encoding for k = 1, else [c_0, ...]."""

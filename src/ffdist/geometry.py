@@ -18,7 +18,7 @@ from functools import partial, reduce
 from itertools import chain
 from operator import add, mul
 
-from .linalg import row_product, DimensionMismatch
+from .linalg import lane_format, row_product, DimensionMismatch
 
 
 class TooFewPoints(ValueError):
@@ -55,11 +55,18 @@ class PointSet:
                 raise ValueError("points must be pairwise distinct")
             seen.add(p)
         if form == FORM_SUM_ZERO:
-            for p in self.points:  # one C-level sum per point for k = 1
-                total = (sum(p) % field.p if field.k == 1
-                         else reduce(field.add, p, field.zero))
-                if total != field.zero:
-                    raise OffHyperplane("point off the sum-zero hyperplane")
+            # one C-level sum per point: for k > 1 its coefficient sums
+            # are w-bit lanes of sum(lanes(x_j)); for k = 1 any integers
+            p, k = field.p, field.k
+            w = 8 * lane_format((ambient_dim * (p - 1)).bit_length())[0]
+            code = field.lanes(w).__getitem__ if k > 1 else None
+            mask = (1 << w) - 1 if k > 1 else -1
+            for x in self.points:
+                total = sum(map(code, x)) if k > 1 else sum(x)
+                for shift in range(0, w * k, w):
+                    if (total >> shift & mask) % p:
+                        raise OffHyperplane("point off the sum-zero "
+                                            "hyperplane")
         elif form != FORM_STANDARD:
             raise ValueError("unknown form %r" % form)
         self._pair_norms = None

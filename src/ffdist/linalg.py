@@ -23,7 +23,8 @@ x e / (p 2^s) < 1/p, too little to reach the next integer, and x M <
 2^(2b + 1) + 2^b <= 2^(2w) stays in its lane.  The coefficients
 weighted by p^s are the encodings, read off by one to_bytes and one
 strided memoryview; calls with a growing start drop the columns below
-it, 64 at a time.  dot is the pairwise form for single vectors.
+it, 64 at a time.  dot is the pairwise form for single vectors, and
+vector_lanes adds and halves whole vectors in the same kind of lanes.
 
 Rank is plain Gaussian elimination with any nonzero pivot, the only
 elimination in the package.  The standard form restricted to the span
@@ -35,7 +36,7 @@ orthonormal basis of the span) when the discriminant permits.
 import sys
 from itertools import repeat
 from operator import mul
-from struct import calcsize
+from struct import Struct, calcsize
 
 
 class Degenerate(ValueError):
@@ -77,6 +78,13 @@ def dot(f, u, v):
     return acc
 
 
+def lane_format(bits):
+    """Bytes per lane for values below 2^bits, a bit to spare (1, 2, 4
+    or a run of 8-byte words), and the struct code of its low word."""
+    width = next((b for b in (1, 2, 4) if 8 * b > bits), bits // 64 * 8 + 8)
+    return width, {1: "B", 2: "H", 4: "I"}.get(width, "Q")
+
+
 def row_product(f, b_rows):
     """The function (a, start=0) -> entries start, start + 1, ... of
     the row vector a times the matrix with rows b_rows, over f (see the
@@ -88,10 +96,8 @@ def row_product(f, b_rows):
     # bit length of the largest digit after the fold, and of an encoding
     bits = max(n * k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1)),
                f.q - 1).bit_length()
-    # bytes per digit, a bit to spare: 1, 2, 4 or a run of 8-byte words
-    width = next((b for b in (1, 2, 4) if 8 * b > bits), bits // 64 * 8 + 8)
+    width, fmt = lane_format(bits)
     w, order = 8 * width, sys.byteorder
-    fmt = {1: "B", 2: "H", 4: "I"}.get(width, "Q")
     words = width // calcsize(fmt)  # each digit is read at its low word
     # an entry's coefficients as digits 0..k-1 of one int
     lanes = f.lanes(w).__getitem__ if k > 1 else p.__rmod__
@@ -136,6 +142,46 @@ def row_product(f, b_rows):
         first = (start - cut) * span * words
         return memoryview(raw).cast(fmt)[first::span * words].tolist()
     return row
+
+
+def vector_lanes(f, m):
+    """(pack, add, halve, unpack, minus) for m-vectors over f as ints,
+    coefficient s of coordinate j in lane j k + s, w >= bitlen(p) + 2
+    bits wide and wide enough for an encoding (SIMD within a register).
+    pack and unpack convert tuples of encodings.  add(a, b) = a + b for
+    lanes of a below p and of b up to p, so add(a, minus - b) = a - b: p
+    leaves each lane whose sum s sets its top bit in s + 2^(w-1) - p.
+    halve(a) = a / 2 for lanes below p: a + p (a & 1) is even in each."""
+    p, k = f.p, f.k
+    width, fmt = lane_format(max(p.bit_length() + 1,
+                                 (f.q - 1).bit_length() - 1))
+    w, order, size = 8 * width, sys.byteorder, m * k * width
+    ones = ((1 << 8 * size) - 1) // ((1 << w) - 1)
+    tops, excess = ones << w - 1, ones * ((1 << w - 1) - p)
+    low = ((1 << 8 * size) - 1) // ((1 << w * k) - 1) * ((1 << w) - 1)
+    # lane 0 of each coordinate (every lane for k = 1), in native order
+    layout = Struct("=" + (fmt + "%dx" % ((k - 1) * width)) * m)
+    codes = f.lanes(w, k * width).__getitem__ if k > 1 else None
+
+    def pack(v):  # for k > 1 an encoding's k lanes from a table of bytes
+        return int.from_bytes(b"".join(map(codes, v)) if k > 1
+                              else layout.pack(*v), order)
+
+    def add(a, b):
+        s = a + b
+        return s - ((s + excess & tops) >> w - 1) * p
+
+    def halve(a):
+        return a + p * (a & ones) >> 1
+
+    def unpack(x):
+        if k > 1:  # encodings sum c_s p^s by Horner, in lane 0 of each
+            acc = 0
+            for shift in range(w * (k - 1), -1, -w):
+                acc = acc * p + (x >> shift & low)
+            x = acc
+        return layout.unpack(x.to_bytes(size, order))
+    return pack, add, halve, unpack, p * ones
 
 
 def rank(f, rows):

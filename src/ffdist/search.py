@@ -458,8 +458,9 @@ def _triangle_subproblems(table, cand, values):
             kz = key[z]
             collinear = ray[kz + off] == re
             sides = (a, norm[kz + off], norm[kz - ke + off])
-            first.setdefault(code(collinear, *sides),
-                             (collinear, tuple(sorted(sides)), e, z))
+            c = code(collinear, *sides)
+            if c not in first:
+                first[c] = (collinear, tuple(sorted(sides)), e, z)
     order = sorted(first, key=lambda c: first[c][:2])
     rank = {c: i for i, c in enumerate(order)}
     subproblems = []

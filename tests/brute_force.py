@@ -2,11 +2,12 @@
 exhaustive subset census for the clique engine on tiny instances, the
 pair-by-pair squared distance, the Gram matrix and its rank, the least
 nonsquare, the midpoint pair census that the midpoint lemma replaced
-in construct.midpoints, and the orthogonalization without support
-masks."""
+in construct.midpoints, the midpoints and the midpoint lemma in one
+field call per coordinate (construct's lane versions must agree), and
+the orthogonalization without support masks."""
 
 import itertools
-from math import comb
+from math import comb, isqrt
 
 from ffdist import geometry, srg
 from ffdist.field import SquareClass
@@ -95,6 +96,34 @@ def midpoint_census(mid, n):
             raise LawViolated("midpoint distance law violated at %r/%r"
                               % (edges[t], edges[u]))
     return graph
+
+
+def midpoints(f, points):
+    """The midpoints (x + y)/2 of the pairs of points in lexicographic
+    order, as construct.midpoints lists them."""
+    half = f.inv(f.add(f.one, f.one))
+    return [tuple(f.mul(half, f.add(a, b)) for a, b in zip(x, y))
+            for i, x in enumerate(points) for y in points[i + 1:]]
+
+
+def midpoint_sources(s):
+    """construct.midpoint_sources by field calls: the x_0..x_(n-1) with
+    m_ij = (x_i + x_j)/2 the points of s in lexicographic pair order,
+    from x_0 = m_01 + m_02 - m_12 and x_j = 2 m_0j - x_0, or None when
+    len(s) is not C(n, 2) with n >= 4 or some 2 m_ij != x_i + x_j."""
+    v = len(s)
+    n = (isqrt(8 * v + 1) + 1) // 2
+    if n < 4 or comb(n, 2) != v:
+        return None
+    add, sub = s.field.add, s.field.sub
+    m = s.points
+    x0 = tuple(map(sub, map(add, m[0], m[1]), m[n - 1]))
+    xs = [x0] + [tuple(map(sub, map(add, mj, mj), x0)) for mj in m[:n - 1]]
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+    for mij, (i, j) in zip(m, pairs):
+        if tuple(map(add, mij, mij)) != tuple(map(add, xs[i], xs[j])):
+            return None
+    return xs
 
 
 def diagonalize_form(f, vectors):

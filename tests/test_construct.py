@@ -1,3 +1,4 @@
+import functools
 from itertools import count
 from math import comb
 
@@ -17,6 +18,7 @@ from ffdist.geometry import (
 from ffdist.linalg import LawViolated, NotIsometric
 from ffdist.srg import BadDistanceValue
 
+import brute_force
 from brute_force import dist2, gram_rank, midpoint_census
 from test_geometry import assert_pair_norms_match_dist2
 
@@ -367,3 +369,83 @@ def test_admissible_chars():
     # d = 2^t - 2 has no admissible odd characteristic
     for t in (2, 3, 4, 5):
         assert admissible_chars(2**t - 2) == []
+
+
+# The lane versions of the midpoints and the midpoint lemma against the
+# field-call oracles: 1-byte lanes (GF(3), GF(5), GF(9), GF(25) and
+# GF(243), whose encodings fill the byte), 2-byte lanes (GF(127),
+# GF(257), where p > 256 has no byte encoding, and GF(729), k = 6).
+LANE_FIELDS = {(p, k): field_make(p, k) for p, k in
+               ((3, 1), (5, 1), (127, 1), (257, 1), (3, 2), (5, 2), (3, 5),
+                (3, 6))}
+
+
+def test_midpoint_sources_match_field_calls():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def midpoint_sets(draw):
+        f = LANE_FIELDS[draw(st.sampled_from(sorted(LANE_FIELDS)))]
+        dim, n = draw(st.integers(1, 5)), draw(st.integers(4, 7))
+        coord = st.integers(0, f.q - 1)
+        point = st.tuples(*[coord] * dim)
+        xs = draw(st.lists(point, min_size=n, max_size=n))
+        mids = brute_force.midpoints(f, xs)
+        t = draw(st.integers(0, len(mids) - 1))
+        mutation = draw(st.sampled_from(["none", "coordinate", "swap",
+                                         "replace"]))
+        if mutation == "coordinate":
+            x = list(mids[t])
+            j = draw(st.integers(0, dim - 1))
+            x[j] = draw(coord.filter(lambda c: c != x[j]))
+            mids[t] = tuple(x)
+        elif mutation == "swap":
+            u = draw(st.integers(0, len(mids) - 1))
+            mids[t], mids[u] = mids[u], mids[t]
+        elif mutation == "replace":
+            mids[t] = draw(point)
+        hypothesis.assume(len(set(mids)) == len(mids))
+        return PointSet(f, dim, FORM_STANDARD, mids)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(midpoint_sets())
+    def check(s):
+        assert midpoint_sources(s) == brute_force.midpoint_sources(s)
+
+    check()
+
+
+def test_midpoints_match_field_calls():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def equilateral_sets(draw):
+        # a translated, reordered modular simplex with d <= 10, or two
+        # points at a nonzero distance (every field, any dimension)
+        f = LANE_FIELDS[draw(st.sampled_from(sorted(LANE_FIELDS)))]
+        sharp = sharp_dimensions(f.p, 10)
+        coord = st.integers(0, f.q - 1)
+        if sharp and draw(st.booleans()):
+            d = draw(st.sampled_from(sharp))
+            b = draw(st.integers(1, f.q - 1))
+            points = modular_equilateral(ModularParams(f, d, b)).points
+            t = draw(st.lists(coord, min_size=d, max_size=d))
+            t.append(f.neg(functools.reduce(f.add, t, f.zero)))
+            points = [tuple(map(f.add, x, t))
+                      for x in draw(st.permutations(points))]
+            return PointSet(f, d + 1, FORM_SUM_ZERO, points)
+        dim = draw(st.integers(1, 12))
+        pair = draw(st.lists(st.tuples(*[coord] * dim), min_size=2,
+                             max_size=2, unique=True))
+        hypothesis.assume(dist2(f, *pair) != f.zero)
+        return PointSet(f, dim, FORM_STANDARD, pair)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(equilateral_sets())
+    def check(s):
+        mid = midpoints(s)
+        assert mid.points.points == brute_force.midpoints(s.field, s.points)
+
+    check()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from math import comb
@@ -216,5 +217,34 @@ def test_pair_norms_property():
     @hypothesis.given(point_sets())
     def check(s):
         assert_pair_norms_match_dist2(s)
+
+    check()
+
+
+def test_sum_zero_check_matches_field_sum():
+    # PointSet's lane sums against one field add per coordinate, on and
+    # off the hyperplane, up to 80 coordinates (1- and 2-byte lanes)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def points(draw):
+        f = _field(*draw(st.sampled_from(PROPERTY_FIELDS)))
+        x = draw(st.lists(st.integers(0, f.q - 1), min_size=1, max_size=80))
+        if draw(st.booleans()):  # move the last coordinate onto it
+            x[-1] = f.sub(x[-1], functools.reduce(f.add, x, f.zero))
+        return f, tuple(x)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(points())
+    def check(case):
+        f, x = case
+        on = functools.reduce(f.add, x, f.zero) == f.zero
+        try:
+            PointSet(f, len(x), FORM_SUM_ZERO, [x])
+        except geometry.OffHyperplane:
+            assert not on
+        else:
+            assert on
 
     check()

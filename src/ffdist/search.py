@@ -51,14 +51,14 @@ less.  stats["subproblems"] records each pinned run with its type.
 
 Each graph is a Cayley graph on (F_q^d, +): x ~ y iff Q(x - y) lies in
 the value set.  The norm and ray of every difference are tabulated once
-per (q, d) in whole-table passes, so an adjacency or collinearity test
-is one subtraction of point keys and one lookup (see _CayleyTable).
-The search pass builds adjacency only among the vertices of each
-subproblem, in ascending point order: the clique engine sees the
-induced subgraph under an order-preserving relabelling.  The canonical
-pass builds the neighborhood graph of each orbit it walks.  Ceilings,
-for both passes: q^d <= 2^16 keeps ray ids in 16 bits (and q <= 256 for
-d >= 2), and the table has (2p-1)^(dk) <= 9^6 entries.
+per (q, d), and adjacency once per value set, so an adjacency or
+collinearity test is one subtraction of point keys and one lookup (see
+_CayleyTable).  The search pass builds adjacency only among the vertices
+of each subproblem, in ascending point order: the clique engine sees
+the induced subgraph under an order-preserving relabelling; the
+canonical pass builds only the rows its walk reads (see _Rows).
+Ceilings, for both passes: q^d <= 2^16 keeps ray ids in 16 bits (and
+q <= 256 for d >= 2), and the table has (2p-1)^(dk) <= 9^6 entries.
 
 The time budget is the only limit of a run.  It covers value-set
 enumeration, graph building, the clique search and the canonical pass,
@@ -75,7 +75,7 @@ recorded (MCS, Tomita et al. 2010).
 import sys
 import time
 from array import array
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 
 from . import geometry
 from .field import SquareClass
@@ -139,9 +139,9 @@ class SearchResult:
         # pinned clique run: values, type (see _triangle_subproblems),
         # graph_size, nodes, seconds, done]}; nodes counts the search
         # pass.  With --canonical also "canonical": {"orbits": square
-        # orbits, "visited": those walked, "nodes", "seconds", "classes":
-        # [per searched class: values, max]}; max is a lower bound on the
-        # class's clique number, exact wherever either reaches max_size.
+        # orbits, "visited": those walked, "nodes", "rows" built, "seconds",
+        # "classes": [per searched class: values, max]}; max is a lower
+        # bound on the class's clique number, exact where either is max_size.
         self.stats = stats
         self.values = values  # distance values of the best subproblem
         self.both_values = both_values  # two-distance mode only
@@ -250,6 +250,30 @@ def _lex_least_clique(adj, size, budget):
     return grow([], (1 << len(adj)) - 1)
 
 
+class _Rows(dict):
+    """The graph of a _CayleyTable under values on the point indices
+    verts, in ascending order.  self[i], row i's bits above i (all that
+    _lex_least_clique reads), is built on first read; len is len(verts)."""
+
+    def __init__(self, table, verts, values, budget):
+        self.adjacent, self.off = table.adjacent(values), table.off
+        self.keys, self.budget = [table.key[i] for i in verts], budget
+
+    def upper(self, i):
+        """The j > i adjacent to i, in ascending order: the pair test of
+        both graph builders.  The budget is checked once per row."""
+        self.budget.check()
+        at, adjacent = self.keys[i] + self.off, self.adjacent
+        return [j for j, k in enumerate(self.keys[i + 1:], i + 1)
+                if adjacent[at - k]]
+
+    def __missing__(self, i):
+        return self.setdefault(i, sum(1 << j for j in self.upper(i)))
+
+    def __len__(self):
+        return len(self.keys)
+
+
 def _keys(p, digits):
     """array("I") of key[i] (see _CayleyTable), a digit at a time: block
     r is the keys so far plus r (2p-1)^s, in 32-bit lanes of one int."""
@@ -277,6 +301,16 @@ def _by_code(table, p, k):
     return lanes if isinstance(table, bytes) else array(table.typecode, lanes)
 
 
+def _marks(norms, values):
+    """1 where norms (bytes, or for d = 1 and q > 256 an array("H") read
+    one entry at a time) holds a value in values, else 0."""
+    want = bytearray(256 if isinstance(norms, bytes) else 1 << 16)
+    for a in values:
+        want[a] = 1
+    return norms.translate(want) if len(want) == 256 else bytes(
+        map(want.__getitem__, norms))
+
+
 class _CayleyTable:
     """Norm Q(x - y) of every pair of points of F_q^d, by one
     subtraction of keys and one lookup.
@@ -300,6 +334,7 @@ class _CayleyTable:
     table of 1/l translated by a -> c a, in 16-bit lanes of one int; q
     stands in for 1/l of rest = 0 and maps to 1 if c != 0.
     """
+    _adjacent = None, None  # values and adjacent(values) of the last call
 
     def __init__(self, f, d):
         p, q, order = f.p, f.q, sys.byteorder
@@ -314,8 +349,17 @@ class _CayleyTable:
             inv = [q] + [f.inv(x) for x in range(1, q)]
             add = {s: bytes(map(f.add, repeat(s), range(q))) + pad
                    for s in set(square)}
-            mul = [bytes(map(f.mul, repeat(c), range(q))) + bytes([c and 1])
-                   + pad[1:] for c in range(q)]
+            # row c maps x to c x, and row c c' is row c' translated by row
+            # c: f.mul fills the rows of generators, each doubling or more
+            times = {1: bytes(range(q)) + pad}  # row c holds c at 1
+            for g in (g for g in range(2, q) if g not in times):
+                row = bytes(map(f.mul, repeat(g), range(q))) + pad
+                layer = [r.translate(row) for r in times.values()]
+                while layer[0][1] not in times:  # the coset of g^j
+                    times.update((r[1], r) for r in layer)
+                    layer = [r.translate(row) for r in layer]
+            mul = [times.get(c, bytes(q))[:q] + bytes([c and 1]) + pad[1:]
+                   for c in range(q)]
             fix = [bytes([*range(q), inv[c]]) + pad[1:] for c in range(q)]
             code_add = list(map(add.__getitem__, norm))
             last = bytes([q])  # 1/l of rest, for the empty rest
@@ -336,32 +380,27 @@ class _CayleyTable:
     def neighbors(self, values):
         """Point indices at a distance in values from the origin, in
         ascending (lexicographic) order."""
-        norms = self.point_norm
-        wide = not isinstance(norms, bytes)  # d = 1 and q > 256: q points
-        want = bytearray(len(norms) if wide else 256)  # 1 at each value
-        for a in values:
-            want[a] = 1
-        mask = map(want.__getitem__, norms) if wide else norms.translate(want)
-        return list(compress(range(len(norms)), mask))
+        return list(compress(count(), _marks(self.point_norm, values)))
+
+    def adjacent(self, values):
+        """Indexed like norm: 1 where Q lies in values, else 0.  Only the
+        last value set's table is kept: one can reach 9^6 bytes."""
+        values = tuple(values)
+        if self._adjacent[0] != values:
+            self._adjacent = values, _marks(self.norm, values)
+        return self._adjacent[1]
 
     def graph(self, verts, values, budget):
         """Bitset adjacency among the point indices verts, in ascending
         order: bit j of row i is set iff Q(verts[i] - verts[j]) lies in
-        values, so ordering and cliques follow the points.  The budget
-        is checked once per row."""
-        vset = set(values)
-        norm, off = self.norm, self.off
-        keys = [self.key[i] for i in verts]
-        n = len(keys)
-        adj = [0] * n
-        for i in range(n):
-            budget.check()
-            row = keys[i] + off
+        values, so ordering and cliques follow the points.  Each row
+        above the diagonal (_Rows.upper) is mirrored below it."""
+        rows, adj = _Rows(self, verts, values, budget), [0] * len(verts)
+        for i in range(len(verts)):
             bit = 1 << i
-            for j in range(i + 1, n):
-                if norm[row - keys[j]] in vset:
-                    adj[i] |= 1 << j
-                    adj[j] |= bit
+            for j in rows.upper(i):
+                adj[i] |= 1 << j
+                adj[j] |= bit
         return adj
 
 
@@ -439,9 +478,9 @@ def _triangle_subproblems(table, cand, values):
 
     Each test is a few table lookups: a type is coded as its collinear
     flag plus a base-4 count of its sides per value, and collinearity
-    compares ray ids of differences."""
+    compares ray ids of differences.  Each x's own lookups are made once."""
     norm, ray, off, key = table.norm, table.ray, table.off, table.key
-    vset = set(values)
+    adjacent = table.adjacent(values)
     weight = {v: 4**i for i, v in enumerate(values)}
 
     def code(collinear, s, t, u):
@@ -451,37 +490,27 @@ def _triangle_subproblems(table, cand, values):
     norms = table.point_norm
     pins = {a: norms.index(a) for a in values if a in norms}
     for a, e in pins.items():
-        ke = key[e]
-        re = ray[ke + off]
-        rows[e] = [z for z in cand if norm[key[z] - ke + off] in vset]
-        for z in rows[e]:
-            kz = key[z]
-            collinear = ray[kz + off] == re
-            sides = (a, norm[kz + off], norm[kz - ke + off])
-            c = code(collinear, *sides)
+        at, re = off - key[e], ray[key[e] + off]
+        rows[e] = row = []
+        for x in [x for x in cand if adjacent[key[x] + at]]:
+            kx = key[x]  # and the norms and rays of x and of x - e
+            nx, rx, nxe, rxe = (norm[kx + off], ray[kx + off], norm[kx + at],
+                                ray[kx + at])
+            c = code(rx == re, a, nx, nxe)
+            row.append((x, kx, nx, rx, nxe, rxe, c))
             if c not in first:
-                first[c] = (collinear, tuple(sorted(sides)), e, z)
+                first[c] = (rx == re, tuple(sorted((a, nx, nxe))), e, row[-1])
     order = sorted(first, key=lambda c: first[c][:2])
     rank = {c: i for i, c in enumerate(order)}
     subproblems = []
     for i, c in enumerate(order):
-        collinear, sides, e, z = first[c]
-        ke, kz = key[e], key[z]
-        ne, nz, nze = norm[ke + off], norm[kz + off], norm[kz - ke + off]
-        re, rz, rze = ray[ke + off], ray[kz + off], ray[kz - ke + off]
-        verts = []
-        for x in rows[e]:
-            kx = key[x]
-            nxz = norm[kx - kz + off]
-            if nxz not in vset:
-                continue
-            nx, rx, nxe = norm[kx + off], ray[kx + off], norm[kx - ke + off]
-            if i and (rank[code(rx == re, ne, nx, nxe)] < i
-                      or rank[code(rx == rz, nz, nx, nxz)] < i
-                      or rank[code(ray[kx - ke + off] == rze,
-                                   nze, nxe, nxz)] < i):
-                continue
-            verts.append(x)
+        collinear, sides, e, (z, kz, nz, rz, nze, rze, _) = first[c]
+        at = off - kz
+        # no earlier type with 0 and e, 0 and z, or e and z
+        verts = [x for x, kx, nx, rx, nxe, rxe, cx in rows[e]
+                 if adjacent[kx + at] and (not i or rank[cx] >= i
+                     and rank[code(rx == rz, nz, nx, norm[kx + at])] >= i
+                     and rank[code(rxe == rze, nze, nxe, norm[kx + at])] >= i)]
         subproblems.append(({"collinear": collinear, "sides": list(sides)},
                             e, z, verts))
     return subproblems
@@ -535,7 +564,7 @@ def _search(problem):
     stats = {"nodes": budget.nodes, "subproblems": subproblems}
     if problem.canonical:
         stats["canonical"] = canon = {
-            "orbits": len(value_sets), "visited": 0, "nodes": 0,
+            "orbits": len(value_sets), "visited": 0, "nodes": 0, "rows": 0,
             "seconds": 0.0, "classes": classes}
     if problem.canonical and exhausted and best_size >= 2:
         # second pass: lexicographically least witness of the maximum
@@ -551,8 +580,9 @@ def _search(problem):
                     continue
                 canon["visited"] += 1
                 cand = table.neighbors(values)
-                clique = _lex_least_clique(table.graph(cand, values, budget),
-                                           best_size - 1, budget)
+                adj = _Rows(table, cand, values, budget)
+                clique = _lex_least_clique(adj, best_size - 1, budget)
+                canon["rows"] += dict.__len__(adj)
                 if clique is None:
                     continue
                 key = [0] + [cand[i] for i in clique]

@@ -289,8 +289,10 @@ def on_one_line(f, u, v):
     return any(tuple(f.mul(lam, c) for c in u) == v for lam in range(1, f.q))
 
 
-# the 16-bit d = 1 path beside every space the search graphs are checked on
-@pytest.mark.parametrize("p,k,d", CAYLEY_GRIDS + [(257, 1, 1), (9973, 1, 1)])
+# the 16-bit d = 1 path beside every space the search graphs are checked on,
+# and multiplication rows of GF(49) and F_251 (up to the 256-byte rows)
+@pytest.mark.parametrize("p,k,d", CAYLEY_GRIDS + [
+    (257, 1, 1), (9973, 1, 1), (7, 2, 2), (251, 1, 2)])
 def test_cayley_table_matches_dist2_and_lines(p, k, d):
     f = field_make(p, k)
     table = search._CayleyTable(f, d)
@@ -632,6 +634,69 @@ def test_canonical_pass_visits_exactly_the_orbits_that_reach_the_maximum(
         assert reach and canon["visited"] == reach
 
 
+class RecordedRows(search._Rows):
+    """search._Rows that records which rows are read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = set()
+
+    def __getitem__(self, i):
+        self.reads.add(i)
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("p,k,d", CAYLEY_GRIDS)
+def test_rows_built_when_read_match_the_graph(p, k, d):
+    # the canonical pass's rows: row i, read in any order, is the whole
+    # graph's row i with only its bits above i, each row is built once,
+    # and the walk finds on them the clique it finds on the whole graph
+    f = field_make(p, k)
+    table = search._CayleyTable(f, d)
+    budget = search._Budget(600)
+    for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
+        for values in search._candidate_value_sets(f, mode, None, budget):
+            cand = table.neighbors(values)
+            adj = table.graph(cand, values, budget)
+            rng = random.Random(repr((p, k, d, values)))
+            reads = [i for i in range(len(cand)) if rng.random() < 0.7] * 2
+            rng.shuffle(reads)
+            rows = RecordedRows(table, cand, values, budget)
+            assert len(rows) == len(cand)
+            for i in reads:
+                assert rows[i] == adj[i] >> i + 1 << i + 1
+            assert dict.__len__(rows) == len(set(reads))
+            omega = len(search._max_clique(adj, budget)[0])
+            for size in range(1, omega + 2):
+                rows = RecordedRows(table, cand, values, budget)
+                clique = search._lex_least_clique(rows, size, budget)
+                assert clique == search._lex_least_clique(adj, size, budget)
+                assert (clique is None) == (size > omega)
+                assert dict.__len__(rows) == len(rows.reads)
+
+
+# (p, k, d, mode): search nodes, canonical nodes, square orbits walked and
+# rows built; the first three as they were when the canonical pass built
+# every row of the graphs it walked
+CANONICAL_STATS = {
+    (7, 1, 5, MODE_TWO_DISTANCE): (5476, 21, 1, 21),
+    (5, 1, 6, MODE_EQUILATERAL): (395, 12, 2, 12),
+    (3, 2, 4, MODE_TWO_DISTANCE): (129, 3559, 2, 182),
+    (7, 1, 5, MODE_EQUILATERAL): (26, 7, 1, 6),
+    (5, 2, 3, MODE_TWO_DISTANCE): (105, 10, 1, 11),
+    (5, 2, 2, MODE_TWO_DISTANCE): (37, 10, 2, 8),
+}
+
+
+@pytest.mark.parametrize("p,k,d,mode", sorted(CANONICAL_STATS))
+def test_canonical_stats_pinned(p, k, d, mode):
+    r = run(p, d, mode, k=k, canonical=True)
+    canon = r.stats["canonical"]
+    assert r.exhausted
+    assert (r.stats["nodes"], canon["nodes"], canon["visited"],
+            canon["rows"]) == CANONICAL_STATS[(p, k, d, mode)]
+
+
 def walk_every_orbit(f, d, mode, size):
     """The canonical witness as found by walking the whole neighborhood
     graph of every square orbit: (least clique through the origin of the
@@ -721,25 +786,30 @@ def test_default_budget_has_no_node_cap():
 
 
 def test_canonical_pass_checks_the_deadline(monkeypatch):
-    # every graph of a canonical run is built under the budget, and both
-    # the build and the lexicographic walk stop at a passed deadline
+    # every graph row of a canonical run, the rows the canonical pass
+    # builds as its walk reads them included, is built under the run's
+    # budget, and both a row build and the lexicographic walk stop at a
+    # passed deadline
     budgets = []
-    graph = search._CayleyTable.graph
+    upper = search._Rows.upper
 
-    def spy(self, verts, values, budget):
-        budgets.append(budget)
-        return graph(self, verts, values, budget)
+    def spy(self, i):
+        budgets.append(self.budget)
+        return upper(self, i)
 
-    monkeypatch.setattr(search._CayleyTable, "graph", spy)
+    monkeypatch.setattr(search._Rows, "upper", spy)
     r = run(7, 3, MODE_TWO_DISTANCE, canonical=True)
-    assert len(budgets) > len(r.stats["subproblems"]) and None not in budgets
+    assert len(budgets) == sum(s["graph_size"] for s in r.stats[
+        "subproblems"]) + r.stats["canonical"]["rows"]
+    assert r.stats["canonical"]["rows"] and None not in budgets
+    assert len(set(map(id, budgets))) == 1
     monkeypatch.undo()
     f = field_make(7)
     table = search._CayleyTable(f, 3)
     cand = table.neighbors((1, 5))
     late = search._Budget(-1)
     with pytest.raises(search._BudgetHit):
-        table.graph(cand, (1, 5), late)
+        search._Rows(table, cand, (1, 5), late)[0]
     with pytest.raises(search._BudgetHit):
         search._lex_least_clique(
             table.graph(cand, (1, 5), search._Budget(600)), 6, late)

@@ -29,7 +29,8 @@ sides, and each costs one clique search in the common neighborhood of
 0, e and z, less every vertex that forms an earlier type with two of
 the three: a clique holding a triangle of an earlier type was searched
 under that type (isomorph rejection in orderly generation, McKay 1998).
-Every test is a few table lookups (see _triangle_subproblems).
+The sides decide the collinear bit, except in a degenerate plane, where
+the line through two of the points decides it (see _triangle_subproblems).
 
 When d is even, x.x and nu*(x.x) (nu a nonsquare) are isometric, so a
 similitude with a nonsquare multiplier maps the cliques of a value set V
@@ -50,15 +51,15 @@ origin is recorded as a size-2 witness, so a budget hit never reports
 less.  stats["subproblems"] records each pinned run with its type.
 
 Each graph is a Cayley graph on (F_q^d, +): x ~ y iff Q(x - y) lies in
-the value set.  The norm and ray of every difference are tabulated once
-per (q, d), and adjacency once per value set, so an adjacency or
-collinearity test is one subtraction of point keys and one lookup (see
-_CayleyTable).  The search pass builds adjacency only among the vertices
-of each subproblem, in ascending point order: the clique engine sees
-the induced subgraph under an order-preserving relabelling; the
-canonical pass builds only the rows its walk reads (see _Rows).
-Ceilings, for both passes: q^d <= 2^16 keeps ray ids in 16 bits (and
-q <= 256 for d >= 2), and the table has (2p-1)^(dk) <= 9^6 entries.
+the value set.  The norm of every difference is tabulated once per
+(q, d), and adjacency once per value set, so an adjacency test is one
+subtraction of point keys and one lookup (see _CayleyTable).  The search
+pass builds adjacency only among the vertices of each subproblem, in
+ascending point order: the clique engine sees the induced subgraph under
+an order-preserving relabelling; the canonical pass builds only the rows
+its walk reads (see _Rows).  Ceilings, for both passes: q^d <= 2^16
+keeps norms in a byte for d >= 2 (q <= 256) and in 16 bits for d = 1,
+and the table has (2p-1)^(dk) <= 9^6 entries.
 
 The time budget is the only limit of a run.  It covers value-set
 enumeration, graph building, the clique search and the canonical pass,
@@ -75,7 +76,8 @@ recorded (MCS, Tomita et al. 2010).
 import sys
 import time
 from array import array
-from itertools import compress, count, repeat
+from functools import cache
+from itertools import compress, count, product, repeat
 
 from . import geometry
 from .field import SquareClass
@@ -326,56 +328,27 @@ class _CayleyTable:
     The tables are built a coordinate at a time, the new one most
     significant, one block per code c of it.  norm[key[x] - key[y] + off]
     encodes Q(x - y) and point_norm[i] Q(point i): block c is the table
-    so far translated (bytes.translate) by a -> a + c^2.  ray[key[x] -
-    key[y] + off] indexes the point with last nonzero coordinate 1 on the
-    line of x - y, so x, y, w are collinear iff x - w and y - w share a
-    ray id.  (c, rest) is on the ray of (c/l, rest/l), l the last nonzero
-    coordinate of rest: block c is the rays so far plus q^m times the
-    table of 1/l translated by a -> c a, in 16-bit lanes of one int; q
-    stands in for 1/l of rest = 0 and maps to 1 if c != 0.
+    so far translated (bytes.translate) by a -> a + c^2.
     """
     _adjacent = None, None  # values and adjacent(values) of the last call
 
     def __init__(self, f, d):
-        p, q, order = f.p, f.q, sys.byteorder
+        p, q = f.p, f.q
+        self.field, self.d = f, d
         self.off = ((2 * p - 1)**(d * f.k) - 1) // 2
         self.key = _keys(p, d * f.k)
         square = [f.mul(x, x) for x in f.elements()]
         point_norm = bytes(square) if q <= 256 else array("H", square)
         norm = _by_code(point_norm, p, f.k)
-        ray = _by_code(array("H", [0] + [1] * (q - 1)), p, f.k)
         if d > 1:  # so q <= 256 (POINT_CEILING): rows of 256 bytes
-            pad, elem = bytes(256 - q), _by_code(bytes(range(q)), p, f.k)
-            inv = [q] + [f.inv(x) for x in range(1, q)]
-            add = {s: bytes(map(f.add, repeat(s), range(q))) + pad
+            add = {s: bytes(map(f.add, repeat(s), range(q))) + bytes(256 - q)
                    for s in set(square)}
-            # row c maps x to c x, and row c c' is row c' translated by row
-            # c: f.mul fills the rows of generators, each doubling or more
-            times = {1: bytes(range(q)) + pad}  # row c holds c at 1
-            for g in (g for g in range(2, q) if g not in times):
-                row = bytes(map(f.mul, repeat(g), range(q))) + pad
-                layer = [r.translate(row) for r in times.values()]
-                while layer[0][1] not in times:  # the coset of g^j
-                    times.update((r[1], r) for r in layer)
-                    layer = [r.translate(row) for r in layer]
-            mul = [times.get(c, bytes(q))[:q] + bytes([c and 1]) + pad[1:]
-                   for c in range(q)]
-            fix = [bytes([*range(q), inv[c]]) + pad[1:] for c in range(q)]
             code_add = list(map(add.__getitem__, norm))
-            last = bytes([q])  # 1/l of rest, for the empty rest
-        for m in range(1, d):
-            last = b"".join(map(last.translate, map(fix.__getitem__, elem)))
+        for _ in range(1, d):
             point_norm = b"".join(map(point_norm.translate,
                                       map(add.__getitem__, square)))
             norm = b"".join(map(norm.translate, code_add))
-            rest, n, blocks = int.from_bytes(ray, order), len(ray), []
-            for c in range(q):
-                lanes = bytearray(2 * n)  # c/l as the low byte of each
-                lanes[order == "big"::2] = last.translate(mul[c])
-                blocks.append((int.from_bytes(lanes, order) * q**m + rest)
-                              .to_bytes(2 * n, order))
-            ray = array("H", b"".join(map(blocks.__getitem__, elem)))
-        self.norm, self.point_norm, self.ray = norm, point_norm, ray
+        self.norm, self.point_norm = norm, point_norm
 
     def neighbors(self, values):
         """Point indices at a distance in values from the origin, in
@@ -403,6 +376,15 @@ class _CayleyTable:
                 adj[j] |= bit
         return adj
 
+    def line(self, a, b):
+        """Point indices of a + lam (b - a) by lam, for point indices a, b."""
+        f, line = self.field, [0] * self.field.q
+        for u, v in zip(_point(f, self.d, a), _point(f, self.d, b)):
+            step = f.sub(v, u)
+            line = [i * f.q + f.add(u, f.mul(lam, step))
+                    for i, lam in zip(line, f.elements())]
+        return line
+
 
 def _point(f, d, i):
     """The point with index i (see _CayleyTable)."""
@@ -424,18 +406,17 @@ def _candidate_value_sets(f, mode, fixed, budget):
     nonzero = range(1, f.q)
     square = [None] + [f.square_class(v) is SquareClass.SQUARE
                        for v in nonzero]
-    if mode == MODE_EQUILATERAL:
-        keyed = (((a,), square[a]) for a in nonzero)
-    else:
+    if mode == MODE_TWO_DISTANCE:
         inv = [None] + [f.inv(v) for v in nonzero]
-        keyed = (((a, b), min((square[a], f.mul(b, inv[a])),
-                              (square[b], f.mul(a, inv[b]))))
-                 for i, a in enumerate(nonzero) for b in nonzero[i + 1:])
     seen = {}
-    for vals, key in keyed:
-        budget.check()
-        if key not in seen:
-            seen[key] = vals
+    for a in nonzero:
+        budget.check()  # once per first value
+        if mode == MODE_EQUILATERAL:
+            seen.setdefault(square[a], (a,))
+        else:
+            for b in nonzero[a:]:
+                seen.setdefault(min((square[a], f.mul(b, inv[a])),
+                                    (square[b], f.mul(a, inv[b]))), (a, b))
     return list(seen.values())
 
 
@@ -476,41 +457,57 @@ def _triangle_subproblems(table, cand, values):
     {"collinear": bool, "sides": sorted side norms}; non-collinear types
     come first, then types in order of their sides.
 
-    Each test is a few table lookups: a type is coded as its collinear
-    flag plus a base-4 count of its sides per value, and collinearity
-    compares ray ids of differences.  Each x's own lookups are made once."""
-    norm, ray, off, key = table.norm, table.ray, table.off, table.key
+    A type is coded as its collinear bit plus twice a base-4 count of its
+    sides per value, and the sides decide the bit.  Let a triangle
+    (a, b, x) have sides s = Q(b - a), t = Q(x - a), u = Q(x - b); with
+    y = b - a and w = x - a, s + t - u = 2 y.w.  If w = lam y, then
+    lam = (s + t - u) / 2s (s != 0, p odd) and t = lam^2 s.  Conversely
+    t = lam^2 s makes the Gram determinant s t - (y.w)^2 of (y, w)
+    vanish, which for d <= 2 forces w = lam y: two independent vectors
+    span F_q^d, on which x.x is nondegenerate.  For d >= 3 the plane of
+    y and w may be degenerate, so x is compared with entry lam of the
+    line through a and b, listed once per pair when first needed.  Each
+    test is one lookup keyed by the ordered sides, and each x's own
+    lookups are made once."""
+    f, norm, off, key = table.field, table.norm, table.off, table.key
     adjacent = table.adjacent(values)
     weight = {v: 4**i for i, v in enumerate(values)}
+    by_sides, deep, line = {}, int(table.d > 2), cache(table.line)
+    for s, t, u in product(values, repeat=3):  # to (type code, lam)
+        lam = f.mul(f.sub(f.add(s, t), u), f.inv(f.add(s, s)))
+        by_sides[s, t, u] = (2 * (weight[s] + weight[t] + weight[u])
+                             + (f.mul(f.mul(lam, lam), s) == t)), lam
 
-    def code(collinear, s, t, u):
-        return 2 * (weight[s] + weight[t] + weight[u]) + collinear
+    def kind(a, b, x, s, t, u):  # the type code of (a, b, x)
+        c, lam = by_sides[s, t, u]
+        if c & deep:  # only a degenerate plane leaves the bit open
+            c -= line(a, b)[lam] != x
+        return c
 
     first, rows = {}, {}
     norms = table.point_norm
     pins = {a: norms.index(a) for a in values if a in norms}
     for a, e in pins.items():
-        at, re = off - key[e], ray[key[e] + off]
+        at = off - key[e]
         rows[e] = row = []
         for x in [x for x in cand if adjacent[key[x] + at]]:
-            kx = key[x]  # and the norms and rays of x and of x - e
-            nx, rx, nxe, rxe = (norm[kx + off], ray[kx + off], norm[kx + at],
-                                ray[kx + at])
-            c = code(rx == re, a, nx, nxe)
-            row.append((x, kx, nx, rx, nxe, rxe, c))
+            kx = key[x]  # and the norms of x and of x - e
+            nx, nxe = norm[kx + off], norm[kx + at]
+            c = kind(0, e, x, a, nx, nxe)
+            row.append((x, kx, nx, nxe, c))
             if c not in first:
-                first[c] = (rx == re, tuple(sorted((a, nx, nxe))), e, row[-1])
+                first[c] = bool(c & 1), tuple(sorted((a, nx, nxe))), e, row[-1]
     order = sorted(first, key=lambda c: first[c][:2])
     rank = {c: i for i, c in enumerate(order)}
     subproblems = []
     for i, c in enumerate(order):
-        collinear, sides, e, (z, kz, nz, rz, nze, rze, _) = first[c]
+        collinear, sides, e, (z, kz, nz, nze, _) = first[c]
         at = off - kz
         # no earlier type with 0 and e, 0 and z, or e and z
-        verts = [x for x, kx, nx, rx, nxe, rxe, cx in rows[e]
+        verts = [x for x, kx, nx, nxe, cx in rows[e]
                  if adjacent[kx + at] and (not i or rank[cx] >= i
-                     and rank[code(rx == rz, nz, nx, norm[kx + at])] >= i
-                     and rank[code(rxe == rze, nze, nxe, norm[kx + at])] >= i)]
+                     and rank[kind(0, z, x, nz, nx, norm[kx + at])] >= i
+                     and rank[kind(e, z, x, nze, nxe, norm[kx + at])] >= i)]
         subproblems.append(({"collinear": collinear, "sides": list(sides)},
                             e, z, verts))
     return subproblems

@@ -539,6 +539,10 @@ CANONICAL_SEARCH_SHA256 = {
         "71ed1716a0452bf93e86e8e9dceb1e991e28946414f7703ce548e8d9e7683a00",
     ("5", "2", "3", "two_distance"):
         "3ca2122ef29541d639c26c7033ade6f7165f8d91879c907047be7239acb29d70",
+    # the 9^6-entry norm table, at the ceiling; as written while the table
+    # also held ray ids
+    ("5", "1", "6", "equilateral"):
+        "ce9ecd0e8db362bbf7704a68f5bc9e27eb0f63ec5b74647a0c41b6ab0163eb9e",
 }
 
 

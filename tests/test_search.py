@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -290,7 +291,7 @@ def on_one_line(f, u, v):
 
 
 # the 16-bit d = 1 path beside every space the search graphs are checked on,
-# and multiplication rows of GF(49) and F_251 (up to the 256-byte rows)
+# and the 256-byte addition rows of GF(49) and F_251
 @pytest.mark.parametrize("p,k,d", CAYLEY_GRIDS + [
     (257, 1, 1), (9973, 1, 1), (7, 2, 2), (251, 1, 2)])
 def test_cayley_table_matches_dist2_and_lines(p, k, d):
@@ -320,21 +321,48 @@ def test_cayley_table_matches_dist2_and_lines(p, k, d):
         values = rng.sample(range(1, f.q), min(size, f.q - 1))
         assert table.neighbors(values) == [
             i for i, a in enumerate(norms) if a in values]
-    # ray ids of differences from w: equal iff the differences are on one
-    # line, and each the index of the point with last nonzero coordinate 1
-    # on it; y = w + lambda (x - w) half the time, so both sides show
+    # entry lam of the line through w and x is the point w + lam (x - w),
+    # its q entries are distinct, and they are the points y with y - w on
+    # the line of x - w; y is on it half the time, so both sides show
     index = {x: i for i, x in enumerate(points)}
     for _ in range(300 if f.q <= 256 else 60):
         w, x, y = rng.sample(range(n), 3)
+        line = table.line(w, x)
+        lam = rng.randrange(f.q)
+        assert line[lam] == index[tuple(
+            f.add(a, f.mul(lam, b)) for a, b in zip(points[w], diff(x, w)))]
+        assert len(set(line)) == f.q
         if rng.random() < 0.5:
-            lam = rng.randrange(1, f.q)
-            y = index[tuple(f.add(a, f.mul(lam, b))
-                            for a, b in zip(points[w], diff(x, w)))]
-        u, v = diff(x, w), diff(y, w)
-        rx, ry = table.ray[entry(x, w)], table.ray[entry(y, w)]
-        assert (rx == ry) == on_one_line(f, u, v)
-        r = points[rx]
-        assert [c for c in r if c][-1] == 1 and on_one_line(f, u, r)
+            y = line[rng.randrange(1, f.q)]
+        assert (y in line) == on_one_line(f, diff(x, w), diff(y, w))
+
+
+# F_3^3 and F_5^3 hold degenerate planes; GF(9)^2 has none
+@pytest.mark.parametrize("p,k,d", [(3, 1, 3), (5, 1, 3), (3, 2, 2)])
+def test_sides_decide_collinearity(p, k, d):
+    # the rule of search._triangle_subproblems, over every pair of nonzero
+    # points y, x with s = Q(y) != 0: x is in the span of y iff t = Q(x) is
+    # lam^2 s for lam = (s + t - u) / 2s, u = Q(x - y), and (for d >= 3)
+    # x is entry lam of the line through 0 and y
+    f = field_make(p, k)
+    table = search._CayleyTable(f, d)
+    points = [search._point(f, d, i) for i in range(f.q**d)]
+    origin = points[0]
+    flat_off_line = 0
+    for j, y in enumerate(points[1:], 1):
+        s = dist2(f, origin, y)
+        if s == f.zero:
+            continue
+        line = table.line(0, j)
+        for i, x in enumerate(points[1:], 1):
+            t, u = dist2(f, origin, x), dist2(f, x, y)
+            lam = f.mul(f.sub(f.add(s, t), u), f.inv(f.add(s, s)))
+            flat = f.mul(f.mul(lam, lam), s) == t
+            span = any(tuple(f.mul(mu, c) for c in y) == x
+                       for mu in f.elements())
+            assert span == (flat and (d <= 2 or line[lam] == i)), (y, x)
+            flat_off_line += flat and not span
+    assert (flat_off_line > 0) == (d >= 3)
 
 
 @pytest.mark.parametrize("p,k,d", CAYLEY_GRIDS)
@@ -392,6 +420,65 @@ def test_witt_pin_matches_networkx_clique(p, k, d):
                 assert max(pinned) == omega, (mode, values)
             else:
                 assert not subs, (mode, values)
+
+
+# sha256 of the repr of every _triangle_subproblems list of both modes'
+# value sets, as computed while collinearity compared ray ids of
+# differences; F_3^5, F_5^4, GF(9)^3 and F_7^3 hold degenerate planes
+# that are not lines
+SUBPROBLEM_SHA256 = {
+    (3, 1, 1):
+        "e68dcd2afca83888105b883b16ccfd02282e5f9c45dd88444a0fefca259ebcd3",
+    (3, 1, 2):
+        "f2ab2d3b97d31e2b35438fc1cdb03e91b8fcf28721a9162c8fdfe3f57b9e0fa5",
+    (3, 1, 3):
+        "ea852b8910b70ec201b6927ea9bf8cfbd0376bbb5afd3058b00693b86d0d528c",
+    (3, 1, 4):
+        "408d552bd706e1b61e874fcb84945e98879acceb8912aba31d42eaff4a22b407",
+    (5, 1, 1):
+        "db3012150cb5ebe56058a1174dc1676c115a1eea2f7869418d62e28e39ae64fa",
+    (5, 1, 2):
+        "61d3ac98251c98feff0edbfd63b943aa8c19e4f1e0a91b84085325b32682bb8a",
+    (5, 1, 3):
+        "99383c856d6b715427f86c0845ace50e23e4b12257981ce15d55110683833f4f",
+    (7, 1, 1):
+        "2fdeba3ee77812e38486594920554049c13fbeb872e9ee7032f43b52bcfcffa9",
+    (7, 1, 2):
+        "86ac82d0cecdfabea9a166f4615b446ba7fbaf8f9e8851b7f6eb6459e2d4a111",
+    (3, 2, 1):
+        "84f8f1895708472b3e7490bc99527cfa54e4952f7381a6080d9ca3862f011514",
+    (3, 2, 2):
+        "f5c4d1d0d00bd91fbcc61a3cfbc1d7128cdab9998eb6f68e38bf0ab641f460a8",
+    (5, 2, 1):
+        "e49cde4fc6589e01915078125b8a28d7e84ede06c655825c5bc91926bd630bb3",
+    (5, 2, 2):
+        "340b337b9e2d07cd6853e6ac50d214e0bfb66f4eb814be2dea2e508da763dd2e",
+    (3, 3, 1):
+        "12f65b73da708da18f82c92f8bee504b726d055a30b601983ca48b0c56312b85",
+    (3, 3, 2):
+        "7e1359ef63f05ec39d618d8797c4caa0abdeaebca09355d67dec48a9fa9d7531",
+    (3, 1, 5):
+        "7c4d252395bb133f7e03fdff768297c9b3890e4c81937ae5877ae7058950f75b",
+    (5, 1, 4):
+        "3c6ccffb39bac0b8a87a8a76129c24f29340ffb71807e77b163c222a378e622b",
+    (3, 2, 3):
+        "5425bca83273ce18fc43b36abb138104b922dae834928ac2b36d867ef8d46b36",
+    (7, 1, 3):
+        "5f8e1a185472243704864d46b15b74209a655520385db7736ce6c07ec1cc02a0",
+}
+
+
+@pytest.mark.parametrize("p,k,d", sorted(SUBPROBLEM_SHA256))
+def test_triangle_subproblems_pinned(p, k, d):
+    f = field_make(p, k)
+    table = search._CayleyTable(f, d)
+    budget = search._Budget(600)
+    digest = hashlib.sha256()
+    for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
+        for values in search._candidate_value_sets(f, mode, None, budget):
+            digest.update(repr(search._triangle_subproblems(
+                table, table.neighbors(values), values)).encode())
+    assert digest.hexdigest() == SUBPROBLEM_SHA256[(p, k, d)]
 
 
 @pytest.mark.parametrize("p,k,d", [g for g in CAYLEY_GRIDS if g[2] % 2 == 0])
@@ -813,3 +900,23 @@ def test_canonical_pass_checks_the_deadline(monkeypatch):
     with pytest.raises(search._BudgetHit):
         search._lex_least_clique(
             table.graph(cand, (1, 5), search._Budget(600)), 6, late)
+
+
+def test_value_sets_check_the_deadline_once_per_first_value():
+    # one clock read per first value a of the sets, q - 1 on GF(25), and a
+    # passed deadline stops the enumeration before any set is returned
+    class Counted(search._Budget):
+        checks = 0
+
+        def check(self):
+            self.checks += 1
+            super().check()
+
+    f = field_make(5, 2)
+    for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
+        budget = Counted(600)
+        assert search._candidate_value_sets(f, mode, None, budget) == (
+            reference_value_sets(f, mode))
+        assert budget.checks == f.q - 1
+        with pytest.raises(search._BudgetHit):
+            search._candidate_value_sets(f, mode, None, search._Budget(-1))

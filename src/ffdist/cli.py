@@ -16,6 +16,7 @@ output file, 3 search budget hit.
 
 import argparse
 import sys
+from functools import partial
 
 from . import certificate, construct, geometry, search, srg
 from .field import field_make
@@ -276,7 +277,13 @@ class _Reparse(Exception):
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """One command's parser; it reports nothing itself."""
+    """One command's parser; it reports nothing itself.  So the formatter
+    that add_argument builds to check each metavar gets a fixed width in
+    place of one read from the terminal (shutil.get_terminal_size)."""
+
+    def __init__(self, prog):
+        super().__init__(prog=prog, add_help=False, formatter_class=partial(
+            argparse.HelpFormatter, width=80))
 
     def error(self, message):
         raise _Reparse
@@ -290,7 +297,7 @@ def parse(argv):
     help, like every error, falls through to the full parser, which
     prints the usage and messages and raises SystemExit."""
     if argv and argv[0] in COMMANDS:
-        parser = _CommandParser(prog="ffdist " + argv[0], add_help=False)
+        parser = _CommandParser("ffdist " + argv[0])
         COMMANDS[argv[0]][1](parser)
         try:
             return parser.parse_args(

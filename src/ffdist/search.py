@@ -32,6 +32,19 @@ under that type (isomorph rejection in orderly generation, McKay 1998).
 The sides decide the collinear bit, except in a degenerate plane, where
 the line through two of the points decides it (see _triangle_subproblems).
 
+The fourth point is pinned by class (orbital branching, Ostrowski,
+Linderoth, Rossi and Smriglio 2011, Math. Program. 126; isomorph
+rejection, McKay 1998).  In the subproblem (0, e, z; verts), x is keyed
+by (Q(x), Q(x - e), Q(x - z)), which give the Gram matrix of (e, z, x)
+by polarization.  Where its determinant is nonzero, Witt maps any two x
+of one key onto each other with 0, e and z fixed, and that isometry
+keeps verts and its graph.  So the clique engine branches at the root
+once per such key, on its lowest vertex, and then drops the whole key;
+the vertices left, whose determinant is zero (they may lie in the plane
+of e and z), go to the plain engine.  For a collinear type or d <= 2
+every determinant is zero, and the plain engine runs alone (see
+_witt_classes).
+
 When d is even, x.x and nu*(x.x) (nu a nonsquare) are isometric, so a
 similitude with a nonsquare multiplier maps the cliques of a value set V
 onto those of nu*V, and the search pass keeps one value set per orbit
@@ -48,7 +61,8 @@ the whole neighborhood of the origin; the non-canonical witness and the
 node counts are not, and differ from versions with fewer pins.  Before
 any value set is enumerated, a point at an allowed distance from the
 origin is recorded as a size-2 witness, so a budget hit never reports
-less.  stats["subproblems"] records each pinned run with its type.
+less.  stats["subproblems"] records each pinned run with its type and
+its root branches.
 
 Each graph is a Cayley graph on (F_q^d, +): x ~ y iff Q(x - y) lies in
 the value set.  The norm of every difference is tabulated once per
@@ -139,9 +153,11 @@ class SearchResult:
         self.exhausted = exhausted
         # {"nodes": int, "seconds": float, "subproblems": [one record per
         # pinned clique run: values, type (see _triangle_subproblems),
-        # graph_size, nodes, seconds, done]}; nodes counts the search
-        # pass.  With --canonical also "canonical": {"orbits": square
-        # orbits, "visited": those walked, "nodes", "rows" built, "seconds",
+        # graph_size, root_branches (the fourth-point classes, single
+        # vertices included, or graph_size on the plain engine), nodes,
+        # seconds, done]}; nodes counts the search pass.  With
+        # --canonical also "canonical": {"orbits": square orbits,
+        # "visited": those walked, "nodes", "rows" built, "seconds",
         # "classes": [per searched class: values, max]}; max is a lower
         # bound on the class's clique number, exact where either is max_size.
         self.stats = stats
@@ -171,11 +187,16 @@ class _BudgetHit(Exception):
     pass
 
 
-def _max_clique(adj, budget, lower=0):
+def _max_clique(adj, budget, lower=0, classes=None):
     """Exact maximum clique of a graph given as a bitset adjacency list.
 
     Returns (best_vertices, exhausted).  `lower` seeds the pruning
-    bound with an already-known clique size."""
+    bound with an already-known clique size.  `classes`, bitmasks that
+    partition the vertices such that an automorphism of the graph maps
+    any member of a class onto any other, makes the root branch once per
+    class of two or more vertices, on its lowest vertex, and then drop the
+    whole class (orbital branching); the plain engine then searches the
+    single vertices left.  Any order of the classes is exact."""
     best = []
     best_size = lower
     apart = [~(a | 1 << v) for v, a in enumerate(adj)]  # drops v too
@@ -221,8 +242,35 @@ def _max_clique(adj, budget, lower=0):
             stack.pop()
             p_mask ^= 1 << v
 
+    def root(p_mask):
+        # exact: a largest clique that meets a class of two or more
+        # vertices, the first it meets being i as early as any such
+        # clique's, is sent by an automorphism onto one through the
+        # lowest vertex v of class i that meets no earlier class, which
+        # branch i finds; a largest clique that meets none is left to
+        # the plain engine on the single vertices
+        nonlocal best, best_size
+        budget.tick()
+        for cls in classes:
+            if not cls & (cls - 1):
+                continue  # a single vertex
+            if not color_order(p_mask, best_size)[0]:
+                return  # the colouring bound holds for all that is left
+            v = (cls & -cls).bit_length() - 1
+            p2 = p_mask & adj[v]
+            if p2:
+                expand([v], p2)
+            elif best_size < 1:
+                best, best_size = [v], 1
+            p_mask &= ~cls
+        if p_mask:
+            expand([], p_mask)
+
     try:
-        expand([], (1 << len(adj)) - 1)
+        if classes is None:
+            expand([], (1 << len(adj)) - 1)
+        else:
+            root((1 << len(adj)) - 1)
         return best, True
     except _BudgetHit:
         return best, False
@@ -513,6 +561,44 @@ def _triangle_subproblems(table, cand, values):
     return subproblems
 
 
+def _witt_classes(table, e, z, verts):
+    """The vertices of the subproblem (0, e, z; verts), as positions in
+    verts, in classes that isometries fixing 0, e and z map onto each
+    other: bitmasks in order of their lowest vertex, or None when every
+    class is a single vertex.
+
+    A key (Q(x), Q(x - e), Q(x - z)) lies in values^3 and gives twice the
+    Gram matrix of (e, z, x) by 2 u.v = Q(u) + Q(v) - Q(u - v).  Where
+    that is nonsingular the triple is independent, and Witt maps any two
+    x of the key onto each other by an isometry that fixes cand and every
+    triangle type, so keeps verts and its graph.  Otherwise (x may lie in
+    the plane of e and z) each x of the key is a class of its own."""
+    if table.d < 3:  # every triple of F_q^2 is dependent
+        return None
+    f, norm, off, key = table.field, table.norm, table.off, table.key
+    add, sub, mul = f.add, f.sub, f.mul
+    ke, kz = key[e], key[z]
+    ne, nz, nze = norm[ke + off], norm[kz + off], norm[kz - ke + off]
+    a, b, u = add(ne, ne), add(nz, nz), sub(add(ne, nz), nze)
+    free, classes = {}, {}  # by key: Gram matrix nonsingular; by class
+
+    def nonsingular(nx, nxe, nxz):
+        # det [[a, u, v], [u, b, w], [v, w, c]] by its first row
+        c, v, w = add(nx, nx), sub(add(ne, nx), nxe), sub(add(nz, nx), nxz)
+        return add(sub(mul(a, sub(mul(b, c), mul(w, w))),
+                       mul(u, sub(mul(u, c), mul(w, v)))),
+                   mul(v, sub(mul(u, w), mul(b, v)))) != f.zero
+
+    for i, x in enumerate(verts):
+        at = key[x] + off
+        k = norm[at], norm[at - ke], norm[at - kz]
+        if k not in free:
+            free[k] = nonsingular(*k)
+        c = k if free[k] else i  # a tuple, or a vertex's own class
+        classes[c] = classes.get(c, 0) | 1 << i
+    return list(classes.values()) if len(classes) < len(verts) else None
+
+
 def _search(problem):
     f, d = problem.field, problem.d
     start = time.monotonic()
@@ -537,14 +623,17 @@ def _search(problem):
                                                             values):
                 nodes, t0 = budget.nodes, time.monotonic()
                 adj = table.graph(verts, values, budget)
+                orbits = _witt_classes(table, e, z, verts)
                 # --canonical seeks a tie with the best until the class
                 # has one, so top ends exact wherever it reaches best_size
                 tie = problem.canonical and top < best_size
                 clique, done = _max_clique(adj, budget,
-                                           lower=best_size - 3 - tie)
+                                           lower=best_size - 3 - tie,
+                                           classes=orbits)
                 subproblems.append({
                     "values": list(values), "type": ttype,
                     "graph_size": len(verts),
+                    "root_branches": len(orbits or verts),
                     "nodes": budget.nodes - nodes,
                     "seconds": time.monotonic() - t0, "done": done})
                 top = max(top, 3 + len(clique))  # the triangle counts

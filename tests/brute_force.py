@@ -1,7 +1,8 @@
 """Test-only oracles, independent of the fast paths they check: the
 exhaustive subset census for the clique engine on tiny instances, the
 pair-by-pair squared distance, the Gram matrix and its rank, the least
-nonsquare, the midpoint pair census that the midpoint lemma replaced
+nonsquare, the isometries of F_q^d that fix two points, the midpoint
+pair census that the midpoint lemma replaced
 in construct.midpoints, the midpoints and the midpoint lemma in one
 field call per coordinate (construct's lane versions must agree), and
 the orthogonalization without support masks."""
@@ -76,6 +77,39 @@ def nonsquare_representative(f):
     """Smallest (by encoding) nonsquare element of f."""
     return next(a for a in f.elements()
                 if f.square_class(a) is SquareClass.NONSQUARE)
+
+
+def isometries_fixing(f, d, e, z):
+    """Every linear isometry of F_q^d under the standard form that fixes
+    the independent points e and z, as a dict from each point to its
+    image.  The basis e, z, w_3, ..., w_d completes e and z with unit
+    vectors; each of the q^(d(d-2)) choices of images of w_3, ..., w_d
+    is kept when the images' Gram matrix equals the basis's (the form is
+    nondegenerate, so the images are then independent too)."""
+    basis = [tuple(e), tuple(z)]
+    for i in range(d):
+        unit = tuple(f.one if j == i else f.zero for j in range(d))
+        if rank(f, basis + [unit]) > len(basis):
+            basis.append(unit)
+    points = list(itertools.product(f.elements(), repeat=d))
+
+    def combine(vectors, coords):
+        out = [f.zero] * d
+        for c, v in zip(coords, vectors):
+            out = [f.add(a, f.mul(c, b)) for a, b in zip(out, v)]
+        return tuple(out)
+
+    def gram_of(vectors):
+        return [[dot(f, u, v) for v in vectors] for u in vectors]
+
+    want = gram_of(basis)
+    found = []
+    for images in itertools.product(points, repeat=d - 2):
+        image = basis[:2] + list(images)
+        if gram_of(image) == want:
+            found.append({combine(basis, c): combine(image, c)
+                          for c in points})
+    return found
 
 
 def midpoint_census(mid, n):

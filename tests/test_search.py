@@ -13,7 +13,7 @@ from ffdist.search import (
     MODE_EQUILATERAL, MODE_TWO_DISTANCE,
 )
 
-from brute_force import brute_force_classify_all, dist2
+from brute_force import brute_force_classify_all, dist2, isometries_fixing
 from test_geometry import assert_pair_norms_match_dist2
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -30,6 +30,13 @@ def node_capped(limit):
                 raise search._BudgetHit
 
     return Capped
+
+
+@pytest.fixture
+def plain_engine(monkeypatch):
+    """Every subproblem on the plain clique engine, with no fourth-point
+    classes: the trees recorded before the classes existed."""
+    monkeypatch.setattr(search, "_witt_classes", lambda *args: None)
 
 
 def run(p, d, mode, k=1, **kw):
@@ -412,14 +419,69 @@ def test_witt_pin_matches_networkx_clique(p, k, d):
                            for v in verts)
                 want = len(nx.max_weight_clique(
                     nx_graph(nx, adj, [pos[v] for v in verts]), None)[0])
-                clique, done = search._max_clique(
-                    table.graph(verts, values, budget), budget)
+                sub = table.graph(verts, values, budget)
+                clique, done = search._max_clique(sub, budget)
                 assert done and len(clique) == want
+                # one root branch per fourth-point class
+                classes = search._witt_classes(table, e, z, verts)
+                clique, done = search._max_clique(sub, budget,
+                                                  classes=classes)
+                assert done and len(clique) == want
+                assert all(sub[u] >> v & 1
+                           for u, v in itertools.combinations(clique, 2))
                 pinned.append(3 + want)
             if omega >= 3:
                 assert max(pinned) == omega, (mode, values)
             else:
                 assert not subs, (mode, values)
+
+
+@pytest.mark.parametrize("p,k,d,split", [(3, 1, 3, False), (3, 1, 4, False),
+                                         (5, 1, 3, True)])
+def test_witt_classes_lie_in_one_orbit(p, k, d, split):
+    # each class of _witt_classes lies inside one orbit of the group of
+    # isometries that fix 0, e and z, enumerated by brute force; the
+    # classes partition the vertices in order of their lowest one.  The
+    # vertices of one norm key left apart, where the Gram matrix of
+    # (e, z, x) is singular, span two orbits or more in F_5^3
+    f = field_make(p, k)
+    origin = (0,) * d
+    table = search._CayleyTable(f, d)
+    budget = search._Budget(600)
+    merged, apart = 0, []
+    for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
+        for values in search._candidate_value_sets(f, mode, None, budget):
+            for ttype, e, z, verts in search._triangle_subproblems(
+                    table, table.neighbors(values), values):
+                classes = search._witt_classes(table, e, z, verts)
+                classes = classes or [1 << i for i in range(len(verts))]
+                assert sum(classes) == (1 << len(verts)) - 1
+                assert sum(c.bit_count() for c in classes) == len(verts)
+                lows = [c & -c for c in classes]
+                assert lows == sorted(lows)
+                if ttype["collinear"]:
+                    continue  # the enumeration needs independent e and z
+                if len(classes) == len(verts) and not split:
+                    continue
+                pins = [search._point(f, d, i) for i in (e, z)]
+                orbit = {}  # the orbit of each point, by the point
+                for g in isometries_fixing(f, d, *pins):
+                    for x, y in g.items():
+                        orbit.setdefault(x, set()).add(y)
+                by_key = {}
+                for c in classes:
+                    members = [search._point(f, d, verts[i])
+                               for i in range(len(verts)) if c >> i & 1]
+                    assert set(members) <= orbit[members[0]], (mode, values)
+                    merged += len(members) - 1
+                    if len(members) == 1:
+                        x = members[0]
+                        by_key.setdefault(tuple(dist2(f, y, x) for y in
+                                                [origin] + pins), []).append(x)
+                apart += [set(xs) <= orbit[xs[0]] for xs in by_key.values()
+                          if len(xs) > 1]
+    assert merged  # some class holds more than one vertex
+    assert (False in apart) == split
 
 
 # sha256 of the repr of every _triangle_subproblems list of both modes'
@@ -528,16 +590,36 @@ def brute_force_clique_number(adj):
     return best
 
 
-def test_max_clique_with_a_lower_seed_property():
-    # a seed below the clique number must not cost the maximum, and one at
-    # or above it leaves nothing to find: pins the colour-class skip, which
-    # drops classes up to best_size - depth, at its boundary
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+def check_max_clique(adj, data, classes=None):
+    """_max_clique under a lower seed drawn from data, against brute force
+    and, when installed, networkx: a seed below the clique number must not
+    cost the maximum, and one at or above it leaves nothing to find."""
+    from hypothesis import strategies
+    omega = brute_force_clique_number(adj)
     try:
         import networkx as nx
     except ImportError:
         nx = None
+    if nx is not None:
+        assert omega == len(nx.max_weight_clique(
+            nx_graph(nx, adj, range(len(adj))), None)[0])
+    lower = data.draw(strategies.integers(0, omega + 1))
+    clique, done = search._max_clique(adj, search._Budget(600), lower=lower,
+                                      classes=classes)
+    assert done
+    if lower < omega:
+        assert len(clique) == omega
+        assert all(adj[u] >> v & 1
+                   for u, v in itertools.combinations(clique, 2))
+    else:
+        assert clique == []
+
+
+def test_max_clique_with_a_lower_seed_property():
+    # pins the colour-class skip, which drops classes up to
+    # best_size - depth, at its boundary
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
 
     @st.composite
     def graphs(draw):
@@ -552,20 +634,43 @@ def test_max_clique_with_a_lower_seed_property():
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(graphs(), st.data())
     def check(adj, data):
-        omega = brute_force_clique_number(adj)
-        if nx is not None:
-            assert omega == len(nx.max_weight_clique(
-                nx_graph(nx, adj, range(len(adj))), None)[0])
-        lower = data.draw(st.integers(0, omega + 1))
-        clique, done = search._max_clique(adj, search._Budget(600),
-                                          lower=lower)
-        assert done
-        if lower < omega:
-            assert len(clique) == omega
-            assert all(adj[u] >> v & 1
-                       for u, v in itertools.combinations(clique, 2))
-        else:
-            assert clique == []
+        check_max_clique(adj, data)
+    check()
+
+
+def test_max_clique_with_automorphism_classes_property():
+    # orbital branching: a graph closed under a permutation sigma, with
+    # the cycles of sigma as classes, in any order
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def symmetric_graphs(draw):
+        n = draw(st.integers(0, 12))
+        sigma = draw(st.permutations(range(n)))
+        adj = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            if draw(st.booleans()):
+                while not adj[u] >> v & 1:  # the edge's orbit under sigma
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                    u, v = sigma[u], sigma[v]
+        cycles, seen = [], 0
+        for start in range(n):
+            cycle, v = 0, start
+            while not (seen | cycle) >> v & 1:
+                cycle |= 1 << v
+                v = sigma[v]
+            if cycle:
+                cycles.append(cycle)
+                seen |= cycle
+        return adj, draw(st.permutations(cycles))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(symmetric_graphs(), st.data())
+    def check(graph, data):
+        adj, classes = graph
+        check_max_clique(adj, data, classes)
     check()
 
 
@@ -602,7 +707,8 @@ def test_max_size_matches_brute_force(p, k, d, mode):
 
 def test_f3_dim6_two_distance_exhausts():
     # d + 2 = 8 is a power of two, so the construction does not apply;
-    # 288 s with only two points pinned, a few seconds by triangle type
+    # 288 s with only two points pinned, a few seconds by triangle type,
+    # 0.1 s (6,369 nodes) with the fourth point pinned by class
     r = run(3, 6, MODE_TWO_DISTANCE)
     assert r.exhausted
     assert r.max_size == 27
@@ -627,7 +733,8 @@ def test_size_two_witness_needs_an_allowed_norm():
 
 def test_f3_dim7_equilateral_exhausts():
     # 1,163,226 clique nodes with only the origin pinned, 7,229 with two
-    # points pinned, 151 with three pinned by triangle type
+    # points pinned, 151 with three pinned by triangle type, 17 with the
+    # fourth pinned by class
     r = run(3, 7, MODE_EQUILATERAL)
     assert r.exhausted
     assert r.max_size == 9
@@ -649,9 +756,10 @@ def test_subproblem_stats():
     assert want and [(s["values"], s["type"], s["graph_size"])
                      for s in subs] == want
     for s in subs:
-        assert set(s) == {"values", "type", "graph_size", "nodes",
-                          "seconds", "done"}
+        assert set(s) == {"values", "type", "graph_size", "root_branches",
+                          "nodes", "seconds", "done"}
         assert set(s["type"]["sides"]) <= set(s["values"]) and s["done"]
+        assert s["root_branches"] == s["graph_size"]  # d = 2: no classes
         assert s["graph_size"] >= 0 and s["seconds"] >= 0
     assert sum(s["nodes"] for s in subs) == r.stats["nodes"]
 
@@ -671,9 +779,12 @@ TREE_PINS = json.loads(
     (Path(__file__).parent / "search_trees.json").read_text())
 
 
-@pytest.mark.parametrize("rec", TREE_PINS, ids=lambda rec: "q%d_d%d_%s" % (
-    rec["p"]**rec["k"], rec["d"], rec["mode"]))
-def test_clique_tree_pinned(rec):
+def tree_id(rec):
+    return "q%d_d%d_%s" % (rec["p"]**rec["k"], rec["d"], rec["mode"])
+
+
+@pytest.mark.parametrize("rec", TREE_PINS, ids=tree_id)
+def test_clique_tree_pinned(rec, plain_engine):
     r = run(rec["p"], rec["d"], rec["mode"], k=rec["k"])
     assert r.exhausted and r.max_size == rec["max_size"]
     assert r.stats["nodes"] == rec["nodes"]
@@ -721,6 +832,37 @@ def test_canonical_pass_visits_exactly_the_orbits_that_reach_the_maximum(
         assert reach and canon["visited"] == reach
 
 
+# the same four instances with one root branch per fourth-point class:
+# total nodes, then (root_branches, nodes) of each subproblem
+ORBIT_TREES = {
+    "q5_d4_two_distance": (108, [
+        (8, 9), (13, 1), (2, 1), (1, 1), (8, 89), (13, 3), (2, 1), (1, 1),
+        (2, 1), (0, 1)]),
+    "q3_d6_equilateral": (6, [(1, 5), (0, 1)]),
+    "q7_d3_two_distance": (26, [
+        (4, 3), (2, 1), (1, 1), (0, 1), (8, 1), (1, 1), (0, 1), (0, 1),
+        (8, 4), (3, 1), (2, 1), (0, 1), (4, 1), (3, 1), (2, 1), (0, 1),
+        (6, 1), (5, 1), (1, 1), (0, 1), (0, 1)]),
+    "q9_d2_two_distance": (17, [(6, 6), (1, 1)] + [(0, 1)] * 10),
+}
+
+
+@pytest.mark.parametrize("rec", TREE_PINS, ids=tree_id)
+def test_orbit_tree_pinned(rec):
+    # the plain trees' sizes and subproblems, on fewer nodes where a
+    # subproblem has classes of more than one vertex (d = 2 has none)
+    r = run(rec["p"], rec["d"], rec["mode"], k=rec["k"])
+    assert r.exhausted and r.max_size == rec["max_size"]
+    subs = r.stats["subproblems"]
+    assert [{key: s[key] for key in ("values", "type", "graph_size")}
+            for s in subs] == [{key: s[key] for key in ("values", "type",
+                                                       "graph_size")}
+                               for s in rec["subproblems"]]
+    assert (r.stats["nodes"], [(s["root_branches"], s["nodes"])
+                               for s in subs]) == ORBIT_TREES[tree_id(rec)]
+    assert all(s["root_branches"] <= s["graph_size"] for s in subs)
+
+
 class RecordedRows(search._Rows):
     """search._Rows that records which rows are read."""
 
@@ -762,9 +904,9 @@ def test_rows_built_when_read_match_the_graph(p, k, d):
                 assert dict.__len__(rows) == len(rows.reads)
 
 
-# (p, k, d, mode): search nodes, canonical nodes, square orbits walked and
-# rows built; the first three as they were when the canonical pass built
-# every row of the graphs it walked
+# (p, k, d, mode): search nodes on the plain engine, canonical nodes,
+# square orbits walked and rows built; the first three as they were when
+# the canonical pass built every row of the graphs it walked
 CANONICAL_STATS = {
     (7, 1, 5, MODE_TWO_DISTANCE): (5476, 21, 1, 21),
     (5, 1, 6, MODE_EQUILATERAL): (395, 12, 2, 12),
@@ -775,13 +917,36 @@ CANONICAL_STATS = {
 }
 
 
-@pytest.mark.parametrize("p,k,d,mode", sorted(CANONICAL_STATS))
-def test_canonical_stats_pinned(p, k, d, mode):
+# search nodes of the same runs with one root branch per fourth-point
+# class; the canonical pass's stats do not move
+ORBIT_SEARCH_NODES = {
+    (7, 1, 5, MODE_TWO_DISTANCE): 250,
+    (5, 1, 6, MODE_EQUILATERAL): 14,
+    (3, 2, 4, MODE_TWO_DISTANCE): 64,
+    (7, 1, 5, MODE_EQUILATERAL): 6,
+    (5, 2, 3, MODE_TWO_DISTANCE): 106,
+    (5, 2, 2, MODE_TWO_DISTANCE): 37,
+}
+
+
+def canonical_stats(p, k, d, mode):
     r = run(p, d, mode, k=k, canonical=True)
     canon = r.stats["canonical"]
     assert r.exhausted
-    assert (r.stats["nodes"], canon["nodes"], canon["visited"],
-            canon["rows"]) == CANONICAL_STATS[(p, k, d, mode)]
+    return (r.stats["nodes"], canon["nodes"], canon["visited"],
+            canon["rows"])
+
+
+@pytest.mark.parametrize("p,k,d,mode", sorted(CANONICAL_STATS))
+def test_canonical_stats_pinned(p, k, d, mode, plain_engine):
+    assert canonical_stats(p, k, d, mode) == CANONICAL_STATS[(p, k, d, mode)]
+
+
+@pytest.mark.parametrize("p,k,d,mode", sorted(CANONICAL_STATS))
+def test_canonical_stats_pinned_with_classes(p, k, d, mode):
+    plain = CANONICAL_STATS[(p, k, d, mode)]
+    assert canonical_stats(p, k, d, mode) == (
+        ORBIT_SEARCH_NODES[(p, k, d, mode)],) + plain[1:]
 
 
 def walk_every_orbit(f, d, mode, size):

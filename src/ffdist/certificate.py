@@ -9,17 +9,21 @@ _classify) and checks the stored bookkeeping against it.
 Files are deterministic JSON (sorted keys, fixed indentation, trailing
 newline) so identical inputs produce byte-identical certificates.
 dumps writes json.dumps(indent=2, sort_keys=True) byte for byte, but
-formats "points" itself: an indent turns off json's C encoder.
+formats "points" from the encodings of the PointSet it was made from, as
+an indent turns off json's C encoder.  load decodes all points in
+whole-list passes; only a malformed point is read alone, to name it.
 """
 
 import json
 import math
-from itertools import chain, islice
+from itertools import chain, repeat
+from operator import mod
 
 from . import construct, geometry
 from . import field as field_mod
 from . import srg as srg_mod
 from .geometry import PointSet, FORM_STANDARD, FORM_SUM_ZERO, OffHyperplane
+from .linalg import horner
 
 
 class SchemaError(ValueError):
@@ -42,7 +46,7 @@ def points_block(s):
     if f.k == 1:
         return [list(p) for p in s.points]
     form = {a: f.serialize(a) for a in set(chain.from_iterable(s.points))}
-    return [[list(form[c]) for c in p] for p in s.points]
+    return [list(map(list, map(form.__getitem__, p))) for p in s.points]
 
 
 def equilateral_claim(f, delta):
@@ -89,35 +93,32 @@ def _json_list(items, indent):
             + "]" if items else "[]")
 
 
-def _points_text(points):
-    """The "points" text of dumps, each distinct coordinate formatted
-    once; None unless all coordinates are ints or all are int lists."""
-    if type(points) is not list or not {list}.issuperset(map(type, points)):
-        return None
-    keys = ints = list(chain.from_iterable(points))
-    if {list}.issuperset(map(type, keys)):  # k > 1
-        ints, keys = list(chain.from_iterable(keys)), list(map(tuple, keys))
-    if not {int}.issuperset(map(type, ints)):
-        return None
-    texts = {key: repr(key) if type(key) is int
-             else _json_list(list(map(repr, key)), 6) for key in set(keys)}
-    cells = iter(map(texts.__getitem__, keys))
-    return _json_list([_json_list(list(islice(cells, len(point))), 4)
-                       for point in points], 2)
+def _points_text(s):
+    """The "points" text of a certificate made from s: each distinct
+    element formatted once, and joined point by point."""
+    f = s.field
+    texts = {a: repr(a) if f.k == 1 else
+             _json_list(list(map(repr, f.serialize(a))), 6)
+             for a in set(chain.from_iterable(s.points))}
+    return _json_list([_json_list(list(map(texts.__getitem__, x)), 4)
+                       for x in s.points], 2)
 
 
-def dumps(cert):
-    """json.dumps(cert, indent=2, sort_keys=True) + "\n", byte for byte."""
-    text = type(cert) is dict and _points_text(cert.get("points"))
-    if not text:
+def dumps(cert, s=None):
+    """json.dumps(cert, indent=2, sort_keys=True) + "\n", byte for byte.
+    Given s, cert must be make(s, ...) unchanged, s of int coordinates;
+    then "points" is formatted from s, as an indent turns off json's C
+    encoder."""
+    if s is None:
         return json.dumps(cert, indent=2, sort_keys=True) + "\n"
     rest = json.dumps(dict(cert, points=0), indent=2, sort_keys=True)
-    return rest.replace('\n  "points": 0', '\n  "points": ' + text, 1) + "\n"
+    text = '\n  "points": ' + _points_text(s)
+    return rest.replace('\n  "points": 0', text, 1) + "\n"
 
 
-def write(cert, path):
+def write(cert, path, s=None):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(cert))
+        fh.write(dumps(cert, s))
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +144,34 @@ def _element(f, v, what):
         return f.deserialize(v)
     except ValueError as exc:
         raise SchemaError("bad %s: %s" % (what, exc))
+
+
+def _decode(f, dim, raw):
+    """Encodings of the JSON points raw, as tuples: one flatten and type
+    check per level of nesting and one Horner over all coefficients, or
+    for a malformed point _decode_each's SchemaError."""
+    p, k, flat = f.p, f.k, raw
+    for size in (dim, k) if k > 1 else (dim,):  # coordinates, coefficients
+        if not ({list}.issuperset(map(type, flat))
+                and {size}.issuperset(map(len, flat))):
+            return _decode_each(f, dim, raw)
+        flat = list(chain.from_iterable(flat))
+    if not {int}.issuperset(map(type, flat)):
+        return _decode_each(f, dim, raw)
+    values = set(flat)  # a mod only when some value needs it
+    if min(values) < 0 or max(values) >= p:
+        flat = list(map(mod, flat, repeat(p)))
+    return list(zip(*[iter(horner(flat, p, k))] * dim))
+
+
+def _decode_each(f, dim, raw):
+    """_decode point by point: names the first malformed point."""
+    points = []
+    for rp in raw:
+        _schema(isinstance(rp, list) and len(rp) == dim,
+                "point of wrong length")
+        points.append(tuple(_element(f, c, "coordinate") for c in rp))
+    return points
 
 
 def load(path):
@@ -173,23 +202,7 @@ def load(path):
     raw_points = cert.get("points")
     _schema(isinstance(raw_points, list) and len(raw_points) >= 2,
             "need at least 2 points")
-    p, k = f.p, f.k
-    points = []
-    for rp in raw_points:
-        _schema(isinstance(rp, list) and len(rp) == dim,
-                "point of wrong length")
-        if k == 1 and {int}.issuperset(map(type, rp)):
-            points.append(tuple(map(p.__rmod__, rp)))
-        elif (k > 1 and {list}.issuperset(map(type, rp))
-              and {k}.issuperset(map(len, rp))
-              and {int}.issuperset(map(type, chain.from_iterable(rp)))):
-            flat = list(map(p.__rmod__, chain.from_iterable(rp)))
-            coords = flat[k - 1::k]
-            for r in range(k - 2, -1, -1):  # Horner on the coefficients
-                coords = [e * p + c for e, c in zip(coords, flat[r::k])]
-            points.append(tuple(coords))
-        else:  # a malformed coordinate: _element names it
-            points.append(tuple(_element(f, c, "coordinate") for c in rp))
+    points = _decode(f, dim, raw_points)
     _schema(len(set(points)) == len(points), "points must be distinct")
     claim = cert.get("claim")
     _schema(isinstance(claim, dict), "missing claim")

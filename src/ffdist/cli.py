@@ -43,9 +43,9 @@ class UsageError(Exception):
     pass
 
 
-def _write(cert, path):
+def _write(cert, path, s):
     try:
-        certificate.write(cert, path)
+        certificate.write(cert, path, s)
     except OSError as exc:
         raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc))
 
@@ -77,7 +77,7 @@ def cmd_construct(args):
         certificate.bounds_block(d, len(s), f, target="equilateral"))
     cert = certificate.make(
         s, certificate.equilateral_claim(f, params.delta), meta)
-    _write(cert, args.out)
+    _write(cert, args.out, s)
     print("wrote %s (%d equilateral points)" % (args.out, len(s)))
     if args.midpoints:
         mid = construct.midpoints(s)
@@ -94,7 +94,7 @@ def cmd_construct(args):
             claim = certificate.equilateral_claim(f, mid.d4)
         mcert = certificate.make(mid.points, claim, mmeta)
         mpath = _midpoint_out_path(args.out)
-        _write(mcert, mpath)
+        _write(mcert, mpath, mid.points)
         print("wrote %s (%d midpoints)" % (mpath, len(mid.points)))
     return EXIT_OK
 
@@ -164,7 +164,7 @@ def cmd_search(args):
             del meta["search"]["nodes"]
             del meta["search"]["seconds"]
         cert = certificate.make(result.witness, claim, meta)
-        _write(cert, args.out)
+        _write(cert, args.out, result.witness)
     print("max %s size in GF(%d^%d)^%d: %d (%s)"
           % (args.mode, args.p, args.k, args.d, result.max_size,
              "exhausted" if result.exhausted else "budget hit"))

@@ -58,12 +58,9 @@ class ModularParams:
 def modular_equilateral(params):
     """The d+2 points 0 and b*1 + b*e_i (i = 1..m) in the sum-zero
     hyperplane of F_q^m, m = d+1; pairwise squared distance 2 b^2."""
-    f = params.field
-    m = params.m
-    b = params.b
-    points = [(f.zero,) * m]
-    for i in range(m):
-        points.append(tuple(f.add(b, b) if j == i else b for j in range(m)))
+    f, m, b = params.field, params.m, params.b
+    points = [(f.zero,) * m] + [(b,) * i + (f.add(b, b),) + (b,) * (m - 1 - i)
+                                for i in range(m)]
     return PointSet(f, m, FORM_SUM_ZERO, points)
 
 

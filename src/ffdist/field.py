@@ -11,9 +11,11 @@ One Field class serves every q, its kernel picked once when the field is
 built: native mod-p arithmetic for k = 1; for k > 1 exp/log/Zech tables
 on the powers of the primitive element of least encoding (Lidl and
 Niederreiter, Finite Fields, 9.1), so mul, inv, pow, square_class and
-sqrt are lookups.  Admitted: p <= 2^31 (MAX_Q) for k = 1, and q <= 2^17
-(TABLE_CEILING) for k > 1, where the tables hold about 15 MB and build in
-about half a second.  All arithmetic is exact; no floating point anywhere.
+sqrt are lookups; that element is the first whose walk over its powers
+takes q - 1 steps, and the walk is the exp table.  Admitted: p <= 2^31
+(MAX_Q) for k = 1, and q <= 2^17 (TABLE_CEILING) for k > 1, where the
+tables hold about 15 MB and build in about half a second.  All
+arithmetic is exact; no floating point anywhere.
 """
 
 import enum
@@ -98,16 +100,6 @@ def _poly_mod(a, m, p):
     return _poly_trim(a)
 
 
-def _poly_powmod(a, e, m, p):
-    result = (1,)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, a, p), m, p)
-        a = _poly_mod(_poly_mul(a, a, p), m, p)
-        e >>= 1
-    return result
-
-
 def _monic_polys_lex(p, deg):
     """Monic degree-deg polynomials, low coefficients in tuple-lex order."""
     for low in itertools.product(range(p), repeat=deg):
@@ -146,22 +138,10 @@ def _sqrt_mod(a, p):
     return r
 
 
-def _least_primitive(p, k, modulus):
-    """Coefficients of the primitive element of least encoding.  The
-    encodings below p form GF(p), whose orders divide p - 1 < q - 1."""
-    n = p**k - 1
-    cofactors = [n // r for r in range(2, n + 1)
-                 if n % r == 0 and _is_prime(r)]
-    for e in range(p, n + 1):
-        g = _poly_trim(e // p**i % p for i in range(k))
-        if all(_poly_powmod(g, c, modulus, p) != (1,) for c in cofactors):
-            return g
-    raise AssertionError("finite field without a primitive element")
-
-
 def _table_kernel(p, k, modulus, name):
     """exp/log/Zech arithmetic in GF(p^k) on the powers of a primitive g,
-    as a dict of the Field operations it replaces.
+    as a dict of the Field operations it replaces and the tables _exp and
+    _log.
 
     With n = q - 1: exp[i] = g^(i mod n) for i < 2n and 0 beyond, and
     log[0] = 2n, so exp[log[a] + log[b]] is a*b even when a or b is 0.
@@ -171,23 +151,29 @@ def _table_kernel(p, k, modulus, name):
     """
     n = p**k - 1
     half = n // 2  # g^half = -1
-    g = _least_primitive(p, k, modulus)
     # g x = sum_i c_i (g t^i) is linear in the coefficients c_i of x.
     # The coefficients of each g t^i are packed into one int, s bits per
     # coefficient, wide enough for the unreduced sum of k products.
     s = (k * (p - 1) ** 2).bit_length()
-    columns = []
-    for i in range(k):
-        col = _poly_mod(_poly_mul(g, (0,) * i + (1,), p), modulus, p)
-        columns.append(sum(c << (s * j) for j, c in enumerate(col)))
     mask, shifts = (1 << s) - 1, range(0, s * k, s)
     weights = [p**i for i in range(k)]
-    power = [1] + [0] * (k - 1)  # coefficients of g^i
-    cycle = []
-    for _ in range(n):
-        cycle.append(sum(map(_mul, power, weights)))
-        w = sum(map(_mul, power, columns))
-        power = [(w >> sh & mask) % p for sh in shifts]
+    # A walk over the powers of g returns to 1 after its order; the first
+    # g to take n steps is primitive.  Encodings below p form GF(p),
+    # whose orders divide p - 1 < n.
+    for a in range(p, n + 1):
+        power = [a // r % p for r in weights]  # the coefficients of g = a
+        g = _poly_trim(power)
+        columns = [sum(c << (s * j) for j, c in enumerate(
+            _poly_mod(_poly_mul(g, (0,) * i + (1,), p), modulus, p)))
+            for i in range(k)]
+        cycle = [1]
+        while a != 1:
+            cycle.append(a)
+            w = sum(map(_mul, power, columns))
+            power = [(w >> sh & mask) % p for sh in shifts]
+            a = sum(map(_mul, power, weights))
+        if len(cycle) == n:
+            break
     exp = cycle + cycle + [0] * (2 * n + 1)
     log = [2 * n] * (n + 1)
     for i, a in enumerate(cycle):
@@ -234,7 +220,7 @@ def _table_kernel(p, k, modulus, name):
         return min(exp[i], exp[i + half])
 
     return dict(
-        add=add, sub=sub,
+        _exp=exp, _log=log, add=add, sub=sub,
         neg=lambda a: exp[log[a] + half],
         mul=lambda a, b: exp[log[a] + log[b]],
         inv=inv, pow=pow_, square_class=square_class, sqrt=sqrt)

@@ -8,17 +8,20 @@ either way distances are evaluated in ambient coordinates.
 PointSet.pair_norms is the one census: every Q(x - y) from one pass,
 kept on the set.  Q(x - y) = Q(x) + Q(y) - 2 x.y is x'.y' for x' = (x,
 Q(x), 1) and y' = (-2y, 1, Q(y)), so the census is the upper triangle
-of one matrix product, linalg.row_product.  tests/brute_force.py
-holds dist2, the pair-by-pair reference.
+of one matrix product, linalg.row_product.  For k > 1 its inputs come
+from tables of a^2 and -2a over the distinct coordinates, which
+PointSet checks are encodings, and Q(x) from one lane sum per point
+(_coordinate_sums).  tests/brute_force.py holds dist2, the reference.
 """
 
 import math
 from collections import Counter
-from functools import partial, reduce
-from itertools import chain
-from operator import add, mul
+from functools import partial
+from itertools import chain, repeat
+from operator import mul
+from struct import Struct
 
-from .linalg import lane_format, row_product, DimensionMismatch
+from .linalg import horner, lane_format, row_product, DimensionMismatch
 
 
 class TooFewPoints(ValueError):
@@ -47,26 +50,18 @@ class PointSet:
         self.ambient_dim = ambient_dim
         self.form = form
         self.points = [tuple(p) for p in points]
-        seen = set()
-        for p in self.points:
-            if len(p) != ambient_dim:
-                raise DimensionMismatch("point of wrong length")
-            if p in seen:
-                raise ValueError("points must be pairwise distinct")
-            seen.add(p)
+        if not {ambient_dim}.issuperset(map(len, self.points)):
+            raise DimensionMismatch("point of wrong length")
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("points must be pairwise distinct")
+        # for k > 1 coordinates index tables, so each must be an encoding
+        values = field.k > 1 and set().union(*self.points)
+        if values and not (0 <= min(values) and max(values) < field.q):
+            raise ValueError("coordinates over %r must lie in 0..%d"
+                             % (field, field.q - 1))
         if form == FORM_SUM_ZERO:
-            # one C-level sum per point: for k > 1 its coefficient sums
-            # are w-bit lanes of sum(lanes(x_j)); for k = 1 any integers
-            p, k = field.p, field.k
-            w = 8 * lane_format((ambient_dim * (p - 1)).bit_length())[0]
-            code = field.lanes(w).__getitem__ if k > 1 else None
-            mask = (1 << w) - 1 if k > 1 else -1
-            for x in self.points:
-                total = sum(map(code, x)) if k > 1 else sum(x)
-                for shift in range(0, w * k, w):
-                    if (total >> shift & mask) % p:
-                        raise OffHyperplane("point off the sum-zero "
-                                            "hyperplane")
+            if any(_coordinate_sums(field, ambient_dim, self.points)):
+                raise OffHyperplane("point off the sum-zero hyperplane")
         elif form != FORM_STANDARD:
             raise ValueError("unknown form %r" % form)
         self._pair_norms = None
@@ -82,15 +77,39 @@ class PointSet:
         doc), computed on first use."""
         if self._pair_norms is None:
             f, points = self.field, self.points
-            # plain integers for k = 1, which row_product reduces mod p
-            plus, times = (f.add, f.mul) if f.k > 1 else (add, mul)
-            norms = [reduce(plus, map(times, x, x), f.zero) for x in points]
-            minus2 = partial(times, f.coerce(-2))
+            if f.k > 1:  # a^2 and -2a, one field call per distinct a
+                values = set().union(*points)
+                norms = _coordinate_sums(f, self.ambient_dim, points,
+                                         {a: f.mul(a, a) for a in values})
+                minus2 = {a: f.mul(f.coerce(-2), a)
+                          for a in values}.__getitem__
+            else:  # plain integers, which row_product reduces mod p
+                norms = list(map(sum, map(map, repeat(mul), points, points)))
+                minus2 = partial(mul, -2)
             row = row_product(f, [list(map(minus2, c)) for c in zip(*points)]
                               + [[f.one] * len(points), norms])
             self._pair_norms = [row((*x, q, 1), i + 1)
                                 for i, (x, q) in enumerate(zip(points, norms))]
         return self._pair_norms
+
+
+def _coordinate_sums(f, m, points, table=None):
+    """The encodings of sum_j table[x_j] (sum_j x_j without a table)
+    for the m-vectors x of encodings in points: per point a C-level sum
+    of Field.lanes ints, whose lanes hold the coefficient sums, then one
+    mod p and Horner over all lanes.  For k = 1 no table, any ints."""
+    p, k = f.p, f.k
+    if k == 1:
+        return list(map(p.__rmod__, map(sum, points)))
+    width, fmt = lane_format((m * (p - 1)).bit_length())
+    lanes = f.lanes(8 * width)
+    code = ({a: lanes[b] for a, b in table.items()} if table
+            else lanes).__getitem__
+    sums = map(sum, map(map, repeat(code), points))
+    raw = b"".join(map(int.to_bytes, sums, repeat(k * width),
+                       repeat("little")))
+    coeffs = Struct("<%d%s" % (k * len(points), fmt)).unpack(raw)
+    return horner(list(map(p.__rmod__, coeffs)), p, k)
 
 
 def spectrum(s):

@@ -35,7 +35,7 @@ orthonormal basis of the span) when the discriminant permits.
 
 import sys
 from itertools import repeat
-from operator import mul
+from operator import add, mul
 from struct import Struct, calcsize
 
 
@@ -85,6 +85,15 @@ def lane_format(bits):
     return width, {1: "B", 2: "H", 4: "I"}.get(width, "Q")
 
 
+def horner(digits, base, k):
+    """sum_s c_s base^s of each run c_0 .. c_(k-1) of k digits (for
+    base p, encodings), in one mapped pass per digit position."""
+    codes = digits[k - 1::k]
+    for s in range(k - 2, -1, -1):
+        codes = list(map(add, map(mul, codes, repeat(base)), digits[s::k]))
+    return codes
+
+
 def row_product(f, b_rows):
     """The function (a, start=0) -> entries start, start + 1, ... of
     the row vector a times the matrix with rows b_rows, over f (see the
@@ -99,13 +108,16 @@ def row_product(f, b_rows):
     width, fmt = lane_format(bits)
     w, order = 8 * width, sys.byteorder
     words = width // calcsize(fmt)  # each digit is read at its low word
-    # an entry's coefficients as digits 0..k-1 of one int
+    # an entry's coefficients as digits 0..k-1 of one int, and for k > 1
+    # as the bytes of span digits
     lanes = f.lanes(w).__getitem__ if k > 1 else p.__rmod__
+    digits = f.lanes(w, span * width).__getitem__ if k > 1 else None
 
     def pack(row):  # entry j as block j, digits j span .. j span + k - 1
-        return int.from_bytes(b"".join(map(int.to_bytes, map(lanes, row),
-                                           repeat(span * width),
-                                           repeat(order))), order)
+        return int.from_bytes(b"".join(
+            map(digits, row) if k > 1 else
+            map(int.to_bytes, map(lanes, row), repeat(width), repeat(order))),
+            order)
     terms = list(map(pack, b_rows))
     blocks = ((1 << w * span * cols) - 1) // ((1 << w * span) - 1)
     low = blocks * ((1 << w) - 1)  # digit 0 of every block

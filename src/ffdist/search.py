@@ -91,7 +91,7 @@ import sys
 import time
 from array import array
 from functools import cache
-from itertools import compress, count, product, repeat
+from itertools import compress, count, product
 
 from . import geometry
 from .field import SquareClass
@@ -389,8 +389,15 @@ class _CayleyTable:
         point_norm = bytes(square) if q <= 256 else array("H", square)
         norm = _by_code(point_norm, p, f.k)
         if d > 1:  # so q <= 256 (POINT_CEILING): rows of 256 bytes
-            add = {s: bytes(map(f.add, repeat(s), range(q))) + bytes(256 - q)
-                   for s in set(square)}
+            # add[s]: a -> a + s; add[s + u] is add[s] translated by the
+            # step a -> a + u, u = p^i: each block of u p entries rotated
+            ident = bytes(range(256))
+            add = [ident]
+            for u in map(p.__pow__, range(f.k)):
+                step = b"".join(ident[b + u:b + u * p] + ident[b:b + u]
+                                for b in range(0, q, u * p)) + ident[q:]
+                for _ in range(p - 1):
+                    add += [row.translate(step) for row in add[-u:]]
             code_add = list(map(add.__getitem__, norm))
         for _ in range(1, d):
             point_norm = b"".join(map(point_norm.translate,

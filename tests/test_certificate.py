@@ -6,6 +6,7 @@ from ffdist import certificate, cli, construct
 from ffdist.construct import ModularParams, embed_standard, modular_equilateral
 from ffdist.field import field_make
 from ffdist.geometry import FORM_STANDARD
+from ffdist.linalg import NotIsometric
 
 from test_construct import grid
 
@@ -57,15 +58,21 @@ def test_dumps_matches_json_property():
     check()
 
 
-@pytest.mark.parametrize("p,k,d", [(5, 2, 28), (3, 2, 7), (5, 1, 8)])
+@pytest.mark.parametrize("p,k,d", [(5, 2, 28), (3, 2, 7), (5, 1, 8),
+                                   (3, 3, 25), (3, 4, 10)])
 def test_dumps_of_made_certificates(p, k, d):
     f = field_make(p, k)
     s = modular_equilateral(ModularParams(f, d))
     if k > 1:
-        s = embed_standard(s)
+        try:
+            s = embed_standard(s)
+        except NotIsometric:  # GF(27): the hyperplane set as it is
+            pass
     cert = certificate.make(s, certificate.equilateral_claim(f, 2),
                             {"bounds": certificate.bounds_block(d, len(s))})
     assert certificate.dumps(cert) == reference_dumps(cert)
+    # the points text formatted from the encodings of s
+    assert certificate.dumps(cert, s) == reference_dumps(cert)
 
 
 def test_make_points_are_independent_lists():
@@ -115,6 +122,42 @@ def test_bulk_decode_matches_element_property(tmp_path):
         assert s.points == expected
     check()
 
+
+
+@pytest.mark.parametrize("p,k,d", [(3, 2, 7), (7, 2, 5)])
+def test_whole_list_decode_matches_per_point_loop(p, k, d):
+    """certificate._decode against _decode_each on a made GF(9) / GF(49)
+    certificate, as it is and with a coordinate of its first, a middle
+    or its last point replaced: the same points or the same
+    SchemaError text."""
+    f = field_make(p, k)
+    s = embed_standard(modular_equilateral(ModularParams(f, d)))
+    made = certificate.make(s, certificate.equilateral_claim(f, 1), {})
+    dim = s.ambient_dim
+
+    def outcome(decode, raw):
+        try:
+            return decode(f, dim, raw)
+        except certificate.SchemaError as exc:
+            return str(exc)
+    cases = [made["points"]]
+    for i in (0, len(s) // 2, len(s) - 1):
+        for j in (0, dim - 1):
+            for value in ([p, -1], [3 * p + 1, 2**70], True, 2, 1.5, "1",
+                          [1], [1, 2, 3], [1, True], [1, None], None):
+                raw = json.loads(json.dumps(made["points"]))
+                raw[i][j] = value
+                cases.append(raw)
+        for point in (made["points"][i][:-1], "x"):  # a malformed point
+            raw = json.loads(json.dumps(made["points"]))
+            raw[i] = point
+            cases.append(raw)
+    outcomes = [outcome(certificate._decode_each, raw) for raw in cases]
+    assert list(map(outcome, [certificate._decode] * len(cases),
+                    cases)) == outcomes
+    assert outcomes[0] == s.points
+    # 3 points, 2 coordinates, 9 bad values; 3 points, 2 bad forms
+    assert sum(isinstance(o, str) for o in outcomes) == 3 * 2 * 9 + 3 * 2
 
 
 # The midpoint lemma path of verify against the census path.

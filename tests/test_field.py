@@ -5,7 +5,7 @@ import pytest
 from ffdist.field import (
     field_make, SquareClass,
     NotPrime, EvenCharacteristic, ReducibleModulus, DivisionByZero,
-    _poly_mod, _poly_mul, _poly_powmod, _poly_trim,
+    _poly_mod, _poly_mul, _poly_trim,
 )
 
 from brute_force import nonsquare_representative
@@ -190,9 +190,13 @@ class PolyReference:
                          _poly_trim(self.digits(b)), self.p)
         return self.encode(_poly_mod(prod, self.m, self.p))
 
-    def pow(self, a, e):
-        return self.encode(_poly_powmod(_poly_trim(self.digits(a)), e,
-                                        self.m, self.p))
+    def pow(self, a, e):  # square and multiply
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a, e = self.mul(a, a), e >> 1
+        return result
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
@@ -272,3 +276,27 @@ def test_prime_sqrt_is_the_smaller_root():
         x = rng.randrange(1, p)
         r = f.sqrt(x * x % p)
         assert r == min(x, p - x)
+
+
+def test_exp_table_is_one_cycle_and_log_inverts_it():
+    """The primitive walk: exp[0..q-2] visits every nonzero element once,
+    log inverts it, and exp[1] is the primitive element of least
+    encoding (the arithmetic cannot tell which primitive was chosen)."""
+    admitted = [(p, k) for p in range(3, 47, 2) if all(p % r for r in
+                                                       range(3, p, 2))
+                for k in range(2, 8) if p**k <= 3**7]
+    assert len(admitted) == 22
+    for p, k in admitted:
+        f = field_make(p, k)
+        n = f.q - 1
+        exp, log = f._exp, f._log
+        assert sorted(exp[:n]) == list(range(1, f.q)), (p, k)
+        assert exp[n:2 * n] == exp[:n]
+        assert all(log[exp[i]] == i for i in range(n))
+        if f.q <= 400:
+            def order(a):
+                power, e = a, 1
+                while power != 1:
+                    power, e = f.mul(power, a), e + 1
+                return e
+            assert exp[1] == next(a for a in range(2, f.q) if order(a) == n)

@@ -177,6 +177,18 @@ def test_pair_norms_memoized_and_shared_by_classify():
     assert spectrum(s) == {0: 2, 4: 1}
 
 
+def test_extension_coordinates_must_be_encodings():
+    f25 = field_make(5, 2)
+    for bad in (-1, 25, 2**70):  # -1 would index a table from its end
+        for form in (FORM_STANDARD, geometry.FORM_SUM_ZERO):
+            with pytest.raises(ValueError, match=r"lie in 0\.\.24"):
+                PointSet(f25, 2, form, [(bad, 2), (0, 0)])
+    s = PointSet(f25, 2, FORM_STANDARD, [(24, 2), (0, 0)])
+    assert_pair_norms_match_dist2(s)
+    # k = 1 keeps taking any integer
+    PointSet(field_make(5), 2, FORM_STANDARD, [(-1, 2), (0, 25)])
+
+
 def test_pair_norms_reduce_out_of_range_prime_coordinates():
     f7 = field_make(7)
     s = PointSet(f7, 3, FORM_STANDARD, [(-1, 15, 700), (6, 1, 0), (-8, -6, 3)])

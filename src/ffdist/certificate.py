@@ -174,8 +174,30 @@ def _decode_each(f, dim, raw):
     return points
 
 
+def _claimed(f, claim):
+    """The geometry.Equilateral or TwoDistance a JSON claim states, or
+    SchemaError."""
+    _schema(isinstance(claim, dict), "missing claim")
+    ctype = claim.get("type")
+    if ctype == "equilateral":
+        _schema("delta" in claim, "equilateral claim needs delta")
+        delta = _element(f, claim["delta"], "claim value")
+        _schema(delta != f.zero, "delta must be nonzero")
+        return geometry.Equilateral(delta)
+    _schema(ctype == "two_distance", "unknown claim type %r" % (ctype,))
+    vals = claim.get("values")
+    _schema(isinstance(vals, list) and len(vals) == 2,
+            "two_distance claim needs two values")
+    a, b = (_element(f, v, "claim value") for v in vals)
+    _schema(a != b, "two_distance values must be distinct")
+    _schema(a != f.zero and b != f.zero,
+            "two_distance values must be nonzero")
+    return geometry.TwoDistance(a, b)
+
+
 def load(path):
-    """Parse and schema-check a certificate; returns (cert, PointSet)."""
+    """Parse and schema-check a certificate; returns (cert, PointSet, the
+    claimed geometry.Equilateral or TwoDistance)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cert = json.load(fh)
@@ -204,71 +226,54 @@ def load(path):
             "need at least 2 points")
     points = _decode(f, dim, raw_points)
     _schema(len(set(points)) == len(points), "points must be distinct")
-    claim = cert.get("claim")
-    _schema(isinstance(claim, dict), "missing claim")
-    ctype = claim.get("type")
-    if ctype == "equilateral":
-        _schema("delta" in claim, "equilateral claim needs delta")
-        delta = _element(f, claim["delta"], "claim value")
-        _schema(delta != f.zero, "delta must be nonzero")
-    elif ctype == "two_distance":
-        vals = claim.get("values")
-        _schema(isinstance(vals, list) and len(vals) == 2,
-                "two_distance claim needs two values")
-        a, b = (_element(f, v, "claim value") for v in vals)
-        _schema(a != b, "two_distance values must be distinct")
-        _schema(a != f.zero and b != f.zero,
-                "two_distance values must be nonzero")
-    else:
-        raise SchemaError("unknown claim type %r" % ctype)
+    claimed = _claimed(f, cert.get("claim"))
     try:
         s = PointSet(f, dim, form, points)
     except OffHyperplane as exc:
         raise VerificationFailure(str(exc))
-    return cert, s
+    return cert, s, claimed
 
 
 def verify(path):
-    """Recompute the claim from the raw points and diff it against the
-    stored one.  The report's "srg" is "ok", or "skipped" for a
-    two-distance claim without meta.srg_report; its "checks" say which
-    checks "passed" or were "skipped"; its "method" is _classify's.
-    Raises SchemaError (exit 2) or VerificationFailure (exit 1)."""
-    cert, s = load(path)
-    f = s.field
-    claim = cert["claim"]
-    cls, method = _classify(s, claim)
-    if claim["type"] == "equilateral":
-        if not isinstance(cls, geometry.Equilateral):
-            raise VerificationFailure(
-                "points classify as %r, claim says equilateral" % cls)
-        if cls.delta != f.deserialize(claim["delta"]):
-            raise VerificationFailure(
-                "common distance is %r, claim says %r"
-                % (f.serialize(cls.delta), claim["delta"]))
-    else:
-        if not isinstance(cls, geometry.TwoDistance):
-            raise VerificationFailure(
-                "points classify as %r, claim says two_distance" % cls)
-        want = frozenset(f.deserialize(v) for v in claim["values"])
-        if cls.values != want:
-            raise VerificationFailure(
-                "distance values %r do not match claim %r"
-                % (sorted(map(f.serialize, cls.values)), claim["values"]))
+    """Recompute the claim, meta.dimension, meta.bounds and meta.search
+    from the raw points and diff them against the stored ones.  The
+    report's "srg" is "ok", or "skipped" for a two-distance claim without
+    meta.srg_report; "checks" says which checks "passed" or were
+    "skipped" ("exhausted" always); "method" is _classify's.  Raises
+    SchemaError (exit 2) or VerificationFailure (exit 1)."""
+    cert, s, claimed = load(path)
+    f, claim = s.field, cert["claim"]
+    cls, method = _classify(s, claimed)
+    if type(cls) is not type(claimed):
+        raise VerificationFailure("points classify as %r, claim says %s"
+                                  % (cls, claim["type"]))
+    if cls != claimed and isinstance(cls, geometry.Equilateral):
+        raise VerificationFailure(
+            "common distance is %r, claim says %r"
+            % (f.serialize(cls.delta), claim["delta"]))
+    if cls != claimed:
+        raise VerificationFailure(
+            "distance values %r do not match claim %r"
+            % (sorted(map(f.serialize, cls.values)), claim["values"]))
     meta = cert.get("meta", {})
     _schema(isinstance(meta, dict), "meta must be an object")
-    checks = {"classification": "passed", "blokhuis": "skipped",
-              "srg": "skipped"}
+    checks = {"classification": "passed", **dict.fromkeys(
+        ("dimension", "bounds", "search", "exhausted", "srg"), "skipped")}
     report = {"classification": repr(cls), "n_points": len(s),
               "method": method, "checks": checks}
-    bounds = meta.get("bounds")
-    if isinstance(bounds, dict) and "blokhuis" in bounds:
-        d = meta.get("dimension", s.dimension())
-        _schema(_is_int(d) and d >= 1,
-                "meta.dimension must be an integer >= 1")
-        if bounds["blokhuis"] != geometry.blokhuis_bound(d):
-            raise VerificationFailure("stored blokhuis value is wrong")
-        checks["blokhuis"] = "passed"
+    d, size = s.dimension(), len(s)
+    dim = meta.get("dimension", d)
+    _schema(_is_int(dim) and dim >= 1,
+            "meta.dimension must be an integer >= 1")
+    target = ("equilateral" if meta.get("construction")
+              == "modular_equilateral" else "two_distance")
+    status = geometry.bound_status(size, geometry.blokhuis_bound(d))
+    want = {"dimension": d, "bounds": bounds_block(d, size, f, target),
+            "search": {"max_size": size, "bound_status": status,
+                       "both_values": isinstance(cls, geometry.TwoDistance)}}
+    for name in filter(meta.__contains__, want):
+        _bookkeeping("meta." + name, meta[name], want[name])
+        checks[name] = "passed"
     if "srg_report" in meta:
         srg_report = meta["srg_report"]
         _schema(isinstance(srg_report, dict),
@@ -276,20 +281,33 @@ def verify(path):
         n = srg_report.get("n")
         _schema(_is_int(n) and n >= 4,
                 "meta.srg_report.n must be an integer >= 4")
-        _verify_srg(s, claim, srg_report, recheck=method == "census")
+        _verify_srg(s, claimed, srg_report, recheck=method == "census")
         report["srg"] = "ok"
         checks["srg"] = "passed"
-    elif claim["type"] == "two_distance":
+    elif isinstance(claimed, geometry.TwoDistance):
         report["srg"] = "skipped"
     return report
 
 
-def _classify(s, claim):
+def _bookkeeping(name, stored, want):
+    """VerificationFailure unless stored equals want as JSON (true is not
+    1, nor 10.0 10); a dict want is compared on the keys stored holds."""
+    if isinstance(want, dict):
+        _schema(isinstance(stored, dict), "%s must be an object" % name)
+        for key in filter(stored.__contains__, want):
+            _bookkeeping(name + "." + key, stored[key], want[key])
+    elif type(stored) is not type(want) or stored != want:
+        raise VerificationFailure("%s is %s, the points give %s" % (
+            name, json.dumps(stored), json.dumps(want)))
+
+
+def _classify(s, claimed):
     """geometry.classify(s) and its "method": "midpoint_lemma" for a
     two-distance claim on the midpoints (construct.midpoint_sources) of
     sources at Equilateral(delta), which are at TwoDistance(delta/4,
     delta/2) with the graph T(n); else "census", from all pairs."""
-    xs = claim["type"] == "two_distance" and construct.midpoint_sources(s)
+    xs = (isinstance(claimed, geometry.TwoDistance)
+          and construct.midpoint_sources(s))
     if xs:  # distinct, on the same hyperplane as s
         f = s.field
         cls = geometry.classify(PointSet(f, s.ambient_dim, s.form, xs))
@@ -300,21 +318,21 @@ def _classify(s, claim):
     return geometry.classify(s), "census"
 
 
-def _verify_srg(s, claim, stored, recheck):
+def _verify_srg(s, claimed, stored, recheck):
     """The midpoint graph is T(n), n = stored["n"], and stored is
     srg.passing_report(n).  With recheck (no lemma proof) the graph is
     built for both values as delta/4: the claim has no value order, and
     in characteristic 3 the wrong one gives the well-formed complement."""
     n = stored["n"]
-    if claim["type"] != "two_distance":
+    if not isinstance(claimed, geometry.TwoDistance):
         raise VerificationFailure("srg_report on a non two-distance claim")
     if len(s) != math.comb(n, 2):
         raise VerificationFailure("point count does not match C(n,2)")
     if recheck:
         failures = []
-        for value in claim["values"]:
+        for value in sorted(claimed.values):
             try:
-                rows = srg_mod.midpoint_graph(s, s.field.deserialize(value))
+                rows = srg_mod.midpoint_graph(s, value)
             except srg_mod.BadDistanceValue as exc:
                 failures.append(str(exc))
                 continue

@@ -48,7 +48,7 @@ _witt_classes).
 When d is even, x.x and nu*(x.x) (nu a nonsquare) are isometric, so a
 similitude with a nonsquare multiplier maps the cliques of a value set V
 onto those of nu*V, and the search pass keeps one value set per orbit
-under all of F_q^* (see _similitude_classes).  A square orbit lies in
+under all of F_q^* (see _candidate_value_sets).  A square orbit lies in
 one such class and a similitude keeps clique numbers, so the canonical
 pass walks only the square orbits whose class reaches the maximum: with
 --canonical the search pass seeks, in each class, a clique that ties the
@@ -70,10 +70,11 @@ the value set.  The norm of every difference is tabulated once per
 subtraction of point keys and one lookup (see _CayleyTable).  The search
 pass builds adjacency only among the vertices of each subproblem, in
 ascending point order: the clique engine sees the induced subgraph under
-an order-preserving relabelling; the canonical pass builds only the rows
-its walk reads (see _Rows).  Ceilings, for both passes: q^d <= 2^16
-keeps norms in a byte for d >= 2 (q <= 256) and in 16 bits for d = 1,
-and the table has (2p-1)^(dk) <= 9^6 entries.
+an order-preserving relabelling; the canonical walk builds only the rows
+it reads, from the same row function (see _CayleyTable.upper).
+Ceilings, for both passes: q^d <= 2^16 keeps norms in a byte for d >= 2
+(q <= 256) and in 16 bits for d = 1, and the table has (2p-1)^(dk) <= 9^6
+entries.
 
 The time budget is the only limit of a run.  It covers value-set
 enumeration, graph building, the clique search and the canonical pass,
@@ -276,9 +277,12 @@ def _max_clique(adj, budget, lower=0, classes=None):
         return best, False
 
 
-def _lex_least_clique(adj, size, budget):
-    """Lexicographically least clique of the given size (vertices in
-    ascending index order), or None if none exists."""
+def _lex_least_clique(upper, n, size, budget):
+    """(Lexicographically least clique of the given size, vertices in
+    ascending order, or None; rows built) in a graph on 0..n-1.  upper(i)
+    lists the j > i adjacent to i, all that the walk reads; row i's bits
+    are built from it on first read and kept in a list."""
+    rows = [None] * n
 
     def grow(stack, p_mask):
         # p_mask holds the common neighbors of stack above its last vertex
@@ -289,7 +293,9 @@ def _lex_least_clique(adj, size, budget):
             low = p_mask & -p_mask
             p_mask ^= low
             v = low.bit_length() - 1
-            rest = p_mask & adj[v]
+            if rows[v] is None:
+                rows[v] = sum(1 << j for j in upper(v))
+            rest = p_mask & rows[v]
             if len(stack) + 1 + rest.bit_count() < size:
                 continue
             found = grow(stack + [v], rest)
@@ -297,31 +303,7 @@ def _lex_least_clique(adj, size, budget):
                 return found
         return None
 
-    return grow([], (1 << len(adj)) - 1)
-
-
-class _Rows(dict):
-    """The graph of a _CayleyTable under values on the point indices
-    verts, in ascending order.  self[i], row i's bits above i (all that
-    _lex_least_clique reads), is built on first read; len is len(verts)."""
-
-    def __init__(self, table, verts, values, budget):
-        self.adjacent, self.off = table.adjacent(values), table.off
-        self.keys, self.budget = [table.key[i] for i in verts], budget
-
-    def upper(self, i):
-        """The j > i adjacent to i, in ascending order: the pair test of
-        both graph builders.  The budget is checked once per row."""
-        self.budget.check()
-        at, adjacent = self.keys[i] + self.off, self.adjacent
-        return [j for j, k in enumerate(self.keys[i + 1:], i + 1)
-                if adjacent[at - k]]
-
-    def __missing__(self, i):
-        return self.setdefault(i, sum(1 << j for j in self.upper(i)))
-
-    def __len__(self):
-        return len(self.keys)
+    return grow([], (1 << n) - 1), n - rows.count(None)
 
 
 def _keys(p, digits):
@@ -418,15 +400,30 @@ class _CayleyTable:
             self._adjacent = values, _marks(self.norm, values)
         return self._adjacent[1]
 
+    def upper(self, verts, values, budget):
+        """Row function of the graph under values on the point indices
+        verts, ascending: upper(i) lists in order the j > i with
+        Q(verts[i] - verts[j]) in values; each call checks the budget."""
+        adjacent, off = self.adjacent(values), self.off
+        keys = [self.key[i] for i in verts]
+
+        def upper(i):
+            budget.check()
+            at = keys[i] + off
+            return [j for j, k in enumerate(keys[i + 1:], i + 1)
+                    if adjacent[at - k]]
+
+        return upper
+
     def graph(self, verts, values, budget):
         """Bitset adjacency among the point indices verts, in ascending
         order: bit j of row i is set iff Q(verts[i] - verts[j]) lies in
         values, so ordering and cliques follow the points.  Each row
-        above the diagonal (_Rows.upper) is mirrored below it."""
-        rows, adj = _Rows(self, verts, values, budget), [0] * len(verts)
+        above the diagonal (upper) is mirrored below it."""
+        upper, adj = self.upper(verts, values, budget), [0] * len(verts)
         for i in range(len(verts)):
             bit = 1 << i
-            for j in rows.upper(i):
+            for j in upper(i):
                 adj[i] |= 1 << j
                 adj[j] |= bit
         return adj
@@ -446,71 +443,53 @@ def _point(f, d, i):
     return tuple(i // f.q**j % f.q for j in reversed(range(d)))
 
 
-def _candidate_value_sets(f, mode, fixed, budget):
+def _candidate_value_sets(f, d, mode, fixed, budget):
     """Distance-value sets to search, one per orbit under multiplication
-    by nonzero squares (the effect of rescaling coordinates), each
-    represented by its first set in enumeration order.
-
+    by nonzero squares (the effect of rescaling coordinates), each its
+    orbit's first set in enumeration order: {values: its class key}.
     A square multiplier fixes the square class of a value and the ratio
     of two values, and any two ordered pairs with the same class of the
     first value and the same ratio differ by one.  So {a} is keyed by
     the class of a, and {a, b} by the lesser of its two ordered keys
-    (class of a, b/a) and (class of b, a/b)."""
+    (class of a, b/a) and (class of b, a/b); for odd d that orbit is the
+    class.  For even d, x.x and nu*(x.x) (nu a nonsquare) have the same
+    dimension and discriminant class, so some linear g has Q(gx) =
+    nu*Q(x) and carries the cliques of V onto those of nu*V: a class is an
+    orbit under all of F_q^*, keyed None for every {a} and min(b/a, a/b)
+    for {a, b}."""
     if fixed is not None:
-        return [fixed]
-    nonzero = range(1, f.q)
+        return {fixed: None}  # the only set, in a class of its own
+    even, nonzero = d % 2 == 0, range(1, f.q)
     square = [None] + [f.square_class(v) is SquareClass.SQUARE
                        for v in nonzero]
     if mode == MODE_TWO_DISTANCE:
         inv = [None] + [f.inv(v) for v in nonzero]
-    seen = {}
+    seen = {}  # square-orbit key -> (values, class key)
     for a in nonzero:
         budget.check()  # once per first value
         if mode == MODE_EQUILATERAL:
-            seen.setdefault(square[a], (a,))
-        else:
-            for b in nonzero[a:]:
-                seen.setdefault(min((square[a], f.mul(b, inv[a])),
-                                    (square[b], f.mul(a, inv[b]))), (a, b))
-    return list(seen.values())
-
-
-def _similitude_classes(f, d, value_sets):
-    """The first set of each orbit of value_sets under multiplication by
-    all of F_q^*, when d is even; value_sets itself when d is odd.
-
-    For even d, x.x and nu*(x.x) (nu a nonsquare) have the same dimension
-    and discriminant class, so they are isometric: some linear g has
-    Q(gx) = nu*Q(x) and carries the cliques of V onto those of nu*V."""
-    seen = {}
-    for vals in value_sets:
-        seen.setdefault(_class_key(f, d, vals), vals)
-    return list(seen.values())
-
-
-def _class_key(f, d, vals):
-    """Key of the class of vals in _similitude_classes: vals itself for
-    odd d; for even d all {a} form one orbit, keyed None, and {a, b} is
-    keyed by min(b/a, a/b)."""
-    if d % 2:
-        return tuple(vals)
-    if len(vals) == 2:
-        a, b = vals
-        return min(f.mul(b, f.inv(a)), f.mul(a, f.inv(b)))
-    return None
+            seen.setdefault(square[a], ((a,), None if even else square[a]))
+            continue
+        for b in nonzero[a:]:
+            ba, ab = f.mul(b, inv[a]), f.mul(a, inv[b])
+            key = min((square[a], ba), (square[b], ab))
+            if key not in seen:
+                seen[key] = (a, b), min(ba, ab) if even else key
+    return dict(seen.values())
 
 
 def _triangle_subproblems(table, cand, values):
     """The clique subproblems of one value set, one per triangle type,
     in search order.
 
-    Returns a list of (type, e, z, verts) in point indices: (0, e, z) is
-    the first triangle of the type with e the Witt pin e_a of some value
-    a and z in the row of e in cand (the origin's neighborhood), and
-    verts lists in ascending order the common neighbors of e and z in
-    cand that form no earlier type with two of 0, e, z.  A type is
-    {"collinear": bool, "sides": sorted side norms}; non-collinear types
-    come first, then types in order of their sides.
+    Returns a list of (type, e, z, verts, classes) in point indices:
+    (0, e, z) is the first triangle of the type with e the Witt pin e_a
+    of some value a and z in the row of e in cand (the origin's
+    neighborhood), verts lists in ascending order the common neighbors of
+    e and z in cand that form no earlier type with two of 0, e, z, and
+    classes are the fourth-point classes of verts (see _witt_classes).  A
+    type is {"collinear": bool, "sides": sorted side norms}; non-collinear
+    types come first, then types in order of their sides.
 
     A type is coded as its collinear bit plus twice a base-4 count of its
     sides per value, and the sides decide the bit.  Let a triangle
@@ -558,34 +537,37 @@ def _triangle_subproblems(table, cand, values):
     for i, c in enumerate(order):
         collinear, sides, e, (z, kz, nz, nze, _) = first[c]
         at = off - kz
-        # no earlier type with 0 and e, 0 and z, or e and z
-        verts = [x for x, kx, nx, nxe, cx in rows[e]
-                 if adjacent[kx + at] and (not i or rank[cx] >= i
-                     and rank[kind(0, z, x, nz, nx, norm[kx + at])] >= i
-                     and rank[kind(e, z, x, nze, nxe, norm[kx + at])] >= i)]
+        # no earlier type with 0 and e, 0 and z, or e and z; each x kept
+        # with its key (Q(x), Q(x - e), Q(x - z)), nxz = 0 off z's row
+        verts, keys = [], []
+        for x, kx, nx, nxe, cx in rows[e]:
+            nxz = adjacent[kx + at] and norm[kx + at]
+            if nxz and (not i or rank[cx] >= i
+                        and rank[kind(0, z, x, nz, nx, nxz)] >= i
+                        and rank[kind(e, z, x, nze, nxe, nxz)] >= i):
+                verts.append(x)
+                keys.append((nx, nxe, nxz))
+        classes = None if collinear or not deep else _witt_classes(
+            f, (norms[e], nz, nze), keys)
         subproblems.append(({"collinear": collinear, "sides": list(sides)},
-                            e, z, verts))
+                            e, z, verts, classes))
     return subproblems
 
 
-def _witt_classes(table, e, z, verts):
-    """The vertices of the subproblem (0, e, z; verts), as positions in
-    verts, in classes that isometries fixing 0, e and z map onto each
-    other: bitmasks in order of their lowest vertex, or None when every
-    class is a single vertex.
-
-    A key (Q(x), Q(x - e), Q(x - z)) lies in values^3 and gives twice the
-    Gram matrix of (e, z, x) by 2 u.v = Q(u) + Q(v) - Q(u - v).  Where
-    that is nonsingular the triple is independent, and Witt maps any two
-    x of the key onto each other by an isometry that fixes cand and every
-    triangle type, so keeps verts and its graph.  Otherwise (x may lie in
-    the plane of e and z) each x of the key is a class of its own."""
-    if table.d < 3:  # every triple of F_q^2 is dependent
-        return None
-    f, norm, off, key = table.field, table.norm, table.off, table.key
+def _witt_classes(f, sides, keys):
+    """Classes of the vertices of a subproblem (0, e, z; verts) of a
+    non-collinear type in d >= 3 that isometries fixing 0, e and z map
+    onto each other: bitmasks of positions in verts, in order of their
+    lowest vertex, or None when every class is a single vertex.  sides
+    is (Q(e), Q(z), Q(z - e)); keys[i], (Q(x), Q(x - e), Q(x - z)) for
+    x = verts[i], gives twice the Gram matrix of (e, z, x) by
+    2 u.v = Q(u) + Q(v) - Q(u - v).  Where that is nonsingular the triple
+    is independent, and Witt maps any two x of the key onto each other by
+    an isometry that fixes cand and every triangle type, so keeps verts
+    and its graph.  Otherwise (x may lie in the plane of e and z, as all
+    do for a collinear type or d <= 2) each x is a class of its own."""
     add, sub, mul = f.add, f.sub, f.mul
-    ke, kz = key[e], key[z]
-    ne, nz, nze = norm[ke + off], norm[kz + off], norm[kz - ke + off]
+    ne, nz, nze = sides
     a, b, u = add(ne, ne), add(nz, nz), sub(add(ne, nz), nze)
     free, classes = {}, {}  # by key: Gram matrix nonsingular; by class
 
@@ -596,14 +578,12 @@ def _witt_classes(table, e, z, verts):
                        mul(u, sub(mul(u, c), mul(w, v)))),
                    mul(v, sub(mul(u, w), mul(b, v)))) != f.zero
 
-    for i, x in enumerate(verts):
-        at = key[x] + off
-        k = norm[at], norm[at - ke], norm[at - kz]
+    for i, k in enumerate(keys):
         if k not in free:
             free[k] = nonsingular(*k)
         c = k if free[k] else i  # a tuple, or a vertex's own class
         classes[c] = classes.get(c, 0) | 1 << i
-    return list(classes.values()) if len(classes) < len(verts) else None
+    return list(classes.values()) if len(classes) < len(keys) else None
 
 
 def _search(problem):
@@ -612,7 +592,7 @@ def _search(problem):
     budget = _Budget(problem.budget_secs)
     best_size, best_indices, best_values = 1, [0], None  # the origin
     exhausted = False
-    subproblems, classes, value_sets = [], [], []
+    subproblems, classes, value_sets, class_top = [], [], {}, {}
     try:
         table = _CayleyTable(f, d)
         # any point at an allowed distance from the origin gives a
@@ -621,16 +601,17 @@ def _search(problem):
         if firsts:
             best_size, best_indices = 2, [0, firsts[0]]
             best_values = (table.point_norm[firsts[0]],)
-        value_sets = _candidate_value_sets(f, problem.mode,
+        value_sets = _candidate_value_sets(f, d, problem.mode,
                                            problem.fixed_values, budget)
-        for values in _similitude_classes(f, d, value_sets):
+        for values, class_key in value_sets.items():
+            if class_key in class_top:
+                continue  # its class's first set was searched
             cand = table.neighbors(values)
             top = 2 if cand else 1  # the class maximum so far
-            for ttype, e, z, verts in _triangle_subproblems(table, cand,
-                                                            values):
+            for ttype, e, z, verts, orbits in _triangle_subproblems(
+                    table, cand, values):
                 nodes, t0 = budget.nodes, time.monotonic()
                 adj = table.graph(verts, values, budget)
-                orbits = _witt_classes(table, e, z, verts)
                 # --canonical seeks a tie with the best until the class
                 # has one, so top ends exact wherever it reaches best_size
                 tie = problem.canonical and top < best_size
@@ -651,6 +632,7 @@ def _search(problem):
                 if not done:
                     raise _BudgetHit
             classes.append({"values": list(values), "max": top})
+            class_top[class_key] = top
         exhausted = True
     except _BudgetHit:
         pass
@@ -664,18 +646,17 @@ def _search(problem):
         # size across the square orbits whose class reaches it; point
         # indices are in lexicographic order, so they compare as points
         t0 = time.monotonic()
-        class_top = {_class_key(f, d, c["values"]): c["max"]
-                     for c in classes}
         best_key = None
         try:
-            for values in value_sets:
-                if class_top[_class_key(f, d, values)] < best_size:
+            for values, class_key in value_sets.items():
+                if class_top[class_key] < best_size:
                     continue
                 canon["visited"] += 1
                 cand = table.neighbors(values)
-                adj = _Rows(table, cand, values, budget)
-                clique = _lex_least_clique(adj, best_size - 1, budget)
-                canon["rows"] += dict.__len__(adj)
+                clique, rows = _lex_least_clique(
+                    table.upper(cand, values, budget), len(cand),
+                    best_size - 1, budget)
+                canon["rows"] += rows
                 if clique is None:
                     continue
                 key = [0] + [cand[i] for i in clique]

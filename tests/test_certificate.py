@@ -118,7 +118,7 @@ def test_bulk_decode_matches_element_property(tmp_path):
                 "claim": claim}
         path = tmp_path / "c.json"
         path.write_text(certificate.dumps(cert))
-        _, s = certificate.load(str(path))
+        _, s, _ = certificate.load(str(path))
         assert s.points == expected
     check()
 
@@ -266,7 +266,7 @@ def test_each_lemma_step_is_live(tmp_path, monkeypatch, what, message):
         def edit(cert):
             cert["meta"]["srg_report"]["n"] = 6
     bad = edited(tmp_path, mid, edit)
-    _, s = certificate.load(str(bad))
+    _, s, _ = certificate.load(str(bad))
     sources = construct.midpoint_sources(s)
     if what == "midpoint":
         assert sources is None

@@ -254,21 +254,79 @@ def test_verify_reports_each_check(tmp_path):
     _, _, mid = construct_pair(tmp_path, 5, 3)
     cert = json.loads(mid.read_text())
     report = certificate.verify(str(mid))
-    assert report["checks"] == {"classification": "passed",
-                                "blokhuis": "passed", "srg": "passed"}
-    for drop, checks in ((("srg_report",), {"blokhuis": "passed",
-                                            "srg": "skipped"}),
-                         (("bounds",), {"blokhuis": "skipped",
-                                        "srg": "passed"}),
-                         (("bounds", "srg_report"), {"blokhuis": "skipped",
-                                                     "srg": "skipped"})):
+    full = {"classification": "passed", "dimension": "passed",
+            "bounds": "passed", "search": "skipped", "exhausted": "skipped",
+            "srg": "passed"}
+    assert report["checks"] == full
+    for drop in (("srg_report",), ("bounds",), ("dimension",),
+                 ("bounds", "srg_report", "dimension")):
         bare = json.loads(json.dumps(cert))
         for key in drop:
             del bare["meta"][key]
         path = tmp_path / ("-".join(drop) + ".json")
         path.write_text(json.dumps(bare))
         report = certificate.verify(str(path))
-        assert report["checks"] == dict(checks, classification="passed")
+        skipped = [{"srg_report": "srg"}.get(key, key) for key in drop]
+        assert report["checks"] == dict(full, **dict.fromkeys(skipped,
+                                                             "skipped"))
+    # a search certificate's stored results are checked, but whether the
+    # search was exhausted cannot be re-derived from the points
+    out = tmp_path / "s.json"
+    assert run_cli("search", "--p", "5", "--d", "2", "--mode",
+                   "two_distance", "--canonical", "--out", str(out)) == 0
+    report = certificate.verify(str(out))
+    assert report["checks"] == dict(full, search="passed", srg="skipped")
+
+
+# (file, edits, the error verify prints): each edit is one piece of
+# bookkeeping that contradicts the points; "mid" is the construct
+# --p 5 --d 3 --midpoints file, "eq" its equilateral source (5 points
+# with attained_flag taken against equilateral_upper = 5) and "search"
+# search --p 5 --d 2 --mode two_distance --canonical (5 points)
+BOOKKEEPING_EDITS = [
+    ("mid", {("meta", "dimension"): 50, ("meta", "bounds", "blokhuis"): 1326},
+     "meta.dimension is 50, the points give 3"),
+    ("mid", {("meta", "bounds", "blokhuis"): 1326},
+     "meta.bounds.blokhuis is 1326, the points give 10"),
+    ("mid", {("meta", "bounds", "attained_flag"): "exceeded"},
+     'meta.bounds.attained_flag is "exceeded", the points give "attained"'),
+    ("mid", {("meta", "bounds", "equilateral_upper"): 99},
+     "meta.bounds.equilateral_upper is 99, the points give 5"),
+    ("mid", {("meta", "bounds", "blokhuis"): 10.0},
+     "meta.bounds.blokhuis is 10.0, the points give 10"),
+    ("eq", {("meta", "bounds", "attained_flag"): "unreached"},
+     'meta.bounds.attained_flag is "unreached", the points give "attained"'),
+    ("search", {("meta", "search", "max_size"): 99},
+     "meta.search.max_size is 99, the points give 5"),
+    ("search", {("meta", "search", "bound_status"): "exceeded"},
+     'meta.search.bound_status is "exceeded", the points give "unreached"'),
+    ("search", {("meta", "search", "both_values"): False},
+     "meta.search.both_values is false, the points give true"),
+    ("search", {("meta", "search", "max_size"): True},
+     "meta.search.max_size is true, the points give 5"),
+]
+
+
+@pytest.mark.parametrize("which,edits,message", BOOKKEEPING_EDITS)
+def test_verify_rejects_bookkeeping_the_points_contradict(
+        tmp_path, capsys, which, edits, message):
+    _, eq, mid = construct_pair(tmp_path, 5, 3)
+    path = {"eq": eq, "mid": mid, "search": tmp_path / "s.json"}[which]
+    assert run_cli("search", "--p", "5", "--d", "2", "--mode",
+                   "two_distance", "--canonical", "--out",
+                   str(tmp_path / "s.json")) == 0
+    assert run_cli("verify", str(path)) == 0
+    cert = json.loads(path.read_text())
+    for keys, value in edits.items():
+        target = cert
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run_cli("verify", str(bad)) == 1
+    assert capsys.readouterr().err == "verification failed: %s\n" % message
 
 
 def test_no_assert_in_package():
@@ -543,6 +601,9 @@ CANONICAL_SEARCH_SHA256 = {
     # also held ray ids
     ("5", "1", "6", "equilateral"):
         "ce9ecd0e8db362bbf7704a68f5bc9e27eb0f63ec5b74647a0c41b6ab0163eb9e",
+    # a node-bound canonical walk: 88,798 nodes over 174 rows
+    ("3", "1", "6", "two_distance"):
+        "3caa1f08a12ec1de52cca2f013e4e9b557ccd471c8f15de96adf88b7fb6b1028",
 }
 
 

@@ -267,7 +267,8 @@ def test_cayley_graph_matches_dist2_oracle(p, k, d):
     table = search._CayleyTable(f, d)
     budget = search._Budget(600)
     for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
-        value_sets = search._candidate_value_sets(f, mode, None, budget)
+        value_sets = list(search._candidate_value_sets(f, d, mode, None,
+                                                       budget))
         assert value_sets == reference_value_sets(f, mode)
         for values in value_sets:
             cand = table.neighbors(values)
@@ -394,7 +395,7 @@ def test_witt_pin_matches_networkx_clique(p, k, d):
     table = search._CayleyTable(f, d)
     budget = search._Budget(600)
     for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
-        for values in search._candidate_value_sets(f, mode, None, budget):
+        for values in search._candidate_value_sets(f, d, mode, None, budget):
             cand = table.neighbors(values)
             adj = table.graph(cand, values, budget)
             pos = {x: i for i, x in enumerate(cand)}
@@ -402,10 +403,10 @@ def test_witt_pin_matches_networkx_clique(p, k, d):
                 nx_graph(nx, adj, range(len(cand))), None)[0])
             subs = search._triangle_subproblems(table, cand, values)
             order = [(t["collinear"], tuple(t["sides"]))
-                     for t, _, _, _ in subs]
+                     for t, _, _, _, _ in subs]
             assert order == sorted(set(order))
             pinned = []
-            for ttype, e, z, verts in subs:
+            for ttype, e, z, verts, classes in subs:
                 x, y = (search._point(f, d, i) for i in (e, z))
                 assert ttype == {
                     "collinear": any(tuple(f.mul(lam, c) for c in x) == y
@@ -423,7 +424,6 @@ def test_witt_pin_matches_networkx_clique(p, k, d):
                 clique, done = search._max_clique(sub, budget)
                 assert done and len(clique) == want
                 # one root branch per fourth-point class
-                classes = search._witt_classes(table, e, z, verts)
                 clique, done = search._max_clique(sub, budget,
                                                   classes=classes)
                 assert done and len(clique) == want
@@ -450,10 +450,9 @@ def test_witt_classes_lie_in_one_orbit(p, k, d, split):
     budget = search._Budget(600)
     merged, apart = 0, []
     for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
-        for values in search._candidate_value_sets(f, mode, None, budget):
-            for ttype, e, z, verts in search._triangle_subproblems(
+        for values in search._candidate_value_sets(f, d, mode, None, budget):
+            for ttype, e, z, verts, classes in search._triangle_subproblems(
                     table, table.neighbors(values), values):
-                classes = search._witt_classes(table, e, z, verts)
                 classes = classes or [1 << i for i in range(len(verts))]
                 assert sum(classes) == (1 << len(verts)) - 1
                 assert sum(c.bit_count() for c in classes) == len(verts)
@@ -485,9 +484,9 @@ def test_witt_classes_lie_in_one_orbit(p, k, d, split):
 
 
 # sha256 of the repr of every _triangle_subproblems list of both modes'
-# value sets, as computed while collinearity compared ray ids of
-# differences; F_3^5, F_5^4, GF(9)^3 and F_7^3 hold degenerate planes
-# that are not lines
+# value sets, (type, e, z, verts) of each subproblem, as computed while
+# collinearity compared ray ids of differences; F_3^5, F_5^4, GF(9)^3 and
+# F_7^3 hold degenerate planes that are not lines
 SUBPROBLEM_SHA256 = {
     (3, 1, 1):
         "e68dcd2afca83888105b883b16ccfd02282e5f9c45dd88444a0fefca259ebcd3",
@@ -537,17 +536,28 @@ def test_triangle_subproblems_pinned(p, k, d):
     budget = search._Budget(600)
     digest = hashlib.sha256()
     for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
-        for values in search._candidate_value_sets(f, mode, None, budget):
-            digest.update(repr(search._triangle_subproblems(
-                table, table.neighbors(values), values)).encode())
+        for values in search._candidate_value_sets(f, d, mode, None, budget):
+            subs = search._triangle_subproblems(
+                table, table.neighbors(values), values)
+            digest.update(repr([sub[:4] for sub in subs]).encode())
     assert digest.hexdigest() == SUBPROBLEM_SHA256[(p, k, d)]
+
+
+def class_firsts(keys):
+    """The first value set of each similitude class, by class key, from
+    the {values: class key} of search._candidate_value_sets."""
+    firsts = {}
+    for values, key in keys.items():
+        firsts.setdefault(key, values)
+    return list(firsts.values())
 
 
 @pytest.mark.parametrize("p,k,d", [g for g in CAYLEY_GRIDS if g[2] % 2 == 0])
 def test_similitude_classes_keep_clique_numbers(p, k, d):
     # for even d a similitude with a nonsquare multiplier exists, so each
     # value set has the clique number of the first set of its orbit
-    # under all of F_q^*, and only those first sets are searched
+    # under all of F_q^*, and the sets of one orbit share a class key;
+    # for odd d every square orbit is a class of its own
     f = field_make(p, k)
     table = search._CayleyTable(f, d)
     budget = search._Budget(600)
@@ -563,15 +573,17 @@ def test_similitude_classes_keep_clique_numbers(p, k, d):
                 for lam in range(1, f.q)}
 
     for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
-        value_sets = search._candidate_value_sets(f, mode, None, budget)
+        keys = search._candidate_value_sets(f, d, mode, None, budget)
         firsts = {}
-        for values in value_sets:
-            rep = next(w for w in value_sets
-                       if tuple(sorted(w)) in orbit(values))
+        for values in keys:
+            rep = next(w for w in keys if tuple(sorted(w)) in orbit(values))
             firsts.setdefault(rep, values)
             assert omega(values) == omega(rep)
-        assert search._similitude_classes(f, d, value_sets) == list(firsts)
-    assert search._similitude_classes(f, d + 1, value_sets) == value_sets
+            assert keys[values] == keys[rep]
+        assert class_firsts(keys) == list(firsts)
+        odd = search._candidate_value_sets(f, d + 1, mode, None, budget)
+        assert list(odd) == list(keys)
+        assert class_firsts(odd) == list(odd)
 
 
 def brute_force_clique_number(adj):
@@ -748,9 +760,9 @@ def test_subproblem_stats():
     subs = r.stats["subproblems"]
     table = search._CayleyTable(f, 2)
     want = []
-    for values in search._similitude_classes(f, 2, search._candidate_value_sets(
-            f, MODE_TWO_DISTANCE, None, search._Budget(60))):
-        want += [(list(values), t, len(verts)) for t, _, _, verts in
+    for values in class_firsts(search._candidate_value_sets(
+            f, 2, MODE_TWO_DISTANCE, None, search._Budget(60))):
+        want += [(list(values), t, len(verts)) for t, _, _, verts, _ in
                  search._triangle_subproblems(
                      table, table.neighbors(values), values)]
     assert want and [(s["values"], s["type"], s["graph_size"])
@@ -812,12 +824,13 @@ def test_canonical_pass_visits_exactly_the_orbits_that_reach_the_maximum(
     for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
         r = run(p, d, mode, k=k, canonical=True)
         canon = r.stats["canonical"]
-        top = {search._class_key(f, d, c["values"]): c["max"]
-               for c in canon["classes"]}
-        value_sets = search._candidate_value_sets(f, mode, None, budget)
-        assert r.exhausted and canon["orbits"] == len(value_sets)
+        keys = search._candidate_value_sets(f, d, mode, None, budget)
+        top = {keys[tuple(c["values"])]: c["max"] for c in canon["classes"]}
+        assert [c["values"] for c in canon["classes"]] == list(
+            map(list, class_firsts(keys)))
+        assert r.exhausted and canon["orbits"] == len(keys)
         reach = 0
-        for values in value_sets:
+        for values in keys:
             adj = table.graph(table.neighbors(values), values, budget)
             clique, done = search._max_clique(adj, budget)
             assert done
@@ -825,7 +838,7 @@ def test_canonical_pass_visits_exactly_the_orbits_that_reach_the_maximum(
                 assert len(clique) == len(nx.max_weight_clique(
                     nx_graph(nx, adj, range(len(adj))), None)[0])
             omega = 1 + len(clique)
-            t = top[search._class_key(f, d, values)]
+            t = top[keys[values]]
             assert t <= omega, (mode, values)
             assert (t == r.max_size) == (omega == r.max_size), (mode, values)
             reach += omega == r.max_size
@@ -863,45 +876,46 @@ def test_orbit_tree_pinned(rec):
     assert all(s["root_branches"] <= s["graph_size"] for s in subs)
 
 
-class RecordedRows(search._Rows):
-    """search._Rows that records which rows are read."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.reads = set()
-
-    def __getitem__(self, i):
-        self.reads.add(i)
-        return super().__getitem__(i)
+def upper_of(adj):
+    """The row function of a bitset adjacency list: the j > i adjacent
+    to i, in ascending order."""
+    return lambda i: [j for j in range(i + 1, len(adj)) if adj[i] >> j & 1]
 
 
 @pytest.mark.parametrize("p,k,d", CAYLEY_GRIDS)
 def test_rows_built_when_read_match_the_graph(p, k, d):
     # the canonical pass's rows: row i, read in any order, is the whole
-    # graph's row i with only its bits above i, each row is built once,
-    # and the walk finds on them the clique it finds on the whole graph
+    # graph's row i with only its bits above i, the walk builds each row
+    # it reads once and counts them, and it finds on them the clique it
+    # finds on the whole graph
     f = field_make(p, k)
     table = search._CayleyTable(f, d)
     budget = search._Budget(600)
     for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
-        for values in search._candidate_value_sets(f, mode, None, budget):
+        for values in search._candidate_value_sets(f, d, mode, None, budget):
             cand = table.neighbors(values)
             adj = table.graph(cand, values, budget)
+            upper = table.upper(cand, values, budget)
             rng = random.Random(repr((p, k, d, values)))
             reads = [i for i in range(len(cand)) if rng.random() < 0.7] * 2
             rng.shuffle(reads)
-            rows = RecordedRows(table, cand, values, budget)
-            assert len(rows) == len(cand)
             for i in reads:
-                assert rows[i] == adj[i] >> i + 1 << i + 1
-            assert dict.__len__(rows) == len(set(reads))
+                row = sum(1 << j for j in upper(i))
+                assert row == adj[i] >> i + 1 << i + 1
             omega = len(search._max_clique(adj, budget)[0])
             for size in range(1, omega + 2):
-                rows = RecordedRows(table, cand, values, budget)
-                clique = search._lex_least_clique(rows, size, budget)
-                assert clique == search._lex_least_clique(adj, size, budget)
+                built = []
+
+                def recorded(i):
+                    built.append(i)
+                    return upper(i)
+
+                clique, rows = search._lex_least_clique(
+                    recorded, len(cand), size, budget)
+                assert (clique, rows) == (search._lex_least_clique(
+                    upper_of(adj), len(adj), size, budget)[0], len(built))
+                assert len(set(built)) == len(built)
                 assert (clique is None) == (size > omega)
-                assert dict.__len__(rows) == len(rows.reads)
 
 
 # (p, k, d, mode): search nodes on the plain engine, canonical nodes,
@@ -949,6 +963,81 @@ def test_canonical_stats_pinned_with_classes(p, k, d, mode):
         ORBIT_SEARCH_NODES[(p, k, d, mode)],) + plain[1:]
 
 
+def test_f3_d6_two_distance_canonical_stats_pinned():
+    # the canonical walk that reads most rows per node: search nodes with
+    # the fourth-point classes, canonical nodes, orbits walked, rows built
+    assert canonical_stats(3, 1, 6, MODE_TWO_DISTANCE) == (6369, 88798, 1,
+                                                           174)
+
+
+@pytest.mark.parametrize("p,k,d", [(5, 1, 4), (7, 1, 4), (5, 2, 3)])
+@pytest.mark.parametrize("canonical", [False, True])
+def test_class_engine_agrees_with_plain_engine(monkeypatch, p, k, d,
+                                               canonical):
+    # the fourth-point classes change node counts and, off --canonical,
+    # which largest clique is found first; never the size, exhaustion,
+    # subproblems, canonical witness or class maxima
+    runs = []
+    for plain in (False, True):
+        with monkeypatch.context() as m:
+            if plain:
+                m.setattr(search, "_witt_classes", lambda *args: None)
+            runs.append(run(p, d, MODE_TWO_DISTANCE, k=k,
+                            canonical=canonical))
+    classes, plain = runs
+    assert classes.exhausted and plain.exhausted
+    assert classes.max_size == plain.max_size
+    assert [(s["values"], s["type"], s["graph_size"]) for s in
+            classes.stats["subproblems"]] == [
+        (s["values"], s["type"], s["graph_size"])
+        for s in plain.stats["subproblems"]]
+    if canonical:
+        assert classes.witness.points == plain.witness.points
+        assert classes.values == plain.values
+        assert (classes.stats["canonical"]["classes"]
+                == plain.stats["canonical"]["classes"])
+    for r in runs:
+        assert len(set(r.witness.points)) == r.max_size
+        assert set(geometry.spectrum(r.witness)) <= set(r.values)
+
+
+def test_witt_classes_asked_only_for_independent_pins(monkeypatch):
+    # collinear types and d <= 2 get None without a call; every other
+    # subproblem gets _witt_classes of its sides and keys
+    witt, calls = search._witt_classes, []
+
+    def spy(f, sides, keys):
+        calls.append((sides, keys))
+        return witt(f, sides, keys)
+
+    monkeypatch.setattr(search, "_witt_classes", spy)
+    seen = {"asked": 0, "collinear": 0, "plane": 0}
+    for p, d in ((5, 2), (5, 3), (3, 4)):
+        f = field_make(p)
+        table = search._CayleyTable(f, d)
+        origin = (0,) * d
+        for values in search._candidate_value_sets(
+                f, d, MODE_TWO_DISTANCE, None, search._Budget(60)):
+            calls.clear()
+            subs = search._triangle_subproblems(
+                table, table.neighbors(values), values)
+            asked = [s for s in subs if d > 2 and not s[0]["collinear"]]
+            assert len(calls) == len(asked)
+            assert all(s[4] is None for s in subs if s not in asked)
+            seen["asked"] += len(asked)
+            seen["plane" if d == 2 else "collinear"] += len(subs) - len(asked)
+            for (ttype, e, z, verts, classes), (sides, keys) in zip(asked,
+                                                                    calls):
+                x, y = (search._point(f, d, i) for i in (e, z))
+                assert sides == (dist2(f, origin, x), dist2(f, origin, y),
+                                 dist2(f, x, y))
+                assert keys == [tuple(dist2(f, w, search._point(f, d, v))
+                                      for w in (origin, x, y))
+                                for v in verts]
+                assert classes == witt(f, sides, keys)
+    assert all(seen.values()), seen
+
+
 def walk_every_orbit(f, d, mode, size):
     """The canonical witness as found by walking the whole neighborhood
     graph of every square orbit: (least clique through the origin of the
@@ -956,10 +1045,11 @@ def walk_every_orbit(f, d, mode, size):
     table = search._CayleyTable(f, d)
     budget = search._Budget(600)
     best = None
-    for values in search._candidate_value_sets(f, mode, None, budget):
+    for values in search._candidate_value_sets(f, d, mode, None, budget):
         cand = table.neighbors(values)
+        adj = table.graph(cand, values, budget)
         clique = search._lex_least_clique(
-            table.graph(cand, values, budget), size - 1, budget)
+            upper_of(adj), len(adj), size - 1, budget)[0]
         if clique is None:
             continue
         key = [0] + [cand[i] for i in clique]
@@ -1043,13 +1133,18 @@ def test_canonical_pass_checks_the_deadline(monkeypatch):
     # budget, and both a row build and the lexicographic walk stop at a
     # passed deadline
     budgets = []
-    upper = search._Rows.upper
+    made = search._CayleyTable.upper
 
-    def spy(self, i):
-        budgets.append(self.budget)
-        return upper(self, i)
+    def spy(self, verts, values, budget):
+        upper = made(self, verts, values, budget)
 
-    monkeypatch.setattr(search._Rows, "upper", spy)
+        def counted(i):
+            budgets.append(budget)
+            return upper(i)
+
+        return counted
+
+    monkeypatch.setattr(search._CayleyTable, "upper", spy)
     r = run(7, 3, MODE_TWO_DISTANCE, canonical=True)
     assert len(budgets) == sum(s["graph_size"] for s in r.stats[
         "subproblems"]) + r.stats["canonical"]["rows"]
@@ -1061,10 +1156,11 @@ def test_canonical_pass_checks_the_deadline(monkeypatch):
     cand = table.neighbors((1, 5))
     late = search._Budget(-1)
     with pytest.raises(search._BudgetHit):
-        search._Rows(table, cand, (1, 5), late)[0]
+        table.upper(cand, (1, 5), late)(0)
     with pytest.raises(search._BudgetHit):
         search._lex_least_clique(
-            table.graph(cand, (1, 5), search._Budget(600)), 6, late)
+            table.upper(cand, (1, 5), search._Budget(600)), len(cand), 6,
+            late)
 
 
 def test_value_sets_check_the_deadline_once_per_first_value():
@@ -1080,8 +1176,10 @@ def test_value_sets_check_the_deadline_once_per_first_value():
     f = field_make(5, 2)
     for mode in (MODE_EQUILATERAL, MODE_TWO_DISTANCE):
         budget = Counted(600)
-        assert search._candidate_value_sets(f, mode, None, budget) == (
+        assert list(search._candidate_value_sets(f, 2, mode, None,
+                                                 budget)) == (
             reference_value_sets(f, mode))
         assert budget.checks == f.q - 1
         with pytest.raises(search._BudgetHit):
-            search._candidate_value_sets(f, mode, None, search._Budget(-1))
+            search._candidate_value_sets(f, 2, mode, None,
+                                         search._Budget(-1))

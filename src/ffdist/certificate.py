@@ -2,9 +2,11 @@
 
 A certificate stores the field, the raw points, and a claim
 (equilateral with its common value, or two-distance with its value
-pair) plus bound bookkeeping.  Verification re-derives the claim from
-the points alone (by the midpoint lemma or the pair census, see
-_classify) and checks the stored bookkeeping against it.
+pair) plus bookkeeping in meta: what the points determine, from
+derived_meta for every writer and for verify, and a search's run
+record.  Verification re-derives the claim from the points alone (by
+the midpoint lemma or the pair census, see _classify) and checks the
+stored bookkeeping against it.
 
 Files are deterministic JSON (sorted keys, fixed indentation, trailing
 newline) so identical inputs produce byte-identical certificates.
@@ -57,21 +59,27 @@ def two_distance_claim(f, a, b):
     return {"type": "two_distance", "values": [f.serialize(a), f.serialize(b)]}
 
 
-def construction_meta(construction, params, bounds):
-    """meta of a construct certificate; params is a ModularParams."""
-    return {"construction": construction, "dimension": params.d,
-            "b": params.field.serialize(params.b), "bounds": bounds}
+def derived_meta(s, cls, construction=None):
+    """The meta entries that the points of s, classified as cls,
+    determine; attained_flag is taken against equilateral_upper for a
+    modular_equilateral construction, else against blokhuis."""
+    f, d, size = s.field, s.dimension(), len(s)
+    blok, upper = geometry.blokhuis_bound(d), geometry.equilateral_upper(f, d)
+    reference = upper if construction == "modular_equilateral" else blok
+    flag = geometry.bound_status(size, reference)
+    return {"dimension": d,
+            "bounds": {"blokhuis": blok, "equilateral_upper": upper,
+                       "attained_flag": flag},
+            "search": {"max_size": size,
+                       "bound_status": geometry.bound_status(size, blok),
+                       "both_values": isinstance(cls, geometry.TwoDistance)}}
 
 
-def bounds_block(d, n_points, f=None, target="two_distance"):
-    blok = geometry.blokhuis_bound(d)
-    block = {"blokhuis": blok}
-    if f is not None:
-        block["equilateral_upper"] = geometry.equilateral_upper(f, d)
-    reference = (blok if target == "two_distance"
-                 else block["equilateral_upper"])
-    block["attained_flag"] = geometry.bound_status(n_points, reference)
-    return block
+def construction_meta(construction, params, s):
+    """meta of a construct certificate of s; params is a ModularParams."""
+    meta = derived_meta(s, None, construction)
+    return {"construction": construction, "dimension": meta["dimension"],
+            "b": params.field.serialize(params.b), "bounds": meta["bounds"]}
 
 
 def make(s, claim, meta):
@@ -104,19 +112,16 @@ def _points_text(s):
                        for x in s.points], 2)
 
 
-def dumps(cert, s=None):
-    """json.dumps(cert, indent=2, sort_keys=True) + "\n", byte for byte.
-    Given s, cert must be make(s, ...) unchanged, s of int coordinates;
-    then "points" is formatted from s, as an indent turns off json's C
-    encoder."""
-    if s is None:
-        return json.dumps(cert, indent=2, sort_keys=True) + "\n"
+def dumps(cert, s):
+    """json.dumps(cert, indent=2, sort_keys=True) + "\n", byte for byte,
+    for cert = make(s, ...) unchanged and s of int coordinates: "points"
+    is formatted from s, as an indent turns off json's C encoder."""
     rest = json.dumps(dict(cert, points=0), indent=2, sort_keys=True)
     text = '\n  "points": ' + _points_text(s)
     return rest.replace('\n  "points": 0', text, 1) + "\n"
 
 
-def write(cert, path, s=None):
+def write(cert, path, s):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(cert, s))
 
@@ -235,10 +240,13 @@ def load(path):
 
 
 def verify(path):
-    """Recompute the claim, meta.dimension, meta.bounds and meta.search
-    from the raw points and diff them against the stored ones.  The
-    report's "srg" is "ok", or "skipped" for a two-distance claim without
-    meta.srg_report; "checks" says which checks "passed" or were
+    """Recompute the claim and derived_meta from the raw points and diff
+    them against the stored claim, meta.dimension, meta.bounds and
+    meta.search.  Of the run record, mode must be a mode that can find
+    the points, and exhausted, nodes and seconds go unchecked; any other
+    key in meta.bounds or meta.search fails.  The report's "srg" is
+    "ok", or "skipped" for a two-distance claim
+    without meta.srg_report; "checks" says which checks "passed" or were
     "skipped" ("exhausted" always); "method" is _classify's.  Raises
     SchemaError (exit 2) or VerificationFailure (exit 1)."""
     cert, s, claimed = load(path)
@@ -261,19 +269,21 @@ def verify(path):
         ("dimension", "bounds", "search", "exhausted", "srg"), "skipped")}
     report = {"classification": repr(cls), "n_points": len(s),
               "method": method, "checks": checks}
-    d, size = s.dimension(), len(s)
-    dim = meta.get("dimension", d)
+    want = derived_meta(s, cls, meta.get("construction"))
+    dim = meta.get("dimension", want["dimension"])
     _schema(_is_int(dim) and dim >= 1,
             "meta.dimension must be an integer >= 1")
-    target = ("equilateral" if meta.get("construction")
-              == "modular_equilateral" else "two_distance")
-    status = geometry.bound_status(size, geometry.blokhuis_bound(d))
-    want = {"dimension": d, "bounds": bounds_block(d, size, f, target),
-            "search": {"max_size": size, "bound_status": status,
-                       "both_values": isinstance(cls, geometry.TwoDistance)}}
     for name in filter(meta.__contains__, want):
-        _bookkeeping("meta." + name, meta[name], want[name])
+        _bookkeeping("meta." + name, meta[name], want[name],
+                     ("mode", "exhausted", "nodes", "seconds")
+                     if name == "search" else ())
         checks[name] = "passed"
+    # a two-distance search may find an equilateral set, not the reverse
+    mode = meta.get("search", {}).get("mode", "two_distance")
+    if mode != "two_distance" and (
+            mode != "equilateral" or type(cls) is geometry.TwoDistance):
+        raise VerificationFailure("meta.search.mode is %s, the points give "
+                                  "%r" % (json.dumps(mode), cls))
     if "srg_report" in meta:
         srg_report = meta["srg_report"]
         _schema(isinstance(srg_report, dict),
@@ -289,13 +299,17 @@ def verify(path):
     return report
 
 
-def _bookkeeping(name, stored, want):
+def _bookkeeping(name, stored, want, run_record=()):
     """VerificationFailure unless stored equals want as JSON (true is not
-    1, nor 10.0 10); a dict want is compared on the keys stored holds."""
+    1, nor 10.0 10); a dict stored may hold the keys of want and of
+    run_record, whose values are not checked, and no others."""
     if isinstance(want, dict):
         _schema(isinstance(stored, dict), "%s must be an object" % name)
-        for key in filter(stored.__contains__, want):
-            _bookkeeping(name + "." + key, stored[key], want[key])
+        for key in stored:
+            if key in want:
+                _bookkeeping(name + "." + key, stored[key], want[key])
+            elif key not in run_record:
+                raise VerificationFailure("unknown key %s.%s" % (name, key))
     elif type(stored) is not type(want) or stored != want:
         raise VerificationFailure("%s is %s, the points give %s" % (
             name, json.dumps(stored), json.dumps(want)))
@@ -309,12 +323,10 @@ def _classify(s, claimed):
     xs = (isinstance(claimed, geometry.TwoDistance)
           and construct.midpoint_sources(s))
     if xs:  # distinct, on the same hyperplane as s
-        f = s.field
-        cls = geometry.classify(PointSet(f, s.ambient_dim, s.form, xs))
+        cls = geometry.classify(PointSet(s.field, s.ambient_dim, s.form, xs))
         if isinstance(cls, geometry.Equilateral):
-            half = f.inv(f.add(f.one, f.one))
-            d2 = f.mul(cls.delta, half)
-            return geometry.TwoDistance(f.mul(d2, half), d2), "midpoint_lemma"
+            return (geometry.TwoDistance(*construct.midpoint_values(
+                s.field, cls.delta)), "midpoint_lemma")
     return geometry.classify(s), "census"
 
 

@@ -71,10 +71,7 @@ def cmd_construct(args):
         except NotIsometric as exc:
             print("embedding failed: %s" % exc, file=sys.stderr)
             return EXIT_FAIL
-    d = params.d
-    meta = certificate.construction_meta(
-        "modular_equilateral", params,
-        certificate.bounds_block(d, len(s), f, target="equilateral"))
+    meta = certificate.construction_meta("modular_equilateral", params, s)
     cert = certificate.make(
         s, certificate.equilateral_claim(f, params.delta), meta)
     _write(cert, args.out, s)
@@ -82,19 +79,16 @@ def cmd_construct(args):
     if args.midpoints:
         mid = construct.midpoints(s)
         n = len(s)
-        mmeta = certificate.construction_meta(
-            "midpoints", params,
-            certificate.bounds_block(d, len(mid.points), f))
-        mmeta["source_equilateral"] = {"p": args.p, "k": args.k, "d": d,
+        mmeta = certificate.construction_meta("midpoints", params, mid.points)
+        mmeta["source_equilateral"] = {"p": args.p, "k": args.k, "d": params.d,
                                        "b": mmeta["b"]}
         if n >= 4:  # construct.midpoints proved the lemma: T(n) holds
             mmeta["srg_report"] = srg.passing_report(n)
             claim = certificate.two_distance_claim(f, mid.d4, mid.d2)
         else:  # the 3 midpoints of a triangle are pairwise at delta/4
             claim = certificate.equilateral_claim(f, mid.d4)
-        mcert = certificate.make(mid.points, claim, mmeta)
         mpath = _midpoint_out_path(args.out)
-        _write(mcert, mpath, mid.points)
+        _write(certificate.make(mid.points, claim, mmeta), mpath, mid.points)
         print("wrote %s (%d midpoints)" % (mpath, len(mid.points)))
     return EXIT_OK
 
@@ -134,20 +128,6 @@ def cmd_search(args):
         result = search.max_equilateral(problem)
     else:
         result = search.max_two_distance(problem)
-    meta = {
-        "search": {
-            "mode": args.mode,
-            "max_size": result.max_size,
-            "exhausted": result.exhausted,
-            "nodes": result.stats["nodes"],
-            "seconds": round(result.stats["seconds"], 3),
-        },
-        "dimension": args.d,
-        "bounds": certificate.bounds_block(args.d, result.max_size, f),
-    }
-    if result.bound_status is not None:
-        meta["search"]["bound_status"] = result.bound_status
-        meta["search"]["both_values"] = result.both_values
     if args.out and result.max_size >= 2:
         cls = geometry.classify(result.witness)
         if isinstance(cls, geometry.Equilateral):
@@ -158,11 +138,13 @@ def cmd_search(args):
         else:
             raise LawViolated("search witness must be equilateral or "
                               "two-distance, got %r" % cls)
-        # stats vary run to run; strip them in canonical mode so the
-        # file is byte-stable
-        if args.canonical:
-            del meta["search"]["nodes"]
-            del meta["search"]["seconds"]
+        meta = certificate.derived_meta(result.witness, cls)
+        if args.mode == search.MODE_EQUILATERAL:  # records its size only
+            meta["search"] = {"max_size": meta["search"]["max_size"]}
+        meta["search"].update(mode=args.mode, exhausted=result.exhausted)
+        if not args.canonical:  # stats vary run to run
+            meta["search"].update(nodes=result.stats["nodes"],
+                                  seconds=round(result.stats["seconds"], 3))
         cert = certificate.make(result.witness, claim, meta)
         _write(cert, args.out, result.witness)
     print("max %s size in GF(%d^%d)^%d: %d (%s)"

@@ -70,6 +70,13 @@ def modular_equilateral(params):
 MidpointSet = namedtuple("MidpointSet", "points d4 d2")
 
 
+def midpoint_values(f, delta):
+    """(delta/4, delta/2) in the odd-characteristic field f."""
+    half = f.inv(f.add(f.one, f.one))
+    d2 = f.mul(delta, half)
+    return f.mul(d2, half), d2
+
+
 def midpoint_sources(s):
     """The points x_0..x_(n-1) whose midpoints m_ij = (x_i + x_j)/2 are
     the points of s in lexicographic pair order, or None: when len(s) is
@@ -108,9 +115,7 @@ def midpoints(s):
     if not isinstance(cls, geometry.Equilateral):
         raise NotEquilateral("midpoints need an equilateral input, got %r" % cls)
     f = s.field
-    half = f.inv(f.add(f.one, f.one))
-    d2 = f.mul(cls.delta, half)
-    d4 = f.mul(d2, half)
+    d4, d2 = midpoint_values(f, cls.delta)
     n = len(s)
     pack, add, halve, unpack, _ = vector_lanes(f, s.ambient_dim)
     hs = [halve(pack(x)) for x in s.points]  # (x + y)/2 = x/2 + y/2

@@ -1,11 +1,12 @@
 import json
+from functools import reduce
 
 import pytest
 
 from ffdist import certificate, cli, construct
 from ffdist.construct import ModularParams, embed_standard, modular_equilateral
 from ffdist.field import field_make
-from ffdist.geometry import FORM_STANDARD
+from ffdist.geometry import FORM_STANDARD, FORM_SUM_ZERO, PointSet
 from ffdist.linalg import NotIsometric
 
 from test_construct import grid
@@ -16,6 +17,9 @@ def reference_dumps(cert):
 
 
 def test_dumps_matches_json_property():
+    """dumps(make(s, ...), s) against json.dumps on point sets s over
+    GF(p) up to p = 2^31 - 1 (multi-digit element texts) and GF(p^k),
+    of one point and many, in both forms, under any JSON meta."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     text = st.text(alphabet=st.sampled_from(list(',[]{}":\\\n\t aé€😀')),
@@ -26,35 +30,36 @@ def test_dumps_matches_json_property():
         lambda inner: st.lists(inner, max_size=3)
         | st.dictionaries(text, inner, max_size=3),
         max_leaves=12)
-    coeff = st.integers(-3, 2**40)
-    # zero, one and many points; k = 1 coordinates, k > 1 coefficient
-    # lists (empty ones too), and values outside the fast path
-    points = st.one_of(
-        st.lists(st.lists(coeff, max_size=4), max_size=6),
-        st.integers(1, 3).flatmap(lambda k: st.lists(
-            st.lists(st.lists(coeff, min_size=k, max_size=k), max_size=4),
-            max_size=6)),
-        st.lists(st.lists(st.lists(coeff, max_size=3), max_size=3),
-                 max_size=3),
-        json_value)
-    certs = st.fixed_dictionaries(
-        {"points": points},
-        optional={"version": st.integers(), "form": text,
-                  "meta": st.dictionaries(text, json_value, max_size=4),
-                  "claim": json_value, "z": st.just({}), "a": st.just([])})
+    fields = [field_make(p, k) for p, k in (
+        (3, 1), (11, 1), (65537, 1), (2**31 - 1, 1),
+        (3, 2), (5, 2), (3, 3), (3, 4))]
+
+    @st.composite
+    def point_sets(draw):
+        f = draw(st.sampled_from(fields))
+        form = draw(st.sampled_from((FORM_STANDARD, FORM_SUM_ZERO)))
+        # free coordinates; a sum-zero point's last one is their -sum
+        free = draw(st.integers(1, 4))
+        element = st.integers(0, f.q - 1)
+        rows = draw(st.lists(st.lists(element, min_size=free,
+                                      max_size=free),
+                             min_size=1, max_size=8, unique_by=tuple))
+        if form == FORM_SUM_ZERO:
+            rows = [row + [f.neg(reduce(f.add, row))] for row in rows]
+        return PointSet(f, len(rows[0]), form, rows)
 
     @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(certs | json_value)
-    @hypothesis.example({"points": []})
-    @hypothesis.example({"points": [[]], "meta": {"a": [], "b": {}}})
-    @hypothesis.example({"points": [[[1, 0]], [[2, 3]]], "points ": 0})
-    @hypothesis.example({"points": [[1, True], [1, 1]]})
-    @hypothesis.example({"points": [[[1.0, 0]], [[1, 0]]]})
-    @hypothesis.example({"points": [[1], [[1]]], "s": "\n  \"points\": 0"})
-    @hypothesis.example({"points": [[1]], "s": "\n  \"points\": 0"})
-    @hypothesis.example({"points": [[1]], "meta": {"points": 0}, "a": 0})
-    def check(cert):
-        assert certificate.dumps(cert) == reference_dumps(cert)
+    @hypothesis.given(point_sets(), st.dictionaries(text, json_value,
+                                                    max_size=4))
+    @hypothesis.example(PointSet(fields[3], 1, FORM_STANDARD, [[2**31 - 2]]),
+                        {"points": 0, "s": "\n  \"points\": 0"})
+    @hypothesis.example(PointSet(fields[5], 2, FORM_SUM_ZERO,
+                                 [[7, fields[5].neg(7)], [0, 0]]),
+                        {"a": [], "b": {}})
+    def check(s, meta):
+        cert = certificate.make(
+            s, certificate.equilateral_claim(s.field, s.points[0][0]), meta)
+        assert certificate.dumps(cert, s) == reference_dumps(cert)
     check()
 
 
@@ -69,8 +74,7 @@ def test_dumps_of_made_certificates(p, k, d):
         except NotIsometric:  # GF(27): the hyperplane set as it is
             pass
     cert = certificate.make(s, certificate.equilateral_claim(f, 2),
-                            {"bounds": certificate.bounds_block(d, len(s))})
-    assert certificate.dumps(cert) == reference_dumps(cert)
+                            certificate.derived_meta(s, None))
     # the points text formatted from the encodings of s
     assert certificate.dumps(cert, s) == reference_dumps(cert)
 
@@ -117,7 +121,7 @@ def test_bulk_decode_matches_element_property(tmp_path):
                 "ambient_dim": dim, "form": FORM_STANDARD, "points": raw,
                 "claim": claim}
         path = tmp_path / "c.json"
-        path.write_text(certificate.dumps(cert))
+        path.write_text(json.dumps(cert))
         _, s, _ = certificate.load(str(path))
         assert s.points == expected
     check()

@@ -279,7 +279,9 @@ def test_verify_reports_each_check(tmp_path):
 
 
 # (file, edits, the error verify prints): each edit is one piece of
-# bookkeeping that contradicts the points; "mid" is the construct
+# bookkeeping that contradicts the points or that they cannot confirm
+# (a key that is neither derived nor run record, or a search mode that
+# cannot find them); "mid" is the construct
 # --p 5 --d 3 --midpoints file, "eq" its equilateral source (5 points
 # with attained_flag taken against equilateral_upper = 5) and "search"
 # search --p 5 --d 2 --mode two_distance --canonical (5 points)
@@ -304,6 +306,14 @@ BOOKKEEPING_EDITS = [
      "meta.search.both_values is false, the points give true"),
     ("search", {("meta", "search", "max_size"): True},
      "meta.search.max_size is true, the points give 5"),
+    ("mid", {("meta", "bounds", "rank"): 3}, "unknown key meta.bounds.rank"),
+    ("mid", {("meta", "bounds", "nodes"): 1}, "unknown key meta.bounds.nodes"),
+    ("search", {("meta", "search", "max_sizes"): 99},
+     "unknown key meta.search.max_sizes"),
+    ("search", {("meta", "search", "mode"): "equilateral"},
+     'meta.search.mode is "equilateral", the points give TwoDistance(1, 4)'),
+    ("search", {("meta", "search", "mode"): "clique"},
+     'meta.search.mode is "clique", the points give TwoDistance(1, 4)'),
 ]
 
 

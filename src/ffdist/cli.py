@@ -12,11 +12,13 @@ Subcommands:
 Exit codes: 0 success / verified / exhausted, 1 verification failure or
 construction obstruction, 2 usage or schema error or an unwritable
 output file, 3 search budget hit.
+
+Each command's arguments are data in COMMANDS: parse() reads well-formed
+argv from it, and build_parser() builds from it the parser for the rest.
 """
 
 import argparse
 import sys
-from functools import partial
 
 from . import certificate, construct, geometry, search, srg
 from .field import field_make
@@ -112,22 +114,19 @@ def cmd_verify(args):
 
 def cmd_search(args):
     f = _make_field(args)
-    fixed = None
-    if args.fix_values:
-        try:
-            fixed = [int(v) for v in args.fix_values.split(",")]
-        except ValueError:
-            raise UsageError("--fix-values must be comma-separated integers")
+    try:  # "" is a usage error too, not an unrestricted search
+        fixed = (None if args.fix_values is None
+                 else [int(v) for v in args.fix_values.split(",")])
+    except ValueError:
+        raise UsageError("--fix-values must be comma-separated integers")
     try:
         problem = search.SearchProblem(
             f, args.d, args.mode, fixed_values=fixed,
             budget_secs=args.budget_secs, canonical=args.canonical)
     except (search.TooLarge, ValueError) as exc:
         raise UsageError(str(exc))
-    if args.mode == search.MODE_EQUILATERAL:
-        result = search.max_equilateral(problem)
-    else:
-        result = search.max_two_distance(problem)
+    result = (search.max_equilateral if args.mode == search.MODE_EQUILATERAL
+              else search.max_two_distance)(problem)
     if args.out and result.max_size >= 2:
         cls = geometry.classify(result.witness)
         if isinstance(cls, geometry.Equilateral):
@@ -192,55 +191,36 @@ def cmd_tables(args):
     return EXIT_OK
 
 
-def _construct_arguments(c):
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--k", type=int, default=1)
-    c.add_argument("--d", type=int, required=True)
-    c.add_argument("--b", type=int, default=1,
-                   help="nonzero scale, an element encoding taken mod q")
-    c.add_argument("--midpoints", action="store_true",
-                   help="also emit the midpoint two-distance certificate")
-    c.add_argument("--embed", choices=["ambient", "standard"],
-                   default="ambient")
-    c.add_argument("--out", required=True)
-    c.set_defaults(func=cmd_construct)
+# the field and dimension arguments of construct and search
+_SPACE = [("--p", dict(type=int, required=True)),
+          ("--k", dict(type=int, default=1)),
+          ("--d", dict(type=int, required=True))]
 
-
-def _verify_arguments(v):
-    v.add_argument("path")
-    v.set_defaults(func=cmd_verify)
-
-
-def _search_arguments(s):
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--k", type=int, default=1)
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--mode", choices=[search.MODE_EQUILATERAL,
-                                      search.MODE_TWO_DISTANCE],
-                   required=True)
-    s.add_argument("--fix-values", default=None,
-                   help="comma-separated element encodings, taken mod q")
-    s.add_argument("--budget-secs", type=float, default=60.0)
-    s.add_argument("--canonical", action="store_true",
-                   help="deterministic lexicographically-least witness")
-    s.add_argument("--out", default=None)
-    s.set_defaults(func=cmd_search)
-
-
-def _tables_arguments(t):
-    t.add_argument("--p", type=int, default=None)
-    t.add_argument("--k", type=int, default=1)
-    t.add_argument("--max-d", type=int, default=None)
-    t.add_argument("--d", type=int, default=None)
-    t.set_defaults(func=cmd_tables)
-
-
-# name -> (help in the command list, adds the command's arguments)
+# name -> (help in the command list, the command, its arguments: (flag,
+# add_argument keywords), a flag without "--" being a positional)
 COMMANDS = {
-    "construct": ("modular equilateral construction", _construct_arguments),
-    "verify": ("re-verify a certificate file", _verify_arguments),
-    "search": ("exhaustive oracle search", _search_arguments),
-    "tables": ("reference tables", _tables_arguments),
+    "construct": ("modular equilateral construction", cmd_construct, [
+        *_SPACE,
+        ("--b", dict(type=int, default=1,
+                     help="nonzero scale, an element encoding taken mod q")),
+        ("--midpoints", dict(action="store_true", help="also emit the "
+                             "midpoint two-distance certificate")),
+        ("--embed", dict(choices=["ambient", "standard"], default="ambient")),
+        ("--out", dict(required=True))]),
+    "verify": ("re-verify a certificate file", cmd_verify, [("path", {})]),
+    "search": ("exhaustive oracle search", cmd_search, [
+        *_SPACE,
+        ("--mode", dict(choices=[search.MODE_EQUILATERAL,
+                                 search.MODE_TWO_DISTANCE], required=True)),
+        ("--fix-values", dict(
+            help="comma-separated element encodings, taken mod q")),
+        ("--budget-secs", dict(type=float, default=60.0)),
+        ("--canonical", dict(action="store_true", help="deterministic "
+                             "lexicographically-least witness")),
+        ("--out", {})]),
+    "tables": ("reference tables", cmd_tables, [
+        ("--p", dict(type=int)), ("--k", dict(type=int, default=1)),
+        ("--max-d", dict(type=int)), ("--d", dict(type=int))]),
 }
 
 
@@ -249,44 +229,64 @@ def build_parser():
         prog="ffdist",
         description="equilateral and two-distance point sets over finite fields")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, func, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=func)
     return parser
 
 
-class _Reparse(Exception):
-    """An argv that only the full parser may report on."""
-
-
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser; it reports nothing itself.  So the formatter
-    that add_argument builds to check each metavar gets a fixed width in
-    place of one read from the terminal (shutil.get_terminal_size)."""
-
-    def __init__(self, prog):
-        super().__init__(prog=prog, add_help=False, formatter_class=partial(
-            argparse.HelpFormatter, width=80))
-
-    def error(self, message):
-        raise _Reparse
+def _read(name, argv):
+    """Command name's Namespace of argv, read from its COMMANDS entry, or
+    None where build_parser() may read argv otherwise."""
+    _, func, arguments = COMMANDS[name]
+    keywords = dict(arguments)
+    positionals = [flag for flag in keywords if flag[0] != "-"]
+    given = {}
+    rest = iter(argv)
+    for arg in rest:
+        if arg[:1] != "-" and positionals:
+            given[positionals.pop(0)] = arg
+            continue
+        flag, eq, value = arg.partition("=")
+        kw = keywords.get(flag) if flag[:2] == "--" else None
+        if kw is None or flag in given or eq and kw.get("action"):
+            return None
+        if kw.get("action"):  # store_true
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(rest, "-")
+        if value[:1] in ("", "-"):
+            return None
+        try:
+            given[flag] = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if given[flag] not in kw.get("choices", [given[flag]]):
+            return None
+    args = argparse.Namespace(command=name, func=func)
+    for flag, kw in arguments:
+        if flag not in given and (kw.get("required") or flag[0] != "-"):
+            return None
+        setattr(args, flag.lstrip("-").replace("-", "_"), given.get(
+            flag, kw.get("default", False if kw.get("action") else None)))
+    return args
 
 
 def parse(argv):
     """Namespace of argv, as build_parser() parses it.
 
-    When argv[0] names a command, only that command's parser is built
-    (the full parser costs several times as much). It has no -h, so
-    help, like every error, falls through to the full parser, which
-    prints the usage and messages and raises SystemExit."""
-    if argv and argv[0] in COMMANDS:
-        parser = _CommandParser("ffdist " + argv[0])
-        COMMANDS[argv[0]][1](parser)
-        try:
-            return parser.parse_args(
-                argv[1:], argparse.Namespace(command=argv[0]))
-        except _Reparse:
-            pass
-    return build_parser().parse_args(argv)
+    When argv[0] names a command, the rest is read from its COMMANDS
+    entry if it holds only exact --name value, --name=value and flags,
+    each once, no value empty or starting with "-", the verify positional
+    and every required option; values go through the same type and
+    choices.  Anything else (abbreviations, negative numbers, "--", -h,
+    repeats, every error) falls through to the full parser, so usage,
+    help, error texts and exit codes stay argparse's own."""
+    args = _read(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def main(argv=None):

@@ -147,7 +147,7 @@ class SearchProblem:
 
 class SearchResult:
     def __init__(self, problem, max_size, witness, exhausted, stats,
-                 values=None, both_values=None, bound_status=None):
+                 values=None):
         self.problem = problem
         self.max_size = max_size
         self.witness = witness  # PointSet
@@ -163,8 +163,6 @@ class SearchResult:
         # bound on the class's clique number, exact where either is max_size.
         self.stats = stats
         self.values = values  # distance values of the best subproblem
-        self.both_values = both_values  # two-distance mode only
-        self.bound_status = bound_status  # two-distance mode only
 
 
 class _Budget:
@@ -694,12 +692,8 @@ def max_two_distance(problem):
     """Largest set whose distances lie in some two-value nonzero set.
 
     The witness may realize only one of the two values (then it is
-    equilateral); both_values reports which case occurred.  The size is
-    compared against the quadratic reference value C(d+2, 2)."""
+    equilateral); certificate.derived_meta records which case occurred
+    and how the size compares with C(d+2, 2)."""
     size, witness, values, exhausted, stats = _search(problem)
-    both = None
-    if size >= 2 and values is not None:
-        both = len(geometry.spectrum(witness)) == 2
-    status = geometry.bound_status(size, geometry.blokhuis_bound(problem.d))
     return SearchResult(problem, size, witness, exhausted, stats,
-                        values=values, both_values=both, bound_status=status)
+                        values=values)

@@ -134,7 +134,8 @@ def test_criterion_6_oracle_search():
             r = search.max_two_distance(prob)
         ok &= r.exhausted and r.max_size == want
         if status is not None:
-            ok &= r.bound_status == status
+            meta = certificate.derived_meta(r.witness, classify(r.witness))
+            ok &= meta["search"]["bound_status"] == status
     # F_3^2 exceeding C(4,2)=6 is the desk-scale counterexample to a
     # verbatim transfer of the quadratic bound
     ok &= geometry.blokhuis_bound(2) == 6

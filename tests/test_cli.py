@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -817,13 +818,16 @@ def test_bad_flags():
     ("equilateral", "1,2"),  # an equilateral set has one value
     ("two_distance", "1,2,3"),
     ("two_distance", "1,6"),  # 6 = 1 mod 5: the pair (1, 1)
+    ("two_distance", ""),  # no list, not an unrestricted search
 ])
 def test_fix_values_must_fit_the_mode(tmp_path, capsys, mode, values):
     out = tmp_path / "s.json"
     assert run_cli("search", "--p", "5", "--d", "2", "--mode", mode,
                    "--fix-values", values, "--out", str(out)) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "fixed" in captured.err
+    want = ("fixed" if values
+            else "--fix-values must be comma-separated integers")
+    assert captured.err.startswith("error: ") and want in captured.err
     assert not captured.out and not out.exists()
 
 
@@ -935,18 +939,104 @@ def test_command_parser_matches_full_parser(tmp_path, monkeypatch, capsys,
             == parse_outcome(full_parse, argv))
 
 
-def test_verify_builds_no_other_parser(tmp_path, monkeypatch):
-    _, _, mid = construct_pair(tmp_path, 5, 3)
+def _outcome(parse, argv):
+    """parse_outcome, a Namespace given as the reprs of its attributes so
+    that a nan value compares equal."""
+    out = parse_outcome(parse, argv)
+    if isinstance(out, argparse.Namespace):
+        return {key: repr(value) for key, value in vars(out).items()}
+    return out
 
-    def refuse(*args):
-        raise AssertionError("built another command's parser")
 
-    monkeypatch.setattr(cli, "build_parser", refuse)
-    for name in cli.COMMANDS:
-        if name != "verify":
-            monkeypatch.setitem(cli.COMMANDS, name,
-                                (cli.COMMANDS[name][0], refuse))
-    assert run_cli("verify", str(mid)) == 0
+def test_read_matches_full_parser_property(capsys):
+    # argv drawn from the COMMANDS table: each argument kept or dropped,
+    # with a value that fits it or one of any shape, exact, in the = form
+    # or abbreviated, then stray tokens (repeats among them) put in
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    flags = sorted({flag for _, _, arguments in cli.COMMANDS.values()
+                    for flag, _ in arguments})
+    odd = st.one_of(st.sampled_from(flags), st.sampled_from([
+        "", "--", "-", "-h", "--help", "-1", "nan", "-inf", "1.5", "0x10",
+        "1_0", " 7", "1,2", "equilateral", "standard", "a b.json", "x=y",
+        "verify"]), st.integers().map(str), st.floats().map(str))
+    fits = {int: st.integers(-2, 30).map(str),
+            float: st.floats(allow_infinity=False).map(str),
+            str: st.sampled_from(["a.json", "1,2", "two_distance"])}
+
+    @st.composite
+    def argvs(draw):
+        name = draw(st.sampled_from(list(cli.COMMANDS) + ["-h", "bogus"]))
+        groups = []
+        for flag, kw in cli.COMMANDS.get(name, (None, None, []))[2]:
+            if draw(st.integers(0, 7)) == 0:
+                continue
+            value = draw(odd if draw(st.integers(0, 7)) == 0 else (
+                st.sampled_from(kw["choices"]) if "choices" in kw
+                else fits[kw.get("type", str)]))
+            form = draw(st.sampled_from(["exact"] * 5 + ["=", "abbreviated"]))
+            if flag[0] != "-":
+                groups.append([value])
+            elif kw.get("action"):
+                groups.append([flag + "=" if form == "=" else flag])
+            elif form == "=":
+                groups.append([flag + "=" + value])
+            elif form == "abbreviated":
+                groups.append([flag[:draw(st.integers(2, len(flag)))], value])
+            else:
+                groups.append([flag, value])
+        for _ in range(draw(st.integers(0, 3)) // 2):
+            stray = [draw(odd)] if draw(st.booleans()) or not groups \
+                else draw(st.sampled_from(groups))
+            groups.insert(draw(st.integers(0, len(groups))), stray)
+        return [name] + [arg for group in draw(st.permutations(groups))
+                         for arg in group]
+
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(argvs())
+    def check(argv):
+        read = _outcome(cli.parse, argv)
+        printed = capsys.readouterr()
+        assert read == _outcome(full_parse, argv)
+        assert printed == capsys.readouterr()
+    check()
+
+
+VALID_ARGV = [
+    ("construct", "--p", "5", "--d", "3", "--midpoints", "--out", "c.json"),
+    ("construct", "--p=5", "--k=2", "--d=3", "--b", "2",
+     "--embed=standard", "--out=e.json"),
+    ("verify", "c.midpoints.json"),
+    ("search", "--mode", "two_distance", "--p", "3", "--d", "2",
+     "--fix-values", "1,2", "--budget-secs", "30", "--canonical",
+     "--out", "s.json"),
+    ("search", "--p=5", "--d=2", "--mode=two_distance"),
+    ("tables", "--d", "6"),
+    ("tables", "--p", "3", "--k", "1", "--max-d", "4"),
+]
+
+
+def test_valid_argv_builds_no_parser(tmp_path, monkeypatch):
+    # a well-formed argv of each command is read from its COMMANDS entry
+    # alone: no argparse.ArgumentParser is constructed, and the entry's
+    # command is the one that runs
+    monkeypatch.chdir(tmp_path)
+    want = [_outcome(full_parse, argv) for argv in VALID_ARGV]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an argparse parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert [_outcome(cli.parse, argv) for argv in VALID_ARGV] == want
+    ran = []
+    for name, (help_text, func, arguments) in list(cli.COMMANDS.items()):
+        def logged(args, func=func):
+            ran.append(args.command)
+            return func(args)
+        monkeypatch.setitem(cli.COMMANDS, name, (help_text, logged, arguments))
+    for argv in VALID_ARGV:
+        assert cli.main(list(argv)) == 0, argv
+    assert ran == [argv[0] for argv in VALID_ARGV]
 
 
 def test_main_reads_sys_argv(tmp_path, monkeypatch, capsys):

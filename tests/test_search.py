@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ffdist.field import field_make
-from ffdist import geometry, search
+from ffdist import certificate, geometry, search
 from ffdist.search import (
     SearchProblem, max_equilateral, max_two_distance, TooLarge,
     MODE_EQUILATERAL, MODE_TWO_DISTANCE,
@@ -39,6 +39,13 @@ def plain_engine(monkeypatch):
     monkeypatch.setattr(search, "_witt_classes", lambda *args: None)
 
 
+def recorded(r):
+    """The meta.search entries certificate.derived_meta gives r's witness:
+    bound_status against C(d+2, 2) and both_values."""
+    return certificate.derived_meta(r.witness,
+                                    geometry.classify(r.witness))["search"]
+
+
 def run(p, d, mode, k=1, **kw):
     f = field_make(p, k)
     prob = SearchProblem(f, d, mode, **kw)
@@ -56,7 +63,7 @@ def test_f3_line_equilateral():
 def test_f3_line_two_distance():
     r = run(3, 1, MODE_TWO_DISTANCE)
     assert r.max_size == 3 and r.exhausted
-    assert r.bound_status == "attained"
+    assert recorded(r)["bound_status"] == "attained"
 
 
 def test_f5_line_equilateral():
@@ -75,11 +82,11 @@ def test_f3_plane_two_distance_exceeds_reference():
     # counterexample to carrying the quadratic bound over verbatim
     r = run(3, 2, MODE_TWO_DISTANCE)
     assert r.max_size == 9 and r.exhausted
-    assert r.bound_status == "exceeded"
+    assert recorded(r)["bound_status"] == "exceeded"
     assert geometry.blokhuis_bound(2) == 6
     assert sorted(r.witness.points) == sorted(
         itertools.product(range(3), repeat=2))
-    assert r.both_values
+    assert recorded(r)["both_values"]
 
 
 def test_open_case_p3_d4_standard_form():
@@ -99,7 +106,8 @@ def test_witness_consistent_with_mode():
         r = run(p, d, MODE_TWO_DISTANCE)
         cls = geometry.classify(r.witness)
         assert isinstance(cls, (geometry.Equilateral, geometry.TwoDistance))
-        assert r.both_values == isinstance(cls, geometry.TwoDistance)
+        assert recorded(r)["both_values"] == (
+            len(geometry.spectrum(r.witness)) == 2)
 
 
 def test_exhausted_respects_rank_bound():
@@ -210,7 +218,8 @@ def test_golden_files():
         assert r.max_size == rec["max_size"], path.name
         assert r.exhausted == rec["exhausted"], path.name
         if "bound_status" in rec:
-            assert r.bound_status == rec["bound_status"], path.name
+            assert recorded(r)["bound_status"] == rec["bound_status"], \
+                path.name
 
 
 def reference_graph(f, d, values):
@@ -724,7 +733,7 @@ def test_f3_dim6_two_distance_exhausts():
     r = run(3, 6, MODE_TWO_DISTANCE)
     assert r.exhausted
     assert r.max_size == 27
-    assert r.bound_status == "unreached"
+    assert recorded(r)["bound_status"] == "unreached"
 
 
 def test_f5_dim5_two_distance_exhausts():
@@ -1106,8 +1115,8 @@ def test_canonical_pass_budget_hit_keeps_proven_size(monkeypatch):
         assert r.stats["subproblems"] == [
             dict(s, seconds=t["seconds"]) for s, t in
             zip(full.stats["subproblems"], r.stats["subproblems"])]
-        assert (r.max_size, r.bound_status) == (full.max_size,
-                                                full.bound_status)
+        assert (r.max_size, recorded(r)["bound_status"]) == (
+            full.max_size, recorded(full)["bound_status"])
         assert len(r.witness.points) == r.max_size
         assert set(geometry.spectrum(r.witness)) <= set(r.values)
 

@@ -10,10 +10,11 @@ stored bookkeeping against it.
 
 Files are deterministic JSON (sorted keys, fixed indentation, trailing
 newline) so identical inputs produce byte-identical certificates.
-dumps writes json.dumps(indent=2, sort_keys=True) byte for byte, but
-formats "points" from the encodings of the PointSet it was made from, as
-an indent turns off json's C encoder.  load decodes all points in
-whole-list passes; only a malformed point is read alone, to name it.
+dumps builds the whole file from a PointSet, its claim and its meta in
+one call: json.dumps(indent=2, sort_keys=True) byte for byte, with
+"points" formatted from the encodings of the set, as an indent turns
+off json's C encoder.  load decodes all points in whole-list passes;
+only a malformed point is read alone, to name it.
 """
 
 import json
@@ -41,14 +42,6 @@ def field_block(f):
     if f.modulus is not None:
         block["modulus"] = list(f.modulus)
     return block
-
-
-def points_block(s):
-    f = s.field
-    if f.k == 1:
-        return [list(p) for p in s.points]
-    form = {a: f.serialize(a) for a in set(chain.from_iterable(s.points))}
-    return [list(map(list, map(form.__getitem__, p))) for p in s.points]
 
 
 def equilateral_claim(f, delta):
@@ -82,18 +75,6 @@ def construction_meta(construction, params, s):
             "b": params.field.serialize(params.b), "bounds": meta["bounds"]}
 
 
-def make(s, claim, meta):
-    return {
-        "version": 1,
-        "field": field_block(s.field),
-        "ambient_dim": s.ambient_dim,
-        "form": s.form,
-        "points": points_block(s),
-        "claim": claim,
-        "meta": meta,
-    }
-
-
 def _json_list(items, indent):
     """Item texts joined as json.dumps(indent=2) nests a list at indent."""
     inner = "\n" + " " * (indent + 2)
@@ -102,8 +83,8 @@ def _json_list(items, indent):
 
 
 def _points_text(s):
-    """The "points" text of a certificate made from s: each distinct
-    element formatted once, and joined point by point."""
+    """The "points" text of the certificate of s: each distinct element
+    formatted once, and joined point by point."""
     f = s.field
     texts = {a: repr(a) if f.k == 1 else
              _json_list(list(map(repr, f.serialize(a))), 6)
@@ -112,18 +93,22 @@ def _points_text(s):
                        for x in s.points], 2)
 
 
-def dumps(cert, s):
-    """json.dumps(cert, indent=2, sort_keys=True) + "\n", byte for byte,
-    for cert = make(s, ...) unchanged and s of int coordinates: "points"
-    is formatted from s, as an indent turns off json's C encoder."""
-    rest = json.dumps(dict(cert, points=0), indent=2, sort_keys=True)
+def dumps(s, claim, meta):
+    """The certificate of s, claim and meta: json.dumps(indent=2,
+    sort_keys=True) + "\n" byte for byte, with "points" formatted from
+    the encodings of s, as an indent turns off json's C encoder."""
+    rest = json.dumps({"version": 1, "field": field_block(s.field),
+                       "ambient_dim": s.ambient_dim, "form": s.form,
+                       "points": 0, "claim": claim, "meta": meta},
+                      indent=2, sort_keys=True)
     text = '\n  "points": ' + _points_text(s)
     return rest.replace('\n  "points": 0', text, 1) + "\n"
 
 
-def write(cert, path, s):
+def write(s, path, claim, meta):
+    """Write dumps(s, claim, meta) to path."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(cert, s))
+        fh.write(dumps(s, claim, meta))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +196,8 @@ def load(path):
         # Python's digit limit; RecursionError: nesting past the stack
         raise SchemaError("cannot read certificate: %s" % exc)
     _schema(isinstance(cert, dict), "certificate must be a JSON object")
-    _schema(cert.get("version") == 1, "unsupported certificate version")
+    _schema(_is_int(cert.get("version")) and cert["version"] == 1,
+            "unsupported certificate version")
     fb = cert.get("field")
     _schema(isinstance(fb, dict) and _is_int(fb.get("p"))
             and _is_int(fb.get("k")), "bad field block")
@@ -230,12 +216,13 @@ def load(path):
     _schema(isinstance(raw_points, list) and len(raw_points) >= 2,
             "need at least 2 points")
     points = _decode(f, dim, raw_points)
-    _schema(len(set(points)) == len(points), "points must be distinct")
     claimed = _claimed(f, cert.get("claim"))
     try:
         s = PointSet(f, dim, form, points)
     except OffHyperplane as exc:
         raise VerificationFailure(str(exc))
+    except ValueError as exc:  # points not distinct
+        raise SchemaError(str(exc))
     return cert, s, claimed
 
 

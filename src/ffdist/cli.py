@@ -45,9 +45,9 @@ class UsageError(Exception):
     pass
 
 
-def _write(cert, path, s):
+def _write(s, path, claim, meta):
     try:
-        certificate.write(cert, path, s)
+        certificate.write(s, path, claim, meta)
     except OSError as exc:
         raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc))
 
@@ -73,10 +73,8 @@ def cmd_construct(args):
         except NotIsometric as exc:
             print("embedding failed: %s" % exc, file=sys.stderr)
             return EXIT_FAIL
-    meta = certificate.construction_meta("modular_equilateral", params, s)
-    cert = certificate.make(
-        s, certificate.equilateral_claim(f, params.delta), meta)
-    _write(cert, args.out, s)
+    _write(s, args.out, certificate.equilateral_claim(f, params.delta),
+           certificate.construction_meta("modular_equilateral", params, s))
     print("wrote %s (%d equilateral points)" % (args.out, len(s)))
     if args.midpoints:
         mid = construct.midpoints(s)
@@ -90,7 +88,7 @@ def cmd_construct(args):
         else:  # the 3 midpoints of a triangle are pairwise at delta/4
             claim = certificate.equilateral_claim(f, mid.d4)
         mpath = _midpoint_out_path(args.out)
-        _write(certificate.make(mid.points, claim, mmeta), mpath, mid.points)
+        _write(mid.points, mpath, claim, mmeta)
         print("wrote %s (%d midpoints)" % (mpath, len(mid.points)))
     return EXIT_OK
 
@@ -144,8 +142,7 @@ def cmd_search(args):
         if not args.canonical:  # stats vary run to run
             meta["search"].update(nodes=result.stats["nodes"],
                                   seconds=round(result.stats["seconds"], 3))
-        cert = certificate.make(result.witness, claim, meta)
-        _write(cert, args.out, result.witness)
+        _write(result.witness, args.out, claim, meta)
     print("max %s size in GF(%d^%d)^%d: %d (%s)"
           % (args.mode, args.p, args.k, args.d, result.max_size,
              "exhausted" if result.exhausted else "budget hit"))

@@ -351,6 +351,8 @@ def field_make(p, k=1, modulus=None):
     if p**k > MAX_Q:
         raise ValueError("field too large: p^k must be <= 2^31")
     if k == 1:
+        if modulus is not None:
+            raise ValueError("GF(%d) takes no modulus" % p)
         return Field(p)
     if p**k > TABLE_CEILING:
         raise ValueError("extension field too large: p^k must be <= 2^17")

@@ -146,9 +146,7 @@ class SearchProblem:
 
 
 class SearchResult:
-    def __init__(self, problem, max_size, witness, exhausted, stats,
-                 values=None):
-        self.problem = problem
+    def __init__(self, max_size, witness, exhausted, stats, values=None):
         self.max_size = max_size
         self.witness = witness  # PointSet
         self.exhausted = exhausted
@@ -684,8 +682,7 @@ def max_equilateral(problem):
                                                        problem.d):
         raise LawViolated("exhausted search found %d equilateral points, "
                           "above the rank bound" % size)
-    return SearchResult(problem, size, witness, exhausted, stats,
-                        values=values)
+    return SearchResult(size, witness, exhausted, stats, values=values)
 
 
 def max_two_distance(problem):
@@ -695,5 +692,4 @@ def max_two_distance(problem):
     equilateral); certificate.derived_meta records which case occurred
     and how the size compares with C(d+2, 2)."""
     size, witness, values, exhausted, stats = _search(problem)
-    return SearchResult(problem, size, witness, exhausted, stats,
-                        values=values)
+    return SearchResult(size, witness, exhausted, stats, values=values)

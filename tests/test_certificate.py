@@ -12,12 +12,19 @@ from ffdist.linalg import NotIsometric
 from test_construct import grid
 
 
-def reference_dumps(cert):
+def reference_dumps(s, claim, meta):
+    """json.dumps of the certificate of s, each point a list of
+    f.serialize of its coordinates."""
+    f = s.field
+    cert = {"version": 1, "field": certificate.field_block(f),
+            "ambient_dim": s.ambient_dim, "form": s.form,
+            "points": [[f.serialize(a) for a in x] for x in s.points],
+            "claim": claim, "meta": meta}
     return json.dumps(cert, indent=2, sort_keys=True) + "\n"
 
 
 def test_dumps_matches_json_property():
-    """dumps(make(s, ...), s) against json.dumps on point sets s over
+    """dumps(s, claim, meta) against json.dumps on point sets s over
     GF(p) up to p = 2^31 - 1 (multi-digit element texts) and GF(p^k),
     of one point and many, in both forms, under any JSON meta."""
     hypothesis = pytest.importorskip("hypothesis")
@@ -57,9 +64,9 @@ def test_dumps_matches_json_property():
                                  [[7, fields[5].neg(7)], [0, 0]]),
                         {"a": [], "b": {}})
     def check(s, meta):
-        cert = certificate.make(
-            s, certificate.equilateral_claim(s.field, s.points[0][0]), meta)
-        assert certificate.dumps(cert, s) == reference_dumps(cert)
+        claim = certificate.equilateral_claim(s.field, s.points[0][0])
+        assert (certificate.dumps(s, claim, meta)
+                == reference_dumps(s, claim, meta))
     check()
 
 
@@ -73,23 +80,11 @@ def test_dumps_of_made_certificates(p, k, d):
             s = embed_standard(s)
         except NotIsometric:  # GF(27): the hyperplane set as it is
             pass
-    cert = certificate.make(s, certificate.equilateral_claim(f, 2),
-                            certificate.derived_meta(s, None))
+    claim = certificate.equilateral_claim(f, 2)
+    meta = certificate.derived_meta(s, None)
     # the points text formatted from the encodings of s
-    assert certificate.dumps(cert, s) == reference_dumps(cert)
-
-
-def test_make_points_are_independent_lists():
-    f = field_make(5, 2)
-    s = modular_equilateral(ModularParams(f, 3, b=7))
-    cert = certificate.make(s, certificate.equilateral_claim(f, 2), {})
-    before = json.loads(json.dumps(cert["points"]))
-    cert["points"][1][2][0] = 99
-    after = json.loads(json.dumps(cert["points"]))
-    changed = [(i, j) for i, (p, q) in enumerate(zip(before, after))
-               for j, (a, b) in enumerate(zip(p, q)) if a != b]
-    assert changed == [(1, 2)]
-    assert after[1][2] == [99] + before[1][2][1:]
+    assert (certificate.dumps(s, claim, meta)
+            == reference_dumps(s, claim, meta))
 
 
 def test_bulk_decode_matches_element_property(tmp_path):
@@ -136,7 +131,8 @@ def test_whole_list_decode_matches_per_point_loop(p, k, d):
     SchemaError text."""
     f = field_make(p, k)
     s = embed_standard(modular_equilateral(ModularParams(f, d)))
-    made = certificate.make(s, certificate.equilateral_claim(f, 1), {})
+    made = json.loads(certificate.dumps(
+        s, certificate.equilateral_claim(f, 1), {}))["points"]
     dim = s.ambient_dim
 
     def outcome(decode, raw):
@@ -144,16 +140,16 @@ def test_whole_list_decode_matches_per_point_loop(p, k, d):
             return decode(f, dim, raw)
         except certificate.SchemaError as exc:
             return str(exc)
-    cases = [made["points"]]
+    cases = [made]
     for i in (0, len(s) // 2, len(s) - 1):
         for j in (0, dim - 1):
             for value in ([p, -1], [3 * p + 1, 2**70], True, 2, 1.5, "1",
                           [1], [1, 2, 3], [1, True], [1, None], None):
-                raw = json.loads(json.dumps(made["points"]))
+                raw = json.loads(json.dumps(made))
                 raw[i][j] = value
                 cases.append(raw)
-        for point in (made["points"][i][:-1], "x"):  # a malformed point
-            raw = json.loads(json.dumps(made["points"]))
+        for point in (made[i][:-1], "x"):  # a malformed point
+            raw = json.loads(json.dumps(made))
             raw[i] = point
             cases.append(raw)
     outcomes = [outcome(certificate._decode_each, raw) for raw in cases]

@@ -166,6 +166,15 @@ def test_verify_schema_errors(tmp_path):
     bad.write_text(json.dumps(cert))
     assert run_cli("verify", str(bad)) == 2
 
+    # PointSet's distinctness check, read as a schema error
+    cert = json.loads(out.read_text())
+    cert["points"][1] = cert["points"][0]
+    bad.write_text(json.dumps(cert))
+    with pytest.raises(certificate.SchemaError,
+                       match="points must be pairwise distinct"):
+        certificate.load(str(bad))
+    assert run_cli("verify", str(bad)) == 2
+
 
 @pytest.mark.parametrize("p,d", [(5, 3), (7, 5)])
 def test_verify_accepts_either_value_order(tmp_path, p, d):
@@ -191,6 +200,10 @@ def test_verify_accepts_either_value_order(tmp_path, p, d):
     (("meta", "srg_report"), {"ok": True}),
     (("meta", "srg_report"), None),
     (("meta", "srg_report"), [5]),
+    (("field", "modulus"), [7, 7, 7]),
+    (("field", "modulus"), []),
+    (("version",), True),
+    (("version",), 1.0),
 ])
 def test_verify_malformed_input(tmp_path, path, value):
     _, _, mid = construct_pair(tmp_path, 5, 3)

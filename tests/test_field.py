@@ -63,6 +63,12 @@ def test_reducible_modulus_rejected():
         field_make(3, 2, modulus=[2, 0, 1])  # t^2 + 2 = (t+1)(t+2)
 
 
+@pytest.mark.parametrize("modulus", [[7, 7, 7], [], [0, 1], [2, 1]])
+def test_prime_field_takes_no_modulus(modulus):
+    with pytest.raises(ValueError, match="GF\\(5\\) takes no modulus"):
+        field_make(5, 1, modulus)
+
+
 def test_f9_extension_multiplication():
     # (t+1)*(t+1) = t^2 + 2t + 1 = 2t  since t^2 = -1; the element
     # c_0 + c_1 t is encoded as c_0 + 3 c_1, so t+1 is 4 and 2t is 6

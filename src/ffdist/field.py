@@ -14,8 +14,9 @@ Niederreiter, Finite Fields, 9.1), so mul, inv, pow, square_class and
 sqrt are lookups; that element is the first whose walk over its powers
 takes q - 1 steps, and the walk is the exp table.  Admitted: p <= 2^31
 (MAX_Q) for k = 1, and q <= 2^17 (TABLE_CEILING) for k > 1, where the
-tables hold about 15 MB and build in about half a second.  All
-arithmetic is exact; no floating point anywhere.
+tables hold about 15 MB; field_make takes 0.35-0.54 s for GF(3^10),
+0.3 s for GF(7^6) and 0.2 s for GF(17^4) (Python 3.11, a shared 2-vCPU
+Xeon).  All arithmetic is exact; no floating point anywhere.
 """
 
 import enum
@@ -159,8 +160,12 @@ def _table_kernel(p, k, modulus, name):
     weights = [p**i for i in range(k)]
     # A walk over the powers of g returns to 1 after its order; the first
     # g to take n steps is primitive.  Encodings below p form GF(p),
-    # whose orders divide p - 1 < n.
+    # whose orders divide p - 1 < n.  Every power on a shorter walk has an
+    # order dividing that walk's length, so it is marked and not walked.
+    seen = bytearray(n + 1)
     for a in range(p, n + 1):
+        if seen[a]:
+            continue
         power = [a // r % p for r in weights]  # the coefficients of g = a
         g = _poly_trim(power)
         columns = [sum(c << (s * j) for j, c in enumerate(
@@ -174,6 +179,8 @@ def _table_kernel(p, k, modulus, name):
             a = sum(map(_mul, power, weights))
         if len(cycle) == n:
             break
+        for x in cycle:
+            seen[x] = 1
     exp = cycle + cycle + [0] * (2 * n + 1)
     log = [2 * n] * (n + 1)
     for i, a in enumerate(cycle):

@@ -71,7 +71,9 @@ subtraction of point keys and one lookup (see _CayleyTable).  The search
 pass builds adjacency only among the vertices of each subproblem, in
 ascending point order: the clique engine sees the induced subgraph under
 an order-preserving relabelling; the canonical walk builds only the rows
-it reads, from the same row function (see _CayleyTable.upper).
+it reads, from the same row function (see _CayleyTable.upper).  A
+subproblem with no more vertices than the clique it must beat builds no
+graph, so the engine stops at its root; that is exact, and counts one node.
 Ceilings, for both passes: q^d <= 2^16 keeps norms in a byte for d >= 2
 (q <= 256) and in 16 bits for d = 1, and the table has (2p-1)^(dk) <= 9^6
 entries.
@@ -607,13 +609,13 @@ def _search(problem):
             for ttype, e, z, verts, orbits in _triangle_subproblems(
                     table, cand, values):
                 nodes, t0 = budget.nodes, time.monotonic()
-                adj = table.graph(verts, values, budget)
                 # --canonical seeks a tie with the best until the class
                 # has one, so top ends exact wherever it reaches best_size
-                tie = problem.canonical and top < best_size
-                clique, done = _max_clique(adj, budget,
-                                           lower=best_size - 3 - tie,
-                                           classes=orbits)
+                lower = best_size - 3 - (problem.canonical and top < best_size)
+                # no clique on len(verts) <= lower vertices beats lower
+                adj = (table.graph(verts, values, budget)
+                       if len(verts) > lower else [])
+                clique, done = _max_clique(adj, budget, lower, orbits)
                 subproblems.append({
                     "values": list(values), "type": ttype,
                     "graph_size": len(verts),

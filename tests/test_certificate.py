@@ -3,7 +3,7 @@ from functools import reduce
 
 import pytest
 
-from ffdist import certificate, cli, construct
+from ffdist import certificate, cli, construct, srg
 from ffdist.construct import ModularParams, embed_standard, modular_equilateral
 from ffdist.field import field_make
 from ffdist.geometry import FORM_STANDARD, FORM_SUM_ZERO, PointSet
@@ -228,6 +228,50 @@ def test_shuffled_midpoints_verify_through_the_census(tmp_path,
     # the equilateral source certificate has no two-distance claim
     report = certificate.verify(str(tmp_path / "c.json"))
     assert report["method"] == "census"
+
+
+def midpoint_graph_calls(monkeypatch, *failures):
+    """Spy on srg.midpoint_graph: the edge values it is called with.  With
+    failures, each call raises BadDistanceValue naming its value."""
+    calls, made = [], srg.midpoint_graph
+
+    def spy(s, edge):
+        calls.append(edge)
+        if failures:
+            raise srg.BadDistanceValue("no graph at %d" % edge)
+        return made(s, edge)
+
+    monkeypatch.setattr(srg, "midpoint_graph", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p,d", [(3, 7), (7, 5)])
+def test_census_recheck_builds_one_graph_at_p3(tmp_path, monkeypatch, p, d):
+    # at p = 3 delta/2 < delta/4, so the value order alone would build the
+    # complement of T(n) first; point 0's degree in the census picks
+    # delta/4, and a well-formed file builds one graph.  At n = d + 2 = 7
+    # the complement's degree is 2(n - 2) = 10 too, so the value order
+    # decides and p = 7 (delta/2 = 1 < delta/4 = 4) builds both
+    mid = construct_midpoints(tmp_path, "--p", str(p), "--d", str(d))
+    d4, d2 = json.loads(mid.read_text())["claim"]["values"]
+    assert d2 < d4
+    reversed_file = edited(tmp_path, mid, lambda c: c["points"].reverse())
+    calls = midpoint_graph_calls(monkeypatch)
+    report = certificate.verify(str(reversed_file))
+    assert report["method"] == "census" and report["checks"]["srg"] == "passed"
+    assert calls == ([d4] if d + 2 != 7 else [d2, d4])
+
+
+def test_census_recheck_reports_both_failures_in_value_order(
+        tmp_path, monkeypatch):
+    mid = construct_midpoints(tmp_path, "--p", "3", "--d", "7")
+    reversed_file = edited(tmp_path, mid, lambda c: c["points"].reverse())
+    calls = midpoint_graph_calls(monkeypatch, "fail")
+    with pytest.raises(certificate.VerificationFailure) as failure:
+        certificate.verify(str(reversed_file))
+    assert sorted(calls) == [1, 2] and calls != [1, 2]
+    assert str(failure.value) == ("SRG recheck failed for either edge "
+                                  "value: no graph at 1; no graph at 2")
 
 
 def _move(point, p):

@@ -793,6 +793,116 @@ def test_subproblem_stats_record_budget_hit(monkeypatch):
     assert all(s["done"] for s in r.stats["subproblems"][:-1])
 
 
+# the subproblem records of two search passes as they ran when every
+# subproblem built its graph and ran the clique engine: values,
+# collinear, sides, graph_size, root_branches, nodes; all done
+SKIP_PINS = {
+    (5, 2, 2): [
+        ((1, 2), False, (1, 1, 1), 1, 1, 1),
+        ((1, 2), False, (1, 1, 2), 1, 1, 1),
+        ((1, 2), False, (1, 2, 2), 1, 1, 1),
+        ((1, 2), False, (2, 2, 2), 0, 0, 1),
+        ((1, 4), False, (1, 1, 1), 0, 0, 1),
+        ((1, 4), False, (4, 4, 4), 0, 0, 1),
+        ((1, 4), True, (1, 1, 4), 2, 2, 2),
+        ((1, 4), True, (1, 4, 4), 0, 0, 1),
+        ((1, 5), False, (1, 1, 1), 3, 3, 1),
+        ((1, 5), False, (1, 1, 5), 1, 1, 1),
+        ((1, 5), False, (1, 5, 5), 0, 0, 1),
+        ((1, 5), False, (5, 5, 5), 0, 0, 1),
+        ((1, 6), False, (1, 1, 1), 0, 0, 1),
+        ((1, 6), False, (6, 6, 6), 0, 0, 1),
+        ((1, 7), False, (1, 1, 1), 0, 0, 1),
+        ((1, 7), False, (1, 1, 7), 0, 0, 1),
+        ((1, 7), False, (7, 7, 7), 0, 0, 1),
+        ((1, 8), False, (1, 1, 1), 0, 0, 1),
+        ((1, 8), False, (1, 1, 8), 0, 0, 1),
+        ((1, 8), False, (8, 8, 8), 0, 0, 1),
+        ((1, 9), False, (1, 1, 1), 0, 0, 1),
+        ((1, 9), False, (1, 9, 9), 0, 0, 1),
+        ((1, 9), False, (9, 9, 9), 0, 0, 1),
+        ((1, 10), False, (1, 1, 1), 0, 0, 1),
+        ((1, 10), False, (10, 10, 10), 0, 0, 1),
+        ((1, 13), False, (1, 1, 1), 0, 0, 1),
+        ((1, 13), False, (1, 1, 13), 0, 0, 1),
+        ((1, 13), False, (13, 13, 13), 0, 0, 1),
+        ((1, 14), False, (1, 1, 1), 0, 0, 1),
+        ((1, 14), False, (1, 14, 14), 0, 0, 1),
+        ((1, 14), False, (14, 14, 14), 0, 0, 1),
+        ((1, 15), False, (1, 1, 1), 0, 0, 1),
+        ((1, 15), False, (15, 15, 15), 0, 0, 1),
+        ((1, 19), False, (1, 1, 1), 0, 0, 1),
+        ((1, 19), False, (1, 19, 19), 0, 0, 1),
+        ((1, 19), False, (19, 19, 19), 0, 0, 1),
+    ],
+    (5, 1, 4): [
+        ((1, 2), False, (1, 1, 1), 43, 8, 9),
+        ((1, 2), False, (1, 1, 2), 25, 13, 1),
+        ((1, 2), False, (1, 2, 2), 7, 2, 1),
+        ((1, 2), False, (2, 2, 2), 6, 1, 1),
+        ((1, 4), False, (1, 1, 1), 48, 8, 89),
+        ((1, 4), False, (1, 1, 4), 25, 13, 3),
+        ((1, 4), False, (1, 4, 4), 10, 2, 1),
+        ((1, 4), False, (4, 4, 4), 6, 1, 1),
+        ((1, 4), True, (1, 1, 4), 2, 2, 1),
+        ((1, 4), True, (1, 4, 4), 0, 0, 1),
+    ],
+}
+SKIP_RUNS = {(5, 2, 2): (3, dict(canonical=True)), (5, 1, 4): (5, {})}
+
+
+def graphs_built(monkeypatch):
+    """Spy on _CayleyTable.graph: the budget's node count at each call."""
+    starts = []
+    made = search._CayleyTable.graph
+
+    def spy(self, verts, values, budget):
+        starts.append(budget.nodes)
+        return made(self, verts, values, budget)
+
+    monkeypatch.setattr(search._CayleyTable, "graph", spy)
+    return starts
+
+
+@pytest.mark.parametrize("p,k,d", sorted(SKIP_PINS))
+def test_small_subproblems_skip_the_graph_exactly(monkeypatch, p, k, d):
+    # a subproblem with no more vertices than the clique it must beat
+    # builds no graph and counts the engine's one root node: the records
+    # do not move, and every subproblem that builds no graph records 1
+    built, kw = SKIP_RUNS[p, k, d]
+    starts = graphs_built(monkeypatch)
+    r = run(p, d, MODE_TWO_DISTANCE, k=k, **kw)
+    subs = r.stats["subproblems"]
+    assert r.exhausted and [
+        (tuple(s["values"]), s["type"]["collinear"], tuple(s["type"]["sides"]),
+         s["graph_size"], s["root_branches"], s["nodes"])
+        for s in subs] == SKIP_PINS[p, k, d]
+    assert all(s["done"] for s in subs)
+    first = list(itertools.accumulate([0] + [s["nodes"] for s in subs]))
+    assert len(starts) == built and set(starts) <= set(first)
+    assert all(s["nodes"] == 1 for s, n in zip(subs, first)
+               if n not in starts)
+
+
+def test_budget_hit_on_a_skipped_subproblem(monkeypatch):
+    # the budget runs out on the one node a subproblem without a graph
+    # counts: it is recorded as not done, last, and nothing after it runs
+    starts = graphs_built(monkeypatch)
+    full = run(5, 2, MODE_TWO_DISTANCE, k=2, canonical=True)
+    first = list(itertools.accumulate(
+        [0] + [s["nodes"] for s in full.stats["subproblems"]]))
+    i = next(i for i, n in enumerate(first) if n not in starts)
+    starts.clear()
+    monkeypatch.setattr(search, "_Budget", node_capped(first[i]))
+    r = run(5, 2, MODE_TWO_DISTANCE, k=2, canonical=True)
+    subs = r.stats["subproblems"]
+    assert not r.exhausted and len(subs) == i + 1
+    assert subs[-1]["nodes"] == 1 and subs[-1]["done"] is False
+    assert [dict(s, seconds=0) for s in subs[:-1]] == [
+        dict(s, seconds=0) for s in full.stats["subproblems"][:i]]
+    assert first[i] not in starts and r.stats["nodes"] == first[i] + 1
+
+
 # the clique tree of four instances as the search ran when it still built
 # the whole neighborhood graph of each value set: building adjacency per
 # subproblem, in ascending point order, must not move a node or a witness
@@ -1137,12 +1247,12 @@ def test_default_budget_has_no_node_cap():
 
 
 def test_canonical_pass_checks_the_deadline(monkeypatch):
-    # every graph row of a canonical run, the rows the canonical pass
-    # builds as its walk reads them included, is built under the run's
-    # budget, and both a row build and the lexicographic walk stop at a
-    # passed deadline
-    budgets = []
-    made = search._CayleyTable.upper
+    # every graph row of a canonical run, the rows of each graph the
+    # search pass builds and those the canonical pass builds as its walk
+    # reads them, is built under the run's budget, and both a row build
+    # and the lexicographic walk stop at a passed deadline
+    budgets, sizes = [], []
+    made, graph = search._CayleyTable.upper, search._CayleyTable.graph
 
     def spy(self, verts, values, budget):
         upper = made(self, verts, values, budget)
@@ -1153,10 +1263,14 @@ def test_canonical_pass_checks_the_deadline(monkeypatch):
 
         return counted
 
+    def graph_spy(self, verts, values, budget):
+        sizes.append(len(verts))
+        return graph(self, verts, values, budget)
+
     monkeypatch.setattr(search._CayleyTable, "upper", spy)
+    monkeypatch.setattr(search._CayleyTable, "graph", graph_spy)
     r = run(7, 3, MODE_TWO_DISTANCE, canonical=True)
-    assert len(budgets) == sum(s["graph_size"] for s in r.stats[
-        "subproblems"]) + r.stats["canonical"]["rows"]
+    assert len(budgets) == sum(sizes) + r.stats["canonical"]["rows"]
     assert r.stats["canonical"]["rows"] and None not in budgets
     assert len(set(map(id, budgets))) == 1
     monkeypatch.undo()
